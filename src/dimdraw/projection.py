@@ -5,9 +5,9 @@ around vertical, equally spaced within +-spread degrees.  Every
 direction has a strictly positive y component and all coordinates
 strictly increase along comparable pairs, so any axis assignment yields
 an upward drawing for free.  The assignment (which realizer axis goes to
-which fan direction, plus an optional horizontal mirror) is chosen by
-exhaustive search to minimize edge crossings.  A final repair pass
-nudges nodes horizontally off any non-incident edge they touch.
+which fan direction) is chosen by exhaustive search to minimize edge
+crossings.  A final repair pass nudges nodes horizontally off any
+non-incident edge they touch.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class Layout:
     crossings: int
     frame: AxisFrame
     assignment: tuple[int, ...]
-    mirrored: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,55 +78,55 @@ def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
     return AxisFrame(directions=dirs, spread=spread_deg)
 
 
-def _cross(o: tuple[float, float], a: tuple[float, float],
-           b: tuple[float, float]) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _disjoint_pairs(edges) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """Every unordered pair of edges that share no endpoint, grouped by the
+    earlier edge (a, b) as (a, b, [later edges (c, d)]), in edge order."""
+    return [(a, b, [edge for edge in edges[i + 1:]
+                    if a not in edge and b not in edge])
+            for i, (a, b) in enumerate(edges)]
 
 
-def _proper_crossing(p1, p2, q1, q2) -> bool:
-    """Open-interior crossing: strict orientation flips on both segments."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
-def _count_crossings(points, edges) -> int:
+def _count_crossings(points, pairs, limit: float = math.inf) -> int:
+    """Pairs whose segments cross in one interior point: strict orientation
+    flips on both segments.  Counting stops once ``limit`` is reached."""
+    # The operand order of each orientation product is fixed: on
+    # near-collinear pairs the rounding decides the sign, and with it the
+    # count and the chosen assignment.
     total = 0
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if a in (c, d) or b in (c, d):
-                continue
-            if _proper_crossing(points[a], points[b], points[c], points[d]):
+    for a, b, later in pairs:
+        p1x, p1y = points[a]
+        p2x, p2y = points[b]
+        vx, vy = p2x - p1x, p2y - p1y
+        for c, d in later:
+            q1x, q1y = points[c]
+            q2x, q2y = points[d]
+            ux, uy = q2x - q1x, q2y - q1y
+            if ((ux * (p1y - q1y) - uy * (p1x - q1x))
+                    * (ux * (p2y - q1y) - uy * (p2x - q1x)) < 0
+                    and (vx * (q1y - p1y) - vy * (q1x - p1x))
+                    * (vx * (q2y - p1y) - vy * (q2x - p1x)) < 0):
                 total += 1
+                if total >= limit:
+                    return total
     return total
 
 
 def count_crossings(layout: Layout) -> int:
     """Unordered edge pairs meeting in exactly one interior point
     (pairs sharing an endpoint excluded)."""
-    return _count_crossings(layout.points, layout.edges)
+    return _count_crossings(layout.points, _disjoint_pairs(layout.edges))
 
 
-def project(e: DimEmbedding, frame: AxisFrame,
-            assignment: tuple[int, ...] | list[int], *,
-            mirrored: bool = False) -> Layout:
-    """Linear projection: point(C) = sum_i coords_i(C) * direction[assignment[i]].
-
-    Upwardness along every cover edge is guaranteed by construction and
-    asserted; so is pairwise distinctness of the points.
-    """
-    assignment = tuple(assignment)
+def _points(e: DimEmbedding, frame: AxisFrame,
+            assignment: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
+    """point(C) = sum_i coords_i(C) * direction[assignment[i]], with the
+    upward-covers and distinct-points contract asserted."""
     d = e.dim
     if sorted(assignment) != list(range(d)) or len(frame.directions) != d:
         raise ValueError("assignment must permute the frame directions")
     dirs = [frame.directions[assignment[i]] for i in range(d)]
-    sign = -1.0 if mirrored else 1.0
     points = tuple(
-        (sign * sum(c[i] * dirs[i][0] for i in range(d)),
+        (sum(c[i] * dirs[i][0] for i in range(d)),
          sum(c[i] * dirs[i][1] for i in range(d)))
         for c in e.coords)
 
@@ -136,32 +135,50 @@ def project(e: DimEmbedding, frame: AxisFrame,
             raise ContractViolation(f"cover edge ({lo}, {hi}) is not upward")
     if len(set(points)) != len(points):
         raise ContractViolation("two concepts share a projected point")
+    return points
 
+
+def project(e: DimEmbedding, frame: AxisFrame,
+            assignment: tuple[int, ...] | list[int]) -> Layout:
+    """Linear projection: point(C) = sum_i coords_i(C) * direction[assignment[i]].
+
+    Upwardness along every cover edge is guaranteed by construction and
+    asserted; so is pairwise distinctness of the points.
+    """
+    assignment = tuple(assignment)
+    points = _points(e, frame, assignment)
     return Layout(points=points, edges=e.covers,
-                  crossings=_count_crossings(points, e.covers),
-                  frame=frame, assignment=assignment, mirrored=mirrored)
+                  crossings=_count_crossings(points, _disjoint_pairs(e.covers)),
+                  frame=frame, assignment=assignment)
 
 
 def best_assignment(e: DimEmbedding, frame: AxisFrame, *,
                     cap: int = DEFAULT_ASSIGNMENT_CAP) -> BestAssignment:
-    """Exhaust axis permutations x optional mirror, minimizing crossings.
+    """Exhaust axis permutations, minimizing crossings.
 
-    Ties break to the lexicographically smallest permutation, then to the
-    non-mirrored variant.  Above the cap (d! search space) the identity
-    assignment is returned with ``exhaustive=False``.
+    Ties break to the lexicographically smallest permutation.  Permutations
+    are visited in lex order and a candidate replaces the best only with a
+    strictly lower count, so a candidate stops being counted once it
+    reaches the best count so far: it can no longer win, and an equal
+    count would lose the tie to the earlier permutation anyway.  Every
+    candidate is still checked for upward covers and distinct points.
+    A horizontal mirror is not searched: negating x negates every
+    orientation product exactly, so its count equals the unmirrored one.
+    Above the cap (d! search space) the identity assignment is returned
+    with ``exhaustive=False``.
     """
     d = e.dim
     identity = tuple(range(d))
     if d > cap:
         return BestAssignment(identity, project(e, frame, identity), False)
-    best: Layout | None = None
+    pairs = _disjoint_pairs(e.covers)
+    best, best_count = None, math.inf
     for perm in permutations(range(d)):
-        for mirrored in (False, True):
-            layout = project(e, frame, perm, mirrored=mirrored)
-            if best is None or layout.crossings < best.crossings:
-                best = layout
+        count = _count_crossings(_points(e, frame, perm), pairs, best_count)
+        if count < best_count:
+            best, best_count = perm, count
     assert best is not None
-    return BestAssignment(best.assignment, best, True)
+    return BestAssignment(best, project(e, frame, best), True)
 
 
 def normalize(layout: Layout) -> Layout:
@@ -186,9 +203,8 @@ def normalize(layout: Layout) -> Layout:
     fy = scaler(min(ys), max(ys))
     points = tuple((fx(x), fy(y)) for x, y in layout.points)
     return Layout(points=points, edges=layout.edges,
-                  crossings=_count_crossings(points, layout.edges),
-                  frame=layout.frame, assignment=layout.assignment,
-                  mirrored=layout.mirrored)
+                  crossings=_count_crossings(points, _disjoint_pairs(layout.edges)),
+                  frame=layout.frame, assignment=layout.assignment)
 
 
 def _segment_distance(p, a, b) -> float:
@@ -281,6 +297,5 @@ def repair_incidences(layout: Layout,
 
     pts = tuple(points)
     return Layout(points=pts, edges=edges,
-                  crossings=_count_crossings(pts, edges),
-                  frame=layout.frame, assignment=layout.assignment,
-                  mirrored=layout.mirrored)
+                  crossings=_count_crossings(pts, _disjoint_pairs(edges)),
+                  frame=layout.frame, assignment=layout.assignment)

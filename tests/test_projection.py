@@ -142,6 +142,18 @@ def test_crossings_invariant_under_translation_and_scaling():
                    edges=layout.edges, crossings=0, frame=layout.frame,
                    assignment=layout.assignment)
     assert count_crossings(moved) == layout.crossings
+    # negating x negates every orientation product exactly, which is why
+    # the assignment search never tries the mirror image
+    from itertools import permutations
+    for ctx in (life_context(), contra_nominal(4)):
+        _, emb = _embedding(ctx)
+        frame = default_frame(emb.dim)
+        for perm in permutations(range(emb.dim)):
+            layout = project(emb, frame, perm)
+            mirrored = Layout(points=tuple((-x, y) for x, y in layout.points),
+                              edges=layout.edges, crossings=0, frame=frame,
+                              assignment=perm)
+            assert count_crossings(mirrored) == count_crossings(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +184,27 @@ def test_best_not_worse_than_identity_on_life():
 
 
 def test_best_assignment_matches_exhaustive_reevaluation():
+    # the search stops counting a candidate at the best count so far; the
+    # answer must still be the lex-first permutation of minimum count,
+    # recounted here by the independent oracle
     from itertools import permutations
-    for ctx in (contra_nominal(3), contra_nominal(4)):
+    pinned = {"contra4": ((1, 2, 0, 3), 20), "contra5": ((2, 1, 4, 3, 0), 140)}
+    for name, ctx in (("contra3", contra_nominal(3)), ("contra4", contra_nominal(4)),
+                      ("contra5", contra_nominal(5)), ("life", life_context()),
+                      ("grid3", grid_context(3))):
         _, emb = _embedding(ctx)
         frame = default_frame(emb.dim)
         result = best_assignment(emb, frame)
-        all_counts = [project(emb, frame, p, mirrored=m).crossings
-                      for p in permutations(range(emb.dim))
-                      for m in (False, True)]
-        assert result.layout.crossings == min(all_counts)
+        counts = {}
+        for perm in permutations(range(emb.dim)):
+            layout = project(emb, frame, perm)
+            counts[perm] = oracle_crossings(layout.points, layout.edges)
+        first = min(counts, key=counts.get)  # counts is in lex order
+        assert result.assignment == first
+        assert result.layout.crossings == counts[first]
+        assert result.layout == project(emb, frame, first)
+        if name in pinned:
+            assert (result.assignment, result.layout.crossings) == pinned[name]
 
 
 def test_best_assignment_cap_falls_back_to_identity():
