@@ -2,7 +2,8 @@
 
 Reports go to stdout, diagnostics to stderr, artifacts to --output when
 given.  Exit codes: 0 success, 1 usage or input error, 2 timeout or
-undecided or a resource cap, 3 internal contract violation.  Identical
+undecided or a resource cap, 3 internal contract violation or any other
+unexpected exception, reported as one line.  Identical
 invocations on identical inputs produce byte-identical outputs.
 """
 
@@ -320,6 +321,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNDECIDED
     except (ContractViolation, RepairFailed) as exc:
         print(f"dimdraw: internal error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except Exception as exc:  # a bug, reported as one line and not a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"dimdraw: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
         return EXIT_CONTRACT
 
 

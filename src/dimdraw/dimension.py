@@ -32,20 +32,13 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .context import FormalContext
 from .errors import (ContractViolation, DimensionUndecided, OracleCapExceeded,
                      SearchTimeout)
-from .lattice import ConceptLattice
+from .lattice import ConceptLattice, _bits
 
 Cell = tuple[int, int]
 
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_ORACLE_ELEMENT_CAP = 10
 DEFAULT_ORACLE_EXTENSION_CAP = 100_000
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _cell_rows(n_objects: int, n_attributes: int,
@@ -139,62 +132,90 @@ class _CoverSearch:
     A part is kept *feasible*: extendable to a Ferrers relation inside
     the non-incidence set.  Feasibility of a row-mask set S holds iff the
     "must sit strictly above" digraph on nonempty rows is acyclic, where
-    row b must sit strictly above row a whenever S_b is not contained in
-    the non-incidence row of a.  (Placing rows bottom-up, each row's
-    staircase entry is the union of the part rows at or below it, which
-    fits iff every such row individually fits.)
+    row b must sit strictly above row a whenever S_b meets the incidence
+    row of a.  (Placing rows bottom-up, each row's staircase entry is the
+    union of the part rows at or below it, which fits iff every such row
+    individually fits.)
+
+    Each part keeps the reachability closure of that digraph: ``above[g]``
+    is the bitmask of nonempty part rows that must sit strictly above row
+    g, directly or through other rows.  It is kept for every row, in the
+    part or not, because a row's out-edges do not depend on its own cells.  Adding cell (g, m) adds
+    the edges a -> g for the rows a incident to m, so the cell fits iff
+    no such row already sits above g: one AND of ``above[g]`` with
+    ``col_inc[m]``.  Committing the cell gives every row that is, or
+    reaches, a row incident to m the closure of g as well, in O(rows);
+    the trail keeps the previous closure for the undo.
     """
 
     def __init__(self, non_rows: Sequence[int], inc_rows: Sequence[int],
                  k: int, deadline: float | None):
         self.n_g = len(non_rows)
-        self.R = tuple(non_rows)
         self.k = k
         self.deadline = deadline
         self.cells: list[Cell] = [(g, m) for g in range(self.n_g)
                                   for m in _bits(non_rows[g])]
         self.n_cells = len(self.cells)
 
-        # cells that can never share a part: both opposite corners incident
-        self.conflicts = [0] * self.n_cells
-        for a, (g, m) in enumerate(self.cells):
-            for b, (h, n) in enumerate(self.cells):
-                if g != h and m != n and inc_rows[g] >> n & 1 and inc_rows[h] >> m & 1:
-                    self.conflicts[a] |= 1 << b
+        width = max((r.bit_length() for r in (*non_rows, *inc_rows)), default=0)
+        self.col_inc = [0] * width
+        for g, row in enumerate(inc_rows):
+            for m in _bits(row):
+                self.col_inc[m] |= 1 << g
+
+        # cells that can never share a part: both opposite corners
+        # incident, i.e. (h, n) with h incident to m and g incident to n
+        row_cells = [0] * self.n_g
+        col_cells = [0] * width
+        for c, (g, m) in enumerate(self.cells):
+            row_cells[g] |= 1 << c
+            col_cells[m] |= 1 << c
+        rows_of_col = [0] * width
+        for m in range(width):
+            for h in _bits(self.col_inc[m]):
+                rows_of_col[m] |= row_cells[h]
+        cols_of_row = [0] * self.n_g
+        for g, row in enumerate(inc_rows):
+            for n in _bits(row):
+                cols_of_row[g] |= col_cells[n]
+        self.conflicts = [rows_of_col[m] & cols_of_row[g] for g, m in self.cells]
 
         self.part_rows = [[0] * self.n_g for _ in range(k)]
         self.part_cells = [0] * k
+        self.above = [[0] * self.n_g for _ in range(k)]
         self.adm = [(1 << k) - 1] * self.n_cells
         self.uncovered = (1 << self.n_cells) - 1
         self.n_used = 0
         self.nodes = 0
 
+    def _fits(self, above: Sequence[int], g: int, m: int) -> bool:
+        """Whether cell (g, m) keeps the part with this closure feasible."""
+        return not above[g] & self.col_inc[m]
+
+    def _grow(self, above: Sequence[int], g: int, m: int) -> list[int]:
+        """The closure after adding the fitting cell (g, m)."""
+        col = self.col_inc[m]
+        gain = (1 << g) | above[g]
+        return [a | gain if (a | (1 << h)) & col else a
+                for h, a in enumerate(above)]
+
+    def _closure(self, rows: Sequence[int]) -> list[int] | None:
+        """Closure of a part given by its rows, or None if it is infeasible.
+
+        Every subset of a feasible part is feasible, so adding the cells
+        one at a time fails exactly when the whole part does.
+        """
+        above = [0] * self.n_g
+        for g, row in enumerate(rows):
+            for m in _bits(row):
+                if not self._fits(above, g, m):
+                    return None
+                above = self._grow(above, g, m)
+        return above
+
     def extendable(self, rows: Sequence[int], g0: int, m0: int) -> bool:
-        add = 1 << m0
-        active = [(g, rows[g] | (add if g == g0 else 0))
-                  for g in range(self.n_g)
-                  if rows[g] or g == g0]
-        na = len(active)
-        if na <= 1:
-            return True
-        out = [0] * na
-        indeg = [0] * na
-        for u in range(na):
-            allowed = self.R[active[u][0]]
-            for v in range(na):
-                if u != v and active[v][1] & ~allowed:
-                    out[u] |= 1 << v
-                    indeg[v] += 1
-        ready = [v for v in range(na) if indeg[v] == 0]
-        seen = 0
-        while ready:
-            u = ready.pop()
-            seen += 1
-            for v in _bits(out[u]):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-        return seen == na
+        above = self._closure(rows)
+        return above is not None and self._fits(above, g0, m0)
 
     def _assign(self, c: int, j: int):
         g, m = self.cells[c]
@@ -204,36 +225,34 @@ class _CoverSearch:
         self.part_rows[j][g] |= 1 << m
         self.part_cells[j] |= 1 << c
         self.uncovered &= ~(1 << c)
+        old = self.above[j]
+        above = self.above[j] = self._grow(old, g, m)
         jbit = 1 << j
         cleared = []
-        rows = self.part_rows[j]
         for c2 in _bits(self.uncovered):
             if self.adm[c2] & jbit:
                 g2, m2 = self.cells[c2]
                 if (self.conflicts[c2] & self.part_cells[j]
-                        or not self.extendable(rows, g2, m2)):
+                        or not self._fits(above, g2, m2)):
                     self.adm[c2] &= ~jbit
                     cleared.append(c2)
-        return c, j, opened, cleared, jbit
+        return c, j, opened, cleared, jbit, old
 
     def _undo(self, trail) -> None:
-        c, j, opened, cleared, jbit = trail
+        c, j, opened, cleared, jbit, old = trail
         g, m = self.cells[c]
         self.part_rows[j][g] &= ~(1 << m)
         self.part_cells[j] &= ~(1 << c)
+        self.above[j] = old
         self.uncovered |= 1 << c
         for c2 in cleared:
             self.adm[c2] |= jbit
         if opened:
             self.n_used -= 1
 
-    def _dfs(self) -> bool:
-        self.nodes += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout("Ferrers cover search ran out of budget")
-        if self.uncovered == 0:
-            return True
-
+    def _branch(self) -> tuple[int, int] | None:
+        """The uncovered cell with the fewest admissible parts and the
+        bitmask of those parts, or None when some cell has none left."""
         used_mask = (1 << self.n_used) - 1
         open_extra = 1 if self.n_used < self.k else 0
         best_c = -1
@@ -241,27 +260,48 @@ class _CoverSearch:
         for c in _bits(self.uncovered):
             count = bin(self.adm[c] & used_mask).count("1") + open_extra
             if count == 0:
-                return False
+                return None
             if count < best_count:
                 best_count = count
                 best_c = c
-
         options = self.adm[best_c] & used_mask
         if open_extra:
             options |= 1 << self.n_used
-        for j in _bits(options):
-            trail = self._assign(best_c, j)
-            if self._dfs():
+        return best_c, options
+
+    def _dfs(self) -> bool:
+        """Depth-first search over an explicit stack of frames
+        [cell, parts not yet tried, trail of the part being tried]."""
+        stack: list[list] = []
+        while True:
+            self.nodes += 1
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SearchTimeout("Ferrers cover search ran out of budget")
+            if self.uncovered == 0:
                 return True
-            self._undo(trail)
-        return False
+            branch = self._branch()
+            if branch is not None:
+                stack.append([*branch, None])
+            while stack:
+                frame = stack[-1]
+                if frame[2] is not None:
+                    self._undo(frame[2])
+                options = frame[1]
+                if options:
+                    low = options & -options
+                    frame[1] = options ^ low
+                    frame[2] = self._assign(frame[0], low.bit_length() - 1)
+                    break
+                stack.pop()
+            else:
+                return False
 
     def maximalize(self, rows: list[int]) -> None:
+        above = self._closure(rows)
         for g, m in self.cells:
-            if rows[g] >> m & 1:
-                continue
-            if self.extendable(rows, g, m):
+            if not rows[g] >> m & 1 and self._fits(above, g, m):
                 rows[g] |= 1 << m
+                above = self._grow(above, g, m)
 
     def run(self) -> list[list[int]] | None:
         if self.n_cells and not self._dfs():
@@ -292,19 +332,28 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     Returns the first witness under the documented search order, or None
     when no k-part cover exists (a completed search, not a heuristic).
     Raises SearchTimeout when the budget runs out before either outcome.
+    k = 1 needs no search: the answer is decided by whether the incidence
+    is Ferrers.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     inc_rows = ctx.object_rows()
     full = (1 << ctx.n_attributes) - 1
     non_rows = [full & ~r for r in inc_rows]
-    deadline = None if timeout is None else time.monotonic() + timeout
-    search = _CoverSearch(non_rows, inc_rows, k, deadline)
-    result = search.run()
-    if result is None:
-        return None
-    for rows in result:
-        search.maximalize(rows)
+    if k == 1:
+        # The only 1-part cover is the whole non-incidence set, and the
+        # complement of a staircase is a staircase.
+        if not is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence):
+            return None
+        result = [non_rows]
+    else:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        search = _CoverSearch(non_rows, inc_rows, k, deadline)
+        result = search.run()
+        if result is None:
+            return None
+        for rows in result:
+            search.maximalize(rows)
     parts = tuple(
         frozenset((g, m) for g in range(ctx.n_objects) for m in _bits(rows[g]))
         for rows in result)

@@ -124,6 +124,61 @@ def grid_context(n: int) -> FormalContext:
     return FormalContext(objects, attributes, frozenset(incidence))
 
 
+def crown_context(n: int) -> FormalContext:
+    """Crown C_n: object i is incident to attributes i and i + 1 mod n."""
+    incidence = frozenset((i, m) for i in range(n) for m in (i, (i + 1) % n))
+    return FormalContext(tuple(f"g{i}" for i in range(n)),
+                         tuple(f"m{i}" for i in range(n)), incidence)
+
+
+def seeded_context(n_g: int, n_m: int, p: float, seed: int) -> FormalContext:
+    """Random g x m p s: cell (i, j) is incident when the next draw of
+    random.Random(s) is below p, drawn in row-major order."""
+    r = random.Random(seed)
+    incidence = frozenset((i, j) for i in range(n_g) for j in range(n_m)
+                          if r.random() < p)
+    return FormalContext(tuple(f"g{i}" for i in range(n_g)),
+                         tuple(f"m{j}" for j in range(n_m)), incidence)
+
+
+def two_dimensional_poset_context(n: int, seed: int) -> FormalContext:
+    """(X, X, <=) of the intersection of two seeded random linear orders
+    of n elements, each drawn by one shuffle of random.Random(s)."""
+    r = random.Random(seed)
+    first, second = list(range(n)), list(range(n))
+    r.shuffle(first)
+    r.shuffle(second)
+    pos1 = {v: i for i, v in enumerate(first)}
+    pos2 = {v: i for i, v in enumerate(second)}
+    incidence = frozenset((x, y) for x in range(n) for y in range(n)
+                          if pos1[x] <= pos1[y] and pos2[x] <= pos2[y])
+    names = tuple(f"x{i}" for i in range(n))
+    return FormalContext(names, names, incidence)
+
+
+def digraph_extendable(allowance, rows, g0: int, m0: int) -> bool:
+    """Whether the part ``rows`` plus cell (g0, m0) can still grow into a
+    Ferrers relation inside the cells ``allowance``: the digraph on the
+    part's nonempty rows, with an edge a -> b when row b holds a cell
+    outside the allowance of row a, must be acyclic."""
+    grown = list(rows)
+    grown[g0] |= 1 << m0
+    active = [g for g in range(len(rows)) if grown[g]]
+    succ = {a: [b for b in active if b != a and grown[b] & ~allowance[a]]
+            for a in active}
+    state = {}
+
+    def acyclic_from(a) -> bool:
+        state[a] = "open"
+        for b in succ[a]:
+            if state.get(b) == "open" or (b not in state and not acyclic_from(b)):
+                return False
+        state[a] = "done"
+        return True
+
+    return all(a in state or acyclic_from(a) for a in active)
+
+
 def s3_up_masks() -> list[int]:
     """The 6-element standard example: atoms 0..2, coatoms 3..5,
     atom i below coatom j iff i != j."""

@@ -171,3 +171,39 @@ def test_draw_deterministic_bytes(life_file, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _sparse_40x40(tmp_path, cells):
+    rows = ["".join("X" if (g, m) in cells else "." for m in range(40))
+            for g in range(40)]
+    lines = ["B", "", "40", "40", *(f"g{i}" for i in range(40)),
+             *(f"m{i}" for i in range(40)), *rows]
+    path = tmp_path / "sparse.cxt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_one_cell_40x40_has_dimension_one(tmp_path, capsys):
+    path = _sparse_40x40(tmp_path, {(0, 0)})
+    assert main(["dimension", path, "-o", str(tmp_path / "cert.json")]) == 0
+    assert "dimension: 1" in capsys.readouterr().out
+
+
+def test_two_cell_40x40_is_decided_without_a_traceback(tmp_path, capsys):
+    # about 1600 cells deep: a search that recursed once per cell would
+    # end in a RecursionError
+    path = _sparse_40x40(tmp_path, {(0, 0), (1, 1)})
+    assert main(["dimension", path, "-o", str(tmp_path / "cert.json")]) == 0
+    captured = capsys.readouterr()
+    assert "dimension: 2" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_unexpected_exception_is_one_line_exit_3(life_file, monkeypatch, capsys):
+    def broken(ctx):
+        raise RuntimeError("stage broke\non two lines")
+
+    monkeypatch.setattr("dimdraw.cli.concepts", broken)
+    assert main(["dimension", life_file]) == 3
+    err = capsys.readouterr().err
+    assert err == "dimdraw: internal error: RuntimeError: stage broke on two lines\n"

@@ -9,15 +9,24 @@ from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
                      complement, concepts, ferrers_cover, is_ferrers,
                      linear_extension_from_ferrers, order_dimension, realizer,
                      realizer_from_cover, verify_realizer)
-from helpers import (chain_context, contra_nominal, diamond_up_masks,
-                     life_context, life_ferrers_parts, life_letter_map,
+from dimdraw.dimension import _CoverSearch
+from helpers import (chain_context, contra_nominal, crown_context,
+                     diamond_up_masks, digraph_extendable, life_context,
+                     life_ferrers_parts, life_letter_map,
                      quantifier_is_ferrers, random_context, s3_up_masks,
+                     seeded_context, two_dimensional_poset_context,
                      LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3)
 
 
 def _non_incidence(ctx):
     return {(g, m) for g in range(ctx.n_objects) for m in range(ctx.n_attributes)
             if (g, m) not in ctx.incidence}
+
+
+def _search(ctx, k):
+    inc_rows = ctx.object_rows()
+    full = (1 << ctx.n_attributes) - 1
+    return _CoverSearch([full & ~r for r in inc_rows], inc_rows, k, None)
 
 
 def _is_linear_extension(lattice, ext):
@@ -89,7 +98,6 @@ def test_extendability_predicate_matches_exhaustive_enumeration():
     # the cover search is exact iff this predicate is: "part + cell can
     # still grow into a Ferrers relation inside the non-incidence set"
     from itertools import combinations
-    from dimdraw.dimension import _CoverSearch
 
     rng = random.Random(123)
     for _ in range(150):
@@ -111,6 +119,7 @@ def test_extendability_predicate_matches_exhaustive_enumeration():
         for g, m in chosen:
             part_rows[g] |= 1 << m
         got = search.extendable(part_rows, candidate[0], candidate[1])
+        assert got == digraph_extendable(allowance, part_rows, *candidate)
         committed = set(chosen) | {candidate}
         rest = [c for c in cells if c not in committed]
         want = any(
@@ -118,6 +127,93 @@ def test_extendability_predicate_matches_exhaustive_enumeration():
             for r in range(len(rest) + 1)
             for extra in combinations(rest, r))
         assert got == want, (allowance, chosen, candidate)
+
+
+def test_maintained_closure_matches_rebuild_and_digraph_test():
+    # a random walk of _assign / _undo: after every step each part's
+    # maintained closure equals a fresh rebuild, every candidate verdict
+    # equals the digraph test, and the admissible parts of every
+    # uncovered cell are exactly those it fits without a conflict
+    rng = random.Random(77)
+    for _ in range(60):
+        ctx = seeded_context(rng.randint(2, 6), rng.randint(2, 6),
+                             rng.choice((0.25, 0.4, 0.55)), rng.randrange(10 ** 6))
+        k = rng.randint(2, 3)
+        search = _search(ctx, k)
+        if not search.n_cells:
+            continue
+        allowance = [(1 << ctx.n_attributes) - 1 & ~r for r in ctx.object_rows()]
+        trails = []
+        for _ in range(25):
+            if trails and (rng.random() < 0.3 or not search.uncovered):
+                search._undo(trails.pop())
+            else:
+                c = rng.choice([c for c in range(search.n_cells)
+                                if search.uncovered >> c & 1])
+                parts = search.adm[c] & ((1 << search.n_used) - 1)
+                if search.n_used < k:
+                    parts |= 1 << search.n_used
+                if not parts:
+                    continue
+                j = rng.choice([j for j in range(k) if parts >> j & 1])
+                trails.append(search._assign(c, j))
+            for j in range(k):
+                rows = search.part_rows[j]
+                above = search.above[j]
+                assert above == search._closure(rows)
+                for c, (g, m) in enumerate(search.cells):
+                    fits = search._fits(above, g, m)
+                    assert fits == digraph_extendable(allowance, rows, g, m)
+                    if search.uncovered >> c & 1:
+                        admissible = fits and not (
+                            search.conflicts[c] & search.part_cells[j])
+                        assert bool(search.adm[c] >> j & 1) == admissible
+
+
+def test_conflicts_match_pairwise_definition():
+    rng = random.Random(31)
+    for _ in range(100):
+        ctx = random_context(rng, 7, 7)
+        search = _search(ctx, 2)
+        for a, (g, m) in enumerate(search.cells):
+            want = 0
+            for b, (h, n) in enumerate(search.cells):
+                if (g, n) in ctx.incidence and (h, m) in ctx.incidence:
+                    want |= 1 << b
+            assert search.conflicts[a] == want, (ctx, (g, m))
+
+
+@pytest.mark.parametrize("ctx, nodes", [
+    (crown_context(12), {2: 93, 3: 121}),
+    (crown_context(14), {2: 135, 3: 169}),
+    (seeded_context(14, 14, 0.35, 2), {2: 3, 3: 19, 4: 2630, 5: 125}),
+    (two_dimensional_poset_context(24, 0), {2: 413}),
+], ids=["crown-12", "crown-14", "random-14x14-p.35-s2", "poset2d-24-s0"])
+def test_search_tree_is_pinned(ctx, nodes):
+    # node counts of the first search that used a per-part closure; the
+    # same predicate and branching order must visit the same tree
+    d = max(nodes)
+    for k, want in nodes.items():
+        search = _search(ctx, k)
+        found = search.run() is not None
+        assert (search.nodes, found) == (want, k == d)
+
+
+def test_one_part_cover_is_the_non_incidence_or_none():
+    rng = random.Random(17)
+    for _ in range(200):
+        ctx = random_context(rng, 5, 5)
+        cover = ferrers_cover(ctx, 1)
+        search = _search(ctx, 1)
+        rows = search.run()
+        if rows is None:
+            assert cover is None
+            continue
+        search.maximalize(rows[0])
+        assert cover.parts == (frozenset(
+            (g, m) for g in range(ctx.n_objects) for m in range(ctx.n_attributes)
+            if rows[0][g] >> m & 1),)
+        assert cover.parts[0] == _non_incidence(ctx)
 
 
 # ---------------------------------------------------------------------------
