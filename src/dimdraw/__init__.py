@@ -4,17 +4,18 @@ Pipeline: parse a context (or encode a poset as one), enumerate the
 concept lattice, find a minimal Ferrers cover of the non-incident cells,
 turn it into a realizer, embed concepts by their ranks, project to the
 plane minimizing crossings, repair node/edge touches, and serialize to
-SVG, TikZ, or JSON.  ``dimdraw.cli.build_diagram`` runs the whole chain.
+SVG, TikZ, or JSON.  ``dimdraw.cli.build_diagram`` runs the whole chain,
+the same stages as ``dimdraw draw``.
 """
 
 from .context import (FormalContext, PosetInput, parse_csv, parse_cxt,
                       poset_to_context, write_cxt)
 from .dimension import (DimensionResult, FerrersCover, LinearExtension,
                         Realizer, brute_force_dimension, certificate_json,
-                        complement, ferrers_cover, is_ferrers,
+                        ferrers_cover, is_ferrers,
                         linear_extension_from_ferrers, order_dimension,
                         realizer, realizer_from_cover, verify_realizer)
-from .embedding import DimEmbedding, embed, positions
+from .embedding import DimEmbedding, embed
 from .errors import (ContractViolation, CycleError, DimDrawError,
                      DimensionUndecided, LatticeTooLargeError,
                      OracleCapExceeded, ParseError, RepairFailed,
@@ -22,8 +23,7 @@ from .errors import (ContractViolation, CycleError, DimDrawError,
 from .lattice import (Concept, ConceptLattice, concepts, derive_attributes,
                       derive_objects, transitive_reduction)
 from .projection import (AxisFrame, BestAssignment, Layout, best_assignment,
-                         count_crossings, default_frame, normalize, project,
-                         repair_incidences)
+                         default_frame, normalize, project, repair_incidences)
 from .render import (LabeledDiagram, RenderOptions, label, to_json, to_svg,
                      to_tikz)
 
@@ -36,11 +36,11 @@ __all__ = [
     "LabeledDiagram", "LatticeTooLargeError", "Layout", "LinearExtension",
     "OracleCapExceeded", "ParseError", "PosetInput", "Realizer",
     "RenderOptions", "RepairFailed", "SearchTimeout", "best_assignment",
-    "brute_force_dimension", "certificate_json", "complement", "concepts",
-    "count_crossings", "default_frame", "derive_attributes", "derive_objects",
+    "brute_force_dimension", "certificate_json", "concepts",
+    "default_frame", "derive_attributes", "derive_objects",
     "embed", "ferrers_cover", "is_ferrers", "label",
     "linear_extension_from_ferrers", "normalize", "order_dimension",
-    "parse_csv", "parse_cxt", "poset_to_context", "positions", "project",
+    "parse_csv", "parse_cxt", "poset_to_context", "project",
     "realizer", "realizer_from_cover", "repair_incidences",
     "to_json", "to_svg", "to_tikz", "transitive_reduction", "verify_realizer",
     "write_cxt",

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .context import (FormalContext, PosetInput, parse_csv, parse_cxt,
                       poset_to_context)
-from .dimension import (brute_force_dimension, certificate_json,
+from .dimension import (DEFAULT_TIMEOUT_S, FerrersCover, Realizer,
+                        brute_force_dimension, certificate_json,
                         order_dimension, realizer_from_cover,
                         realizer_permutations)
 from .embedding import embed
@@ -24,8 +25,8 @@ from .errors import (ContractViolation, CycleError, DimensionUndecided,
                      LatticeTooLargeError, OracleCapExceeded, ParseError,
                      RepairFailed, SearchTimeout)
 from .lattice import ConceptLattice, concepts
-from .projection import (best_assignment, default_frame, normalize,
-                         repair_incidences)
+from .projection import (DEFAULT_SPREAD_DEG, best_assignment, default_frame,
+                         normalize, repair_incidences)
 from .render import LabeledDiagram, label, to_json, to_svg, to_tikz
 
 EXIT_OK = 0
@@ -34,30 +35,28 @@ EXIT_UNDECIDED = 2
 EXIT_CONTRACT = 3
 
 DEFAULT_ORACLE_CAP = 10
+DEFAULT_MAX_K = 8
 
 _FORMATS = ("cxt", "csv", "poset-edges")
-_OUTPUT_FORMATS = ("svg", "tikz", "json")
+_EMITTERS = {"svg": to_svg, "tikz": to_tikz, "json": to_json}
 
 
 @dataclass
 class RunConfig:
-    """Validated invocation parameters; built before any pipeline work."""
+    """Validated invocation parameters; built before any pipeline work.
+    Its defaults are the CLI's."""
 
     input_path: str
     input_format: str
     command: str
     output_format: str = "svg"
     output: str | None = None
-    spread: float = 45.0
-    timeout: float = 60.0
-    max_k: int = 8
+    spread: float = DEFAULT_SPREAD_DEG
+    timeout: float = DEFAULT_TIMEOUT_S
+    max_k: int = DEFAULT_MAX_K
     check_oracle: bool = False
 
     def validate(self) -> None:
-        if self.input_format not in _FORMATS:
-            raise ValueError(f"unknown input format {self.input_format!r}")
-        if self.output_format not in _OUTPUT_FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if not 0.0 < self.spread < 90.0:
             raise ValueError("--spread must be strictly between 0 and 90")
         if self.timeout < 0.0:
@@ -120,37 +119,7 @@ def _infer_format(path: str) -> str:
         f"cannot infer input format from {path!r}; pass --input-format")
 
 
-def build_diagram(ctx: FormalContext, *, spread: float = 45.0,
-                  timeout_per_k: float | None = 60.0,
-                  max_k: int | None = 8,
-                  repair_eps: float = 1e-3
-                  ) -> tuple[LabeledDiagram, bool]:
-    """Full drawing pipeline for library use.
-
-    Returns the labeled diagram and whether the crossing-minimization
-    search was exhaustive (False means the identity-assignment fallback
-    was used because the dimension exceeded the search cap).
-    """
-    lat = concepts(ctx)
-    dim, cover = order_dimension(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
-    real = realizer_from_cover(ctx, lat, cover)
-    frame = default_frame(dim, spread)
-    search = best_assignment(embed(lat, real), frame)
-    layout = repair_incidences(normalize(search.layout), repair_eps)
-    return label(ctx, lat, layout, real), search.exhaustive
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _oracle_check(cfg: RunConfig, lattice: ConceptLattice, dim: int) -> None:
-    if not cfg.check_oracle:
-        return
+def _oracle_check(lattice: ConceptLattice, dim: int) -> None:
     if lattice.n > DEFAULT_ORACLE_CAP:
         print(f"oracle: skipped ({lattice.n} concepts exceed the cap of "
               f"{DEFAULT_ORACLE_CAP})", file=sys.stderr)
@@ -163,77 +132,76 @@ def _oracle_check(cfg: RunConfig, lattice: ConceptLattice, dim: int) -> None:
     print(f"oracle: agreement (dimension {dim})", file=sys.stderr)
 
 
-def _cmd_concepts(cfg: RunConfig) -> int:
-    ctx = load_context(cfg.input_path, cfg.input_format)
+def _front(ctx: FormalContext, *, timeout_per_k: float | None,
+           max_k: int | None, realize: bool = True, check_oracle: bool = False
+           ) -> tuple[ConceptLattice, int | None, FerrersCover | None,
+                      Realizer | None]:
+    """The shared front half: the lattice, then, if asked to realize, the
+    dimension with its cover, the optional oracle check and the realizer."""
     lat = concepts(ctx)
-    lines = [f"concepts: {lat.n}"]
-    for i, c in enumerate(lat.concepts):
-        extent = ",".join(ctx.objects[g] for g in sorted(c.extent))
-        intent = ",".join(ctx.attributes[m] for m in sorted(c.intent))
-        lines.append(f"{i}\t{{{extent}}}\t{{{intent}}}")
-    _emit("\n".join(lines) + "\n", cfg.output)
-    return EXIT_OK
+    if not realize:
+        return lat, None, None, None
+    dim, cover = order_dimension(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
+    if check_oracle:
+        _oracle_check(lat, dim)
+    return lat, dim, cover, realizer_from_cover(ctx, lat, cover)
 
 
-def _cmd_dimension(cfg: RunConfig) -> int:
-    ctx = load_context(cfg.input_path, cfg.input_format)
-    lat = concepts(ctx)
-    dim, cover = order_dimension(ctx, timeout_per_k=cfg.timeout,
-                                 max_k=cfg.max_k)
-    _oracle_check(cfg, lat, dim)
-    real = realizer_from_cover(ctx, lat, cover)
-    certificate = certificate_json(ctx, lat, dim, cover, real)
-    print(f"dimension: {dim}")
-    if cfg.output is None:
-        sys.stdout.write(certificate)
-    else:
-        _emit(certificate, cfg.output)
-    return EXIT_OK
-
-
-def _cmd_realizer(cfg: RunConfig) -> int:
-    ctx = load_context(cfg.input_path, cfg.input_format)
-    lat = concepts(ctx)
-    dim, cover = order_dimension(ctx, timeout_per_k=cfg.timeout,
-                                 max_k=cfg.max_k)
-    _oracle_check(cfg, lat, dim)
-    real = realizer_from_cover(ctx, lat, cover)
-    doc = {"dimension": dim,
-           "realizer": realizer_permutations(ctx, lat, real)}
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
-    return EXIT_OK
-
-
-def _cmd_draw(cfg: RunConfig) -> int:
-    ctx = load_context(cfg.input_path, cfg.input_format)
-    lat = concepts(ctx)
-    dim, cover = order_dimension(ctx, timeout_per_k=cfg.timeout,
-                                 max_k=cfg.max_k)
-    _oracle_check(cfg, lat, dim)
-    real = realizer_from_cover(ctx, lat, cover)
-    frame = default_frame(dim, cfg.spread)
-    search = best_assignment(embed(lat, real), frame)
-    if not search.exhaustive:
-        print(f"warning: dimension {dim} exceeds the assignment search cap; "
-              "using the identity assignment", file=sys.stderr)
+def _draw(ctx: FormalContext, lat: ConceptLattice, dim: int, real: Realizer,
+          spread: float) -> tuple[LabeledDiagram, bool]:
+    """The drawing tail: frame, embedding, assignment search, normalization,
+    repair and labels.  Also says whether the search was exhaustive."""
+    search = best_assignment(embed(lat, real), default_frame(dim, spread))
     layout = repair_incidences(normalize(search.layout))
-    diagram = label(ctx, lat, layout, real)
-    if cfg.output_format == "svg":
-        text = to_svg(diagram)
-    elif cfg.output_format == "tikz":
-        text = to_tikz(diagram)
+    return label(ctx, lat, layout, real), search.exhaustive
+
+
+def build_diagram(ctx: FormalContext, *, spread: float = DEFAULT_SPREAD_DEG,
+                  timeout_per_k: float | None = DEFAULT_TIMEOUT_S,
+                  max_k: int | None = DEFAULT_MAX_K
+                  ) -> tuple[LabeledDiagram, bool]:
+    """Full drawing pipeline for library use, the stages of ``dimdraw draw``.
+
+    Returns the labeled diagram and whether the crossing-minimization
+    search was exhaustive (False means the identity-assignment fallback
+    was used because the dimension exceeded the search cap).
+    """
+    lat, dim, _, real = _front(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
+    return _draw(ctx, lat, dim, real, spread)
+
+
+def _execute(cfg: RunConfig) -> int:
+    """Every command: load, the shared stages, then the command's format."""
+    ctx = load_context(cfg.input_path, cfg.input_format)
+    lat, dim, cover, real = _front(
+        ctx, timeout_per_k=cfg.timeout, max_k=cfg.max_k,
+        realize=cfg.command != "concepts", check_oracle=cfg.check_oracle)
+    if cfg.command == "concepts":
+        lines = [f"concepts: {lat.n}"]
+        for i, c in enumerate(lat.concepts):
+            extent = ",".join(ctx.objects[g] for g in sorted(c.extent))
+            intent = ",".join(ctx.attributes[m] for m in sorted(c.intent))
+            lines.append(f"{i}\t{{{extent}}}\t{{{intent}}}")
+        text = "\n".join(lines) + "\n"
+    elif cfg.command == "dimension":
+        text = certificate_json(ctx, lat, dim, cover, real)
+        print(f"dimension: {dim}")
+    elif cfg.command == "realizer":
+        doc = {"dimension": dim,
+               "realizer": realizer_permutations(ctx, lat, real)}
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = to_json(diagram)
-    _emit(text, cfg.output)
+        diagram, exhaustive = _draw(ctx, lat, dim, real, cfg.spread)
+        if not exhaustive:
+            print(f"warning: dimension {dim} exceeds the assignment search "
+                  "cap; using the identity assignment", file=sys.stderr)
+        text = _EMITTERS[cfg.output_format](diagram)
+    if cfg.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "concepts": _cmd_concepts,
-    "dimension": _cmd_dimension,
-    "realizer": _cmd_realizer,
-    "draw": _cmd_draw,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,41 +216,36 @@ def _build_parser() -> _Parser:
                                  "order dimension.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", help="input file")
-        p.add_argument("--input-format", choices=_FORMATS, default=None,
+    def command(name: str, help: str, search: bool) -> argparse.ArgumentParser:
+        # an absent flag stays out of the namespace, so RunConfig's
+        # defaults are the only ones
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("input_path", metavar="input", help="input file")
+        p.add_argument("--input-format", choices=_FORMATS,
                        help="input format (default: inferred from extension)")
-        p.add_argument("--output", "-o", default=None,
+        p.add_argument("--output", "-o",
                        help="output file (default: stdout)")
+        if search:
+            p.add_argument("--timeout", type=float,
+                           help="search budget per k, in seconds "
+                                f"(default {DEFAULT_TIMEOUT_S:g})")
+            p.add_argument("--max-k", type=int,
+                           help="largest cover size to try "
+                                f"(default {DEFAULT_MAX_K})")
+            p.add_argument("--check-oracle", action="store_true",
+                           help="cross-check the dimension against the "
+                                "brute-force oracle on small lattices")
+        return p
 
-    def search_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--timeout", type=float, default=60.0,
-                       help="search budget per k, in seconds (default 60)")
-        p.add_argument("--max-k", type=int, default=8,
-                       help="largest cover size to try (default 8)")
-        p.add_argument("--check-oracle", action="store_true",
-                       help="cross-check the dimension against the "
-                            "brute-force oracle on small lattices")
-
-    p = sub.add_parser("concepts", help="enumerate the concept lattice")
-    common(p)
-
-    p = sub.add_parser("dimension", help="order dimension with certificate")
-    common(p)
-    search_flags(p)
-
-    p = sub.add_parser("realizer", help="minimal realizer of the lattice order")
-    common(p)
-    search_flags(p)
-
-    p = sub.add_parser("draw", help="draw the line diagram")
-    common(p)
-    search_flags(p)
-    p.add_argument("--format", choices=_OUTPUT_FORMATS, default="svg",
-                   help="artifact format (default svg)")
-    p.add_argument("--spread", type=float, default=45.0,
+    command("concepts", "enumerate the concept lattice", search=False)
+    command("dimension", "order dimension with certificate", search=True)
+    command("realizer", "minimal realizer of the lattice order", search=True)
+    p = command("draw", "draw the line diagram", search=True)
+    p.add_argument("--format", dest="output_format", choices=tuple(_EMITTERS),
+                   help=f"artifact format (default {RunConfig.output_format})")
+    p.add_argument("--spread", type=float,
                    help="half-angle of the projection fan in degrees "
-                        "(default 45)")
+                        f"(default {DEFAULT_SPREAD_DEG:g})")
 
     return parser
 
@@ -295,20 +258,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        input_format = ns.input_format or _infer_format(ns.input)
-        cfg = RunConfig(
-            input_path=ns.input,
-            input_format=input_format,
-            command=ns.command,
-            output_format=getattr(ns, "format", "svg"),
-            output=ns.output,
-            spread=getattr(ns, "spread", 45.0),
-            timeout=getattr(ns, "timeout", 60.0),
-            max_k=getattr(ns, "max_k", 8),
-            check_oracle=getattr(ns, "check_oracle", False),
-        )
+        fields = vars(ns)
+        if "input_format" not in fields:
+            fields["input_format"] = _infer_format(ns.input_path)
+        cfg = RunConfig(**fields)
         cfg.validate()
-        return _COMMANDS[cfg.command](cfg)
+        return _execute(cfg)
     except (ParseError, CycleError, ValueError) as exc:
         print(f"dimdraw: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -66,16 +66,6 @@ def is_ferrers(n_objects: int, n_attributes: int, cells: Iterable[Cell]) -> bool
     return True
 
 
-def complement(n_objects: int, n_attributes: int,
-               cells: Iterable[Cell]) -> frozenset[Cell]:
-    """All cells of G x M not in the given set."""
-    rows = _cell_rows(n_objects, n_attributes, cells)
-    full = (1 << n_attributes) - 1
-    return frozenset((g, m)
-                     for g in range(n_objects)
-                     for m in _bits(full & ~rows[g]))
-
-
 @dataclass(frozen=True)
 class FerrersCover:
     """Ferrers relations whose union is the non-incidence cell set."""

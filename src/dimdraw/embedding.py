@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dimension import LinearExtension, Realizer, verify_realizer
+from .dimension import Realizer, verify_realizer
 from .errors import ContractViolation
 from .lattice import ConceptLattice
-
-_EXHAUSTIVE_CHECK_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -28,37 +26,17 @@ class DimEmbedding:
     covers: tuple[tuple[int, int], ...]
 
 
-def positions(ext: LinearExtension) -> tuple[int, ...]:
-    """Rank of each concept in the extension: bottom 0, top n-1."""
-    return ext.pos
-
-
-def _check_dominance(lattice: ConceptLattice,
-                     coords: tuple[tuple[int, ...], ...]) -> None:
-    n = lattice.n
-    if n <= _EXHAUSTIVE_CHECK_LIMIT:
-        pairs = ((i, j) for i in range(n) for j in range(n) if i != j)
-    else:
-        # deterministic strided sample on big lattices
-        step = max(1, (n * n) // (_EXHAUSTIVE_CHECK_LIMIT ** 2))
-        pairs = ((i, j) for i in range(n) for j in range(i % step, n, step)
-                 if i != j)
-    for i, j in pairs:
-        dominated = all(a <= b for a, b in zip(coords[i], coords[j]))
-        if dominated != lattice.leq(i, j):
-            raise ContractViolation(
-                f"dominance mismatch between concepts {i} and {j}")
-
-
 def embed(lattice: ConceptLattice, r: Realizer) -> DimEmbedding:
     """Coordinates of every concept: its positions across the extensions.
 
-    Requires a verified realizer; dominance equivalence (order iff
-    componentwise <=) is asserted on the result.
+    Requires a valid realizer, which is verified here.  That alone gives
+    dominance equivalence (order iff componentwise <=): coordinate k of
+    C is C's rank in extension k, so i is dominated by j exactly when j
+    lies above i in every extension, which is what realizing the order
+    means.
     """
     if not verify_realizer(lattice, r):
         raise ContractViolation("realizer does not realize the lattice order")
     coords = tuple(
         tuple(ext.pos[c] for ext in r.extensions) for c in range(lattice.n))
-    _check_dominance(lattice, coords)
     return DimEmbedding(dim=r.dim, coords=coords, covers=lattice.covers)

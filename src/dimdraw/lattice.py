@@ -37,18 +37,16 @@ class Concept:
 
 @dataclass(frozen=True)
 class ConceptLattice:
-    """All concepts of a context, with order, covers, and incomparability.
+    """All concepts of a context, with their order and covers.
 
     ``up_masks[i]`` is the bitmask of concept indices j with i <= j
     (including i itself); ``covers`` is the transitive reduction of that
-    order; ``incomparable_pairs`` holds (i, j) with i < j and neither
-    i <= j nor j <= i.
+    order.
     """
 
     concepts: tuple[Concept, ...]
     up_masks: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
-    incomparable_pairs: frozenset[tuple[int, int]]
 
     @property
     def n(self) -> int:
@@ -167,13 +165,8 @@ def concepts(ctx: FormalContext, *,
     if up_masks[0] != (1 << n) - 1 or up_masks[n - 1] != 1 << (n - 1):
         raise ContractViolation("lattice lost its unique bottom or top")
 
-    incomparable = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n)
-        if not (up_masks[i] >> j & 1) and not (up_masks[j] >> i & 1))
-
     return ConceptLattice(
         concepts=tuple(concept_list),
         up_masks=tuple(up_masks),
         covers=transitive_reduction(up_masks),
-        incomparable_pairs=incomparable,
     )

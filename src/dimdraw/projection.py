@@ -13,7 +13,8 @@ non-incident edge they touch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import permutations
 
 from .embedding import DimEmbedding
@@ -40,9 +41,14 @@ class Layout:
 
     points: tuple[tuple[float, float], ...]
     edges: tuple[tuple[int, int], ...]
-    crossings: int
     frame: AxisFrame
     assignment: tuple[int, ...]
+
+    @cached_property
+    def crossings(self) -> int:
+        """Unordered edge pairs meeting in exactly one interior point
+        (pairs sharing an endpoint excluded), counted on first read."""
+        return _count_crossings(self.points, _disjoint_pairs(self.edges))
 
 
 @dataclass(frozen=True)
@@ -111,12 +117,6 @@ def _count_crossings(points, pairs, limit: float = math.inf) -> int:
     return total
 
 
-def count_crossings(layout: Layout) -> int:
-    """Unordered edge pairs meeting in exactly one interior point
-    (pairs sharing an endpoint excluded)."""
-    return _count_crossings(layout.points, _disjoint_pairs(layout.edges))
-
-
 def _points(e: DimEmbedding, frame: AxisFrame,
             assignment: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
     """point(C) = sum_i coords_i(C) * direction[assignment[i]], with the
@@ -146,9 +146,7 @@ def project(e: DimEmbedding, frame: AxisFrame,
     asserted; so is pairwise distinctness of the points.
     """
     assignment = tuple(assignment)
-    points = _points(e, frame, assignment)
-    return Layout(points=points, edges=e.covers,
-                  crossings=_count_crossings(points, _disjoint_pairs(e.covers)),
+    return Layout(points=_points(e, frame, assignment), edges=e.covers,
                   frame=frame, assignment=assignment)
 
 
@@ -185,8 +183,7 @@ def normalize(layout: Layout) -> Layout:
     """Scale and translate so the bounding box is the unit square.
 
     Each axis maps onto [0, 1] independently; a degenerate span collapses
-    to 0.  Crossings are unaffected (positive affine map) but recomputed
-    for consistency.
+    to 0.  Crossings are unaffected (positive affine map).
     """
     xs = [p[0] for p in layout.points]
     ys = [p[1] for p in layout.points]
@@ -201,10 +198,7 @@ def normalize(layout: Layout) -> Layout:
 
     fx = scaler(min(xs), max(xs))
     fy = scaler(min(ys), max(ys))
-    points = tuple((fx(x), fy(y)) for x, y in layout.points)
-    return Layout(points=points, edges=layout.edges,
-                  crossings=_count_crossings(points, _disjoint_pairs(layout.edges)),
-                  frame=layout.frame, assignment=layout.assignment)
+    return replace(layout, points=tuple((fx(x), fy(y)) for x, y in layout.points))
 
 
 def _segment_distance(p, a, b) -> float:
@@ -295,7 +289,4 @@ def repair_incidences(layout: Layout,
     if remaining:
         raise RepairFailed(remaining)
 
-    pts = tuple(points)
-    return Layout(points=pts, edges=edges,
-                  crossings=_count_crossings(pts, _disjoint_pairs(edges)),
-                  frame=layout.frame, assignment=layout.assignment)
+    return replace(layout, points=tuple(points))

@@ -8,7 +8,9 @@ implementation is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from dimdraw import FormalContext
@@ -243,6 +245,12 @@ def brute_covers(leq) -> set[tuple[int, int]]:
     return covers
 
 
+def complement(n_objects: int, n_attributes: int, cells) -> frozenset:
+    """All cells of G x M not in the given set."""
+    return frozenset((g, m) for g in range(n_objects)
+                     for m in range(n_attributes)) - frozenset(cells)
+
+
 def quantifier_is_ferrers(cells) -> bool:
     """The raw two-pair condition: (g,m),(h,n) present implies (g,n) or (h,m)."""
     cells = set(cells)
@@ -253,22 +261,42 @@ def quantifier_is_ferrers(cells) -> bool:
     return True
 
 
+def _solve(p, q, r, s):
+    """Determinant and the numerators of t and u in p + t(q-p) = r + u(s-r)."""
+    det = (q[0] - p[0]) * (r[1] - s[1]) - (q[1] - p[1]) * (r[0] - s[0])
+    nt = (r[0] - p[0]) * (r[1] - s[1]) - (r[1] - p[1]) * (r[0] - s[0])
+    nu = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return det, nt, nu
+
+
 def oracle_crossings(points, edges) -> int:
     """Segment crossings via the parametric 2x2 solve, counting unordered
-    edge pairs that meet at interior parameters of both segments."""
+    edge pairs that meet at interior parameters of both segments.
+
+    The float solve decides a pair only where rounding cannot: lines far
+    from parallel with t and u clear of the segment ends, or parallel
+    lines far apart.  Every other pair is solved again exactly, with
+    each point taken as the rational its floats store, so an endpoint
+    within rounding of another edge is decided correctly.
+    """
     total = 0
     for (a, b), (c, d) in combinations(edges, 2):
         if a in (c, d) or b in (c, d):
             continue
-        p, q = points[a], points[b]
-        r, s = points[c], points[d]
-        det = (q[0] - p[0]) * (r[1] - s[1]) - (q[1] - p[1]) * (r[0] - s[0])
-        if det == 0:
-            continue
-        t = ((r[0] - p[0]) * (r[1] - s[1]) - (r[1] - p[1]) * (r[0] - s[0])) / det
-        u = ((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])) / det
-        if 0.0 < t < 1.0 and 0.0 < u < 1.0:
-            total += 1
+        p, q, r, s = ends = (points[a], points[b], points[c], points[d])
+        det, nt, nu = _solve(*ends)
+        # bounds |det|, |nt| and |nu|
+        scale = (math.dist(p, q) + math.dist(p, r)) * (math.dist(r, s)
+                                                       + math.dist(p, q))
+        if abs(det) > 1e-6 * scale:
+            t, u = nt / det, nu / det
+            if all(min(abs(v), abs(1.0 - v)) > 1e-8 for v in (t, u)):
+                total += 0.0 < t < 1.0 and 0.0 < u < 1.0
+                continue
+        elif abs(nt) > 1e-3 * scale:
+            continue  # parallel lines apart: |t| > 1000
+        det, nt, nu = _solve(*((Fraction(x), Fraction(y)) for x, y in ends))
+        total += det != 0 and 0 < nt / det < 1 and 0 < nu / det < 1
     return total
 
 

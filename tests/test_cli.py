@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from dimdraw.cli import main, parse_poset_edges
-from dimdraw import ParseError
-from helpers import life_csv_text, life_cxt_text
+import dimdraw.projection
+from dimdraw.cli import build_diagram, main, parse_poset_edges
+from dimdraw import ParseError, to_json, to_svg, to_tikz
+from helpers import life_context, life_csv_text, life_cxt_text
 
 
 @pytest.fixture
@@ -54,12 +55,21 @@ def test_concepts_list_life(life_file, capsys):
     assert len(out) == 20
 
 
-def test_realizer_command(life_file, capsys):
+def test_realizer_command(life_file, tmp_path, capsys):
     assert main(["realizer", life_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dimension"] == 3
     assert len(doc["realizer"]["by_index"]) == 3
     assert all(sorted(p) == list(range(19)) for p in doc["realizer"]["by_index"])
+    # the dimension certificate and the drawing carry the same realizer
+    cert_path, drawing_path = tmp_path / "cert.json", tmp_path / "d.json"
+    assert main(["dimension", life_file, "-o", str(cert_path)]) == 0
+    assert main(["draw", life_file, "--format", "json",
+                 "-o", str(drawing_path)]) == 0
+    cert = json.loads(cert_path.read_text(encoding="utf-8"))
+    drawing = json.loads(drawing_path.read_text(encoding="utf-8"))
+    assert cert["realizer"] == doc["realizer"]
+    assert drawing["realizer"] == doc["realizer"]["by_index"]
 
 
 def test_unknown_flag_is_usage_error(life_file, capsys):
@@ -160,12 +170,44 @@ def test_draw_json_and_tikz(life_file, tmp_path):
 
 
 def test_draw_deterministic_bytes(life_file, tmp_path):
-    for fmt, name in (("svg", "a.svg"), ("tikz", "a.tex"), ("json", "a.json")):
+    # the library pipeline runs the same stages as the command
+    diagram, exhaustive = build_diagram(life_context())
+    assert exhaustive
+    for fmt, name, emit in (("svg", "a.svg", to_svg), ("tikz", "a.tex", to_tikz),
+                            ("json", "a.json", to_json)):
         first = tmp_path / ("1" + name)
         second = tmp_path / ("2" + name)
         assert main(["draw", life_file, "--format", fmt, "-o", str(first)]) == 0
         assert main(["draw", life_file, "--format", fmt, "-o", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+        assert emit(diagram).encode("utf-8") == first.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, full_counts", [("svg", 0), ("json", 1)])
+def test_crossings_are_counted_at_most_once_after_the_search(
+        life_file, tmp_path, monkeypatch, fmt, full_counts):
+    # only the JSON emitter reads Layout.crossings; no other stage after
+    # the search recounts a drawing
+    counter = dimdraw.projection._count_crossings
+    search = dimdraw.projection.best_assignment
+    calls, searched = [], []
+
+    def counting(points, pairs, limit=float("inf")):
+        if searched:
+            calls.append(limit)
+        return counter(points, pairs, limit)
+
+    def searching(*args, **kwargs):
+        result = search(*args, **kwargs)
+        searched.append(True)
+        return result
+
+    monkeypatch.setattr(dimdraw.projection, "_count_crossings", counting)
+    monkeypatch.setattr("dimdraw.cli.best_assignment", searching)
+    out = tmp_path / f"d.{fmt}"
+    assert main(["draw", life_file, "--format", fmt, "-o", str(out)]) == 0
+    assert searched
+    assert calls == [float("inf")] * full_counts
 
 
 def test_help_exits_zero(capsys):

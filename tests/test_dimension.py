@@ -6,11 +6,11 @@ import pytest
 from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
                      LinearExtension, OracleCapExceeded, Realizer,
                      SearchTimeout, brute_force_dimension, certificate_json,
-                     complement, concepts, ferrers_cover, is_ferrers,
+                     concepts, ferrers_cover, is_ferrers,
                      linear_extension_from_ferrers, order_dimension, realizer,
                      realizer_from_cover, verify_realizer)
 from dimdraw.dimension import _CoverSearch
-from helpers import (chain_context, contra_nominal, crown_context,
+from helpers import (chain_context, complement, contra_nominal, crown_context,
                      diamond_up_masks, digraph_extendable, life_context,
                      life_ferrers_parts, life_letter_map,
                      quantifier_is_ferrers, random_context, s3_up_masks,

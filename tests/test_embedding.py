@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dimdraw import (ContractViolation, LinearExtension, Realizer, concepts,
-                     embed, order_dimension, positions, realizer,
+                     embed, order_dimension, realizer,
                      realizer_from_cover, verify_realizer)
 from helpers import (chain_context, life_context, life_letter_map,
                      random_context, LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3,
@@ -17,14 +17,14 @@ def _letter_extension(chain):
 
 
 def test_positions_on_first_reference_chain():
-    pos = positions(_letter_extension(LIFE_CHAIN_1))
+    pos = _letter_extension(LIFE_CHAIN_1).pos
     assert pos[LETTERS.index("S")] == 0
     assert pos[LETTERS.index("A")] == 18
     assert pos[LETTERS.index("E")] == 15
 
 
 def test_positions_singleton():
-    assert positions(LinearExtension.from_order((0,))) == (0,)
+    assert LinearExtension.from_order((0,)).pos == (0,)
 
 
 def test_embed_reproduces_reference_coordinates():

@@ -5,12 +5,11 @@ import pytest
 
 from dimdraw import (DimEmbedding, FormalContext, Layout, LinearExtension,
                      Realizer, RepairFailed, best_assignment, concepts,
-                     count_crossings, default_frame, embed, normalize,
-                     order_dimension, project, realizer_from_cover,
-                     repair_incidences)
+                     default_frame, embed, normalize, order_dimension,
+                     project, realizer_from_cover, repair_incidences)
 from helpers import (contra_nominal, grid_context, life_context,
                      oracle_crossings, oracle_point_segment_distance,
-                     random_context)
+                     random_context, seeded_context)
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -112,15 +111,14 @@ def test_diamond_has_no_crossings():
     ctx = contra_nominal(2)
     _, emb = _embedding(ctx)
     layout = project(emb, default_frame(2), (0, 1))
-    assert layout.crossings == 0
-    assert count_crossings(layout) == 0
+    assert layout.crossings == 0 == oracle_crossings(layout.points, layout.edges)
 
 
 def test_explicit_x_crossing():
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)),
-                    edges=((0, 1), (2, 3)), crossings=1,
+                    edges=((0, 1), (2, 3)),
                     frame=default_frame(1), assignment=(0,))
-    assert count_crossings(layout) == 1
+    assert layout.crossings == 1
     assert oracle_crossings(layout.points, layout.edges) == 1
 
 
@@ -133,15 +131,29 @@ def test_contra_nominal_three_crossings_match_oracle():
     assert layout.crossings == oracle == 2
 
 
+def test_crossings_are_derived_from_each_stages_points():
+    # Layout.crossings is counted from the layout's own points, so it
+    # follows every stage that moves them; on seeds 1, 8 and 9 repair
+    # moves nodes and changes the count
+    for seed in range(12):
+        _, emb = _embedding(seeded_context(7, 7, 0.5, seed))
+        projected = best_assignment(emb, default_frame(emb.dim)).layout
+        normalized = normalize(projected)
+        repaired = repair_incidences(normalized)
+        for layout in (projected, normalized, repaired):
+            assert layout.crossings == oracle_crossings(layout.points,
+                                                        layout.edges)
+
+
 def test_crossings_invariant_under_translation_and_scaling():
     ctx = contra_nominal(3)
     _, emb = _embedding(ctx)
     layout = project(emb, default_frame(3), (0, 1, 2))
     moved = Layout(points=tuple((3.5 + 2.0 * x, -1.25 + 2.0 * y)
                                 for x, y in layout.points),
-                   edges=layout.edges, crossings=0, frame=layout.frame,
+                   edges=layout.edges, frame=layout.frame,
                    assignment=layout.assignment)
-    assert count_crossings(moved) == layout.crossings
+    assert moved.crossings == layout.crossings
     # negating x negates every orientation product exactly, which is why
     # the assignment search never tries the mirror image
     from itertools import permutations
@@ -151,9 +163,9 @@ def test_crossings_invariant_under_translation_and_scaling():
         for perm in permutations(range(emb.dim)):
             layout = project(emb, frame, perm)
             mirrored = Layout(points=tuple((-x, y) for x, y in layout.points),
-                              edges=layout.edges, crossings=0, frame=frame,
+                              edges=layout.edges, frame=frame,
                               assignment=perm)
-            assert count_crossings(mirrored) == count_crossings(layout)
+            assert mirrored.crossings == layout.crossings
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +272,7 @@ def test_repair_three_chain_covers_only():
 def test_repair_moves_node_off_foreign_edge():
     eps = 1e-3
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (1.0, 0.0)),
-                    edges=((0, 1), (3, 2)), crossings=0,
+                    edges=((0, 1), (3, 2)),
                     frame=default_frame(1), assignment=(0,))
     repaired = repair_incidences(layout, eps)
     diag = math.sqrt(2.0)
@@ -277,7 +289,7 @@ def test_repair_moves_node_off_foreign_edge():
 
 def test_repair_is_idempotent_after_moving():
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (1.0, 0.0)),
-                    edges=((0, 1), (3, 2)), crossings=0,
+                    edges=((0, 1), (3, 2)),
                     frame=default_frame(1), assignment=(0,))
     once = repair_incidences(layout)
     twice = repair_incidences(once)
@@ -312,7 +324,7 @@ def test_repair_failure_lists_offenders():
         x += 0.9 * delta
     node = len(points)
     points.append((0.5, 0.5))
-    layout = Layout(points=tuple(points), edges=tuple(edges), crossings=0,
+    layout = Layout(points=tuple(points), edges=tuple(edges),
                     frame=default_frame(1), assignment=(0,))
     with pytest.raises(RepairFailed) as err:
         repair_incidences(layout, eps)

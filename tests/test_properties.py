@@ -4,11 +4,11 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from dimdraw import (FormalContext, PosetInput, complement, concepts,
-                     derive_attributes, derive_objects, is_ferrers,
-                     order_dimension, parse_csv, parse_cxt, poset_to_context,
-                     realizer_from_cover, write_cxt)
-from helpers import quantifier_is_ferrers
+from dimdraw import (FormalContext, PosetInput, concepts, derive_attributes,
+                     derive_objects, is_ferrers, order_dimension, parse_csv,
+                     parse_cxt, poset_to_context, realizer_from_cover,
+                     write_cxt)
+from helpers import complement, quantifier_is_ferrers
 
 _SAFE = string.ascii_letters + string.digits + "_-"
 
