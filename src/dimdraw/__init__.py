@@ -24,8 +24,7 @@ from .lattice import (Concept, ConceptLattice, concepts, derive_attributes,
                       derive_objects, transitive_reduction)
 from .projection import (AxisFrame, BestAssignment, Layout, best_assignment,
                          default_frame, normalize, project, repair_incidences)
-from .render import (LabeledDiagram, RenderOptions, label, to_json, to_svg,
-                     to_tikz)
+from .render import LabeledDiagram, label, to_json, to_svg, to_tikz
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "DimensionResult", "DimensionUndecided", "FerrersCover", "FormalContext",
     "LabeledDiagram", "LatticeTooLargeError", "Layout", "LinearExtension",
     "OracleCapExceeded", "ParseError", "PosetInput", "Realizer",
-    "RenderOptions", "RepairFailed", "SearchTimeout", "best_assignment",
+    "RepairFailed", "SearchTimeout", "best_assignment",
     "brute_force_dimension", "certificate_json", "concepts",
     "default_frame", "derive_attributes", "derive_objects",
     "embed", "ferrers_cover", "is_ferrers", "label",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .context import (FormalContext, PosetInput, parse_csv, parse_cxt,
                       poset_to_context)
-from .dimension import (DEFAULT_TIMEOUT_S, FerrersCover, Realizer,
-                        brute_force_dimension, certificate_json,
+from .dimension import (DEFAULT_TIMEOUT_S, ORACLE_ELEMENT_CAP, FerrersCover,
+                        Realizer, brute_force_dimension, certificate_json,
                         order_dimension, realizer_from_cover,
                         realizer_permutations)
 from .embedding import embed
@@ -34,7 +34,6 @@ EXIT_USAGE = 1
 EXIT_UNDECIDED = 2
 EXIT_CONTRACT = 3
 
-DEFAULT_ORACLE_CAP = 10
 DEFAULT_MAX_K = 8
 
 _FORMATS = ("cxt", "csv", "poset-edges")
@@ -59,7 +58,7 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 < self.spread < 90.0:
             raise ValueError("--spread must be strictly between 0 and 90")
-        if self.timeout < 0.0:
+        if not self.timeout >= 0.0:  # also rejects NaN
             raise ValueError("--timeout must be non-negative")
         if self.max_k < 1:
             raise ValueError("--max-k must be at least 1")
@@ -120,9 +119,9 @@ def _infer_format(path: str) -> str:
 
 
 def _oracle_check(lattice: ConceptLattice, dim: int) -> None:
-    if lattice.n > DEFAULT_ORACLE_CAP:
+    if lattice.n > ORACLE_ELEMENT_CAP:
         print(f"oracle: skipped ({lattice.n} concepts exceed the cap of "
-              f"{DEFAULT_ORACLE_CAP})", file=sys.stderr)
+              f"{ORACLE_ELEMENT_CAP})", file=sys.stderr)
         return
     reference = brute_force_dimension(lattice)
     if reference != dim:

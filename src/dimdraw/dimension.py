@@ -37,8 +37,8 @@ from .lattice import ConceptLattice, _bits
 Cell = tuple[int, int]
 
 DEFAULT_TIMEOUT_S = 60.0
-DEFAULT_ORACLE_ELEMENT_CAP = 10
-DEFAULT_ORACLE_EXTENSION_CAP = 100_000
+ORACLE_ELEMENT_CAP = 10
+ORACLE_EXTENSION_CAP = 100_000
 
 
 def _cell_rows(n_objects: int, n_attributes: int,
@@ -286,12 +286,16 @@ class _CoverSearch:
             else:
                 return False
 
-    def maximalize(self, rows: list[int]) -> None:
-        above = self._closure(rows)
+    def maximalize(self, j: int) -> list[int]:
+        """Grow part j from its kept closure into a maximal staircase,
+        scanning cells in row-major order; return its rows."""
+        rows, above = self.part_rows[j], self.above[j]
         for g, m in self.cells:
             if not rows[g] >> m & 1 and self._fits(above, g, m):
                 rows[g] |= 1 << m
                 above = self._grow(above, g, m)
+        self.above[j] = above
+        return rows
 
     def run(self) -> list[list[int]] | None:
         if self.n_cells and not self._dfs():
@@ -339,11 +343,9 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     else:
         deadline = None if timeout is None else time.monotonic() + timeout
         search = _CoverSearch(non_rows, inc_rows, k, deadline)
-        result = search.run()
-        if result is None:
+        if search.run() is None:
             return None
-        for rows in result:
-            search.maximalize(rows)
+        result = [search.maximalize(j) for j in range(k)]
     parts = tuple(
         frozenset((g, m) for g in range(ctx.n_objects) for m in _bits(rows[g]))
         for rows in result)
@@ -488,24 +490,23 @@ def _all_linear_extensions(up_masks: Sequence[int], cap: int) -> list[tuple[int,
     return out
 
 
-def brute_force_dimension(order: Union[ConceptLattice, Sequence[int]], *,
-                          max_elements: int = DEFAULT_ORACLE_ELEMENT_CAP,
-                          max_extensions: int = DEFAULT_ORACLE_EXTENSION_CAP) -> int:
+def brute_force_dimension(order: Union[ConceptLattice, Sequence[int]]) -> int:
     """Exact dimension by exhausting linear-extension subsets.
 
     Independent of the Ferrers machinery by construction: enumerates all
     linear extensions of the order and finds the smallest subset whose
     intersection is the order.  Accepts a ConceptLattice or raw up-set
-    bitmasks, so it also serves arbitrary finite orders.
+    bitmasks, so it also serves arbitrary finite orders.  Orders beyond
+    the ORACLE_*_CAP sizes raise OracleCapExceeded.
     """
     up = tuple(order.up_masks) if isinstance(order, ConceptLattice) else tuple(order)
     n = len(up)
     if n == 0:
         raise ValueError("order must have at least one element")
-    if n > max_elements:
+    if n > ORACLE_ELEMENT_CAP:
         raise OracleCapExceeded(
-            f"{n} elements exceed the oracle cap of {max_elements}")
-    extensions = _all_linear_extensions(up, max_extensions)
+            f"{n} elements exceed the oracle cap of {ORACLE_ELEMENT_CAP}")
+    extensions = _all_linear_extensions(up, ORACLE_EXTENSION_CAP)
 
     ext_up: list[tuple[int, ...]] = []
     for ext in extensions:

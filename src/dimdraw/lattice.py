@@ -27,12 +27,11 @@ def _bits(mask: int) -> Iterable[int]:
 
 @dataclass(frozen=True)
 class Concept:
-    """A formal concept (extent, intent) with cached bitmask forms."""
+    """A formal concept (extent, intent) with its extent as a bitmask."""
 
     extent: frozenset[int]
     intent: frozenset[int]
     extent_mask: int
-    intent_mask: int
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,6 @@ def concepts(ctx: FormalContext, *,
             extent=frozenset(_bits(ext)),
             intent=frozenset(_bits(intent)),
             extent_mask=ext,
-            intent_mask=intent,
         ))
 
     n = len(ordered)

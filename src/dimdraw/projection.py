@@ -21,9 +21,9 @@ from .embedding import DimEmbedding
 from .errors import ContractViolation, RepairFailed
 
 DEFAULT_SPREAD_DEG = 45.0
-DEFAULT_ASSIGNMENT_CAP = 8
-DEFAULT_REPAIR_EPS = 1e-3
-DEFAULT_REPAIR_ROUNDS = 100
+ASSIGNMENT_CAP = 8
+REPAIR_EPS = 1e-3
+_REPAIR_ROUNDS = 100
 _REPAIR_MAX_STEPS = 64
 
 
@@ -32,7 +32,6 @@ class AxisFrame:
     """Projection directions (cos t, sin t), all pointing upward."""
 
     directions: tuple[tuple[float, float], ...]
-    spread: float
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
     dirs = tuple((component(math.cos(math.radians(t))),
                   component(math.sin(math.radians(t))))
                  for t in thetas)
-    return AxisFrame(directions=dirs, spread=spread_deg)
+    return AxisFrame(directions=dirs)
 
 
 def _disjoint_pairs(edges) -> list[tuple[int, int, list[tuple[int, int]]]]:
@@ -150,8 +149,7 @@ def project(e: DimEmbedding, frame: AxisFrame,
                   frame=frame, assignment=assignment)
 
 
-def best_assignment(e: DimEmbedding, frame: AxisFrame, *,
-                    cap: int = DEFAULT_ASSIGNMENT_CAP) -> BestAssignment:
+def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     """Exhaust axis permutations, minimizing crossings.
 
     Ties break to the lexicographically smallest permutation.  Permutations
@@ -162,12 +160,12 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame, *,
     candidate is still checked for upward covers and distinct points.
     A horizontal mirror is not searched: negating x negates every
     orientation product exactly, so its count equals the unmirrored one.
-    Above the cap (d! search space) the identity assignment is returned
-    with ``exhaustive=False``.
+    Above ASSIGNMENT_CAP (d! search space) the identity assignment is
+    returned with ``exhaustive=False``.
     """
     d = e.dim
     identity = tuple(range(d))
-    if d > cap:
+    if d > ASSIGNMENT_CAP:
         return BestAssignment(identity, project(e, frame, identity), False)
     pairs = _disjoint_pairs(e.covers)
     best, best_count = None, math.inf
@@ -212,19 +210,19 @@ def _segment_distance(p, a, b) -> float:
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
-def repair_incidences(layout: Layout,
-                      eps: float = DEFAULT_REPAIR_EPS, *,
-                      max_rounds: int = DEFAULT_REPAIR_ROUNDS) -> Layout:
+def repair_incidences(layout: Layout) -> Layout:
     """Nudge nodes horizontally until none touches a non-incident edge.
 
-    A node offends when it lies within eps (relative to the bounding-box
-    diagonal) of an edge it is not an endpoint of.  Offending nodes are
-    visited in index order and moved by +-k*delta (delta = 2*eps
-    relative, alternating sign, smallest k first); y never changes, so
-    upwardness survives.  Candidate positions never leave the input
-    bounding box, which keeps the relative tolerance monotone and the
-    operation idempotent.  Raises RepairFailed with the offending
-    (node, edge) pairs when a round cap or a no-progress round is hit.
+    A node offends when it lies within REPAIR_EPS (relative to the
+    bounding-box diagonal) of an edge it is not an endpoint of.  Each
+    round scans every node once; the offending nodes are visited in
+    index order and moved by +-k*delta (delta = 2*REPAIR_EPS relative,
+    + before -, smallest k first); y never changes, so upwardness
+    survives.  Candidate positions never leave the input bounding box,
+    which keeps the relative tolerance monotone and the operation
+    idempotent.  Raises RepairFailed with the offending (node, edge)
+    pairs of the last scan when a round moves nothing or the round cap
+    is hit.
     """
     points = [tuple(p) for p in layout.points]
     edges = layout.edges
@@ -237,56 +235,40 @@ def repair_incidences(layout: Layout,
     diag = math.hypot(x_hi - x_lo, max(ys) - min(ys))
     if diag <= 0.0:
         diag = 1.0
-    threshold = eps * diag
-    delta = 2.0 * eps * diag
+    threshold = REPAIR_EPS * diag
+    delta = 2.0 * threshold
 
-    def offenders() -> list[tuple[int, tuple[int, int]]]:
-        found = []
-        for node in range(len(points)):
-            for u, v in edges:
-                if node == u or node == v:
-                    continue
-                if _segment_distance(points[node], points[u], points[v]) < threshold:
-                    found.append((node, (u, v)))
-        return found
+    def touching(node: int, p):
+        """The edges not incident to ``node`` within the threshold of ``p``."""
+        return ((u, v) for u, v in edges
+                if node != u and node != v
+                and _segment_distance(p, points[u], points[v]) < threshold)
 
     def clear_at(node: int, x: float) -> bool:
         candidate = (x, points[node][1])
-        for other, p in enumerate(points):
-            if other != node and p == candidate:
-                return False
-        for u, v in edges:
-            if node == u or node == v:
-                continue
-            if _segment_distance(candidate, points[u], points[v]) < threshold:
-                return False
-        return True
+        return (not any(p == candidate
+                        for other, p in enumerate(points) if other != node)
+                and next(touching(node, candidate), None) is None)
 
-    for _ in range(max_rounds):
-        current = offenders()
-        if not current:
-            break
+    def nudge(nodes) -> bool:
+        """Move each node to its first clear candidate; whether any moved."""
         moved = False
-        for node in sorted({n for n, _ in current}):
+        for node in nodes:
             base_x = points[node][0]
-            for k in range(1, _REPAIR_MAX_STEPS + 1):
-                done = False
-                for sign in (1.0, -1.0):
-                    x = base_x + sign * k * delta
-                    if not x_lo <= x <= x_hi:
-                        continue
-                    if clear_at(node, x):
-                        points[node] = (x, points[node][1])
-                        moved = True
-                        done = True
-                        break
-                if done:
-                    break
-        if not moved:
-            break
+            candidates = (x for k in range(1, _REPAIR_MAX_STEPS + 1)
+                          for x in (base_x + k * delta, base_x - k * delta)
+                          if x_lo <= x <= x_hi)
+            x = next((x for x in candidates if clear_at(node, x)), None)
+            if x is not None:
+                points[node] = (x, points[node][1])
+                moved = True
+        return moved
 
-    remaining = offenders()
-    if remaining:
-        raise RepairFailed(remaining)
-
-    return replace(layout, points=tuple(points))
+    for round_no in range(_REPAIR_ROUNDS + 1):
+        offenders = [(node, edge) for node, p in enumerate(points)
+                     for edge in touching(node, p)]
+        if not offenders:
+            return replace(layout, points=tuple(points))
+        if (round_no == _REPAIR_ROUNDS
+                or not nudge(sorted({n for n, _ in offenders}))):
+            raise RepairFailed(offenders)

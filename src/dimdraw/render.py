@@ -21,13 +21,11 @@ from .lattice import ConceptLattice
 from .projection import Layout
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    width: float = 800.0
-    height: float = 600.0
-    node_radius: float = 4.0
-    font_size: float = 11.0
-    padding_fraction: float = 0.05
+_WIDTH = 800.0
+_HEIGHT = 600.0
+_NODE_RADIUS = 4.0
+_FONT_SIZE = 11.0
+_PADDING_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -101,20 +99,19 @@ def _join(names: tuple[str, ...]) -> str:
     return ", ".join(names)
 
 
-def to_svg(diagram: LabeledDiagram, opts: RenderOptions = RenderOptions()) -> str:
-    """Standalone SVG 1.1 document; edges beneath nodes, top of the
-    lattice at the top of the image."""
+def to_svg(diagram: LabeledDiagram) -> str:
+    """Standalone SVG 1.1 document, 800 x 600; edges beneath nodes, top
+    of the lattice at the top of the image."""
     layout = diagram.layout
-    pts = _fit(layout.points, opts.width, opts.height, opts.padding_fraction,
-               flip_y=True)
-    r = opts.node_radius
-    fs = opts.font_size
+    pts = _fit(layout.points, _WIDTH, _HEIGHT, _PADDING_FRACTION, flip_y=True)
+    r = _NODE_RADIUS
+    fs = _FONT_SIZE
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{opts.width:g}" height="{opts.height:g}" '
-        f'viewBox="0 0 {opts.width:g} {opts.height:g}">',
+        f'width="{_WIDTH:g}" height="{_HEIGHT:g}" '
+        f'viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}">',
         '<g stroke="#555555" stroke-width="1">',
     ]
     for u, v in layout.edges:
@@ -151,16 +148,15 @@ def _tex_escape(text: str) -> str:
     return "".join(_TEX_SPECIALS.get(ch, ch) for ch in text)
 
 
-def to_tikz(diagram: LabeledDiagram, opts: RenderOptions = RenderOptions()) -> str:
+def to_tikz(diagram: LabeledDiagram) -> str:
     """Standalone TikZ document: one node per concept, one draw per edge.
 
     Coordinates are in a 10-unit-wide box, rounded to 4 decimals.
     """
     layout = diagram.layout
     scale_w = 10.0
-    scale_h = scale_w * opts.height / opts.width
-    pts = _fit(layout.points, scale_w, scale_h, opts.padding_fraction,
-               flip_y=False)
+    scale_h = scale_w * _HEIGHT / _WIDTH
+    pts = _fit(layout.points, scale_w, scale_h, _PADDING_FRACTION, flip_y=False)
 
     out = [
         r"\documentclass[tikz,border=2pt]{standalone}",

@@ -1,6 +1,11 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dimdraw.projection
 from dimdraw.cli import build_diagram, main, parse_poset_edges
@@ -109,9 +114,18 @@ def test_max_k_exhaustion_is_undecided(life_file, capsys):
     assert "undecided" in capsys.readouterr().err
 
 
+def test_timeout_nan_is_rejected(life_file, capsys):
+    # a NaN budget would never run out: the search would ignore --timeout
+    assert main(["dimension", life_file, "--timeout", "nan"]) == 1
+    assert "--timeout" in capsys.readouterr().err
+    assert main(["dimension", life_file, "--timeout", "inf"]) == 0
+    assert "dimension: 3" in capsys.readouterr().out
+
+
 def test_invalid_spread_rejected(life_file, capsys):
-    assert main(["draw", life_file, "--spread", "95"]) == 1
-    assert "spread" in capsys.readouterr().err
+    for spread in ("95", "nan"):
+        assert main(["draw", life_file, "--spread", spread]) == 1
+        assert "spread" in capsys.readouterr().err
 
 
 def test_csv_input(tmp_path, capsys):
@@ -249,3 +263,44 @@ def test_unexpected_exception_is_one_line_exit_3(life_file, monkeypatch, capsys)
     assert main(["dimension", life_file]) == 3
     err = capsys.readouterr().err
     assert err == "dimdraw: internal error: RuntimeError: stage broke on two lines\n"
+
+
+_LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r"))
+
+
+def _documents(alphabet: str, heads=((),)):
+    """One of ``heads``, then short lines over ``alphabet``, joined by one
+    kind of line end, so that rows come up often enough to reach past
+    the first line."""
+    lines = st.lists(st.text(alphabet=alphabet, max_size=8), max_size=12)
+    return st.builds(lambda head, ls, end: end.join([*head, *ls]),
+                     st.sampled_from(heads), lines, _LINE_ENDS)
+
+
+_STRANGE = "\t\r\x0b\x85 <,#"
+
+
+@pytest.mark.parametrize("suffix, documents", [
+    (".cxt", _documents("BXx.0123ab" + _STRANGE,
+                        ((), ("B", ""), ("B", "", "2", "2"), ("B", "", "1")))),
+    (".csv", _documents("Xx10.ab" + _STRANGE)),
+    (".poset", _documents("abc" + _STRANGE)),
+], ids=["cxt", "csv", "poset-edges"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_arbitrary_input_is_read_or_rejected_in_one_line(suffix, documents, data):
+    text = data.draw(documents)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input" + suffix)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["concepts", path])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert out.getvalue().startswith("concepts: ")
+    else:
+        assert code == 1, err.getvalue()
+        assert err.getvalue().startswith("dimdraw: error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -209,7 +209,7 @@ def test_one_part_cover_is_the_non_incidence_or_none():
         if rows is None:
             assert cover is None
             continue
-        search.maximalize(rows[0])
+        search.maximalize(0)
         assert cover.parts == (frozenset(
             (g, m) for g in range(ctx.n_objects) for m in range(ctx.n_attributes)
             if rows[0][g] >> m & 1),)

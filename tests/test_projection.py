@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dimdraw.projection as projection
 from dimdraw import (DimEmbedding, FormalContext, Layout, LinearExtension,
                      Realizer, RepairFailed, best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
@@ -270,11 +271,11 @@ def test_repair_three_chain_covers_only():
 
 
 def test_repair_moves_node_off_foreign_edge():
-    eps = 1e-3
+    eps = projection.REPAIR_EPS
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (1.0, 0.0)),
                     edges=((0, 1), (3, 2)),
                     frame=default_frame(1), assignment=(0,))
-    repaired = repair_incidences(layout, eps)
+    repaired = repair_incidences(layout)
     diag = math.sqrt(2.0)
     delta = 2.0 * eps * diag
     moved = repaired.points[2]
@@ -310,7 +311,7 @@ def test_repair_preserves_upwardness():
 def test_repair_failure_lists_offenders():
     # a comb of parallel vertical edges spaced tighter than the nudge
     # step, so no candidate position clears the middle node
-    eps = 1e-3
+    eps = projection.REPAIR_EPS
     points = [(0.0, 0.0), (1.0, 1.0)]   # spans the unit box
     edges = []
     diag = math.sqrt(2.0)
@@ -327,5 +328,30 @@ def test_repair_failure_lists_offenders():
     layout = Layout(points=tuple(points), edges=tuple(edges),
                     frame=default_frame(1), assignment=(0,))
     with pytest.raises(RepairFailed) as err:
-        repair_incidences(layout, eps)
-    assert any(n == node for n, _ in err.value.offenders)
+        repair_incidences(layout)
+    # the middle node sits on the comb's edge 118 alone; every other node
+    # is an endpoint or clear, and the list is that of the last scan
+    assert len(edges) == 236 and edges[118] == (238, 239)
+    assert err.value.offenders == [(node, (238, 239))]
+
+
+def test_repair_scans_each_node_edge_pair_once_per_round(monkeypatch):
+    # a drawing that needs no repair takes one scan: one distance per
+    # node and edge not incident to it, and no second scan to confirm
+    _, emb = _embedding(contra_nominal(4))
+    layout = normalize(best_assignment(emb, default_frame(emb.dim)).layout)
+    calls = []
+    distance = projection._segment_distance
+
+    def counted(p, a, b):
+        calls.append((p, a, b))
+        return distance(p, a, b)
+
+    monkeypatch.setattr(projection, "_segment_distance", counted)
+    repaired = repair_incidences(layout)
+    assert repaired.points == layout.points
+    pairs = [(node, (u, v)) for node in range(len(layout.points))
+             for u, v in layout.edges if node not in (u, v)]
+    assert len(calls) == len(pairs) > 0
+    assert calls == [(layout.points[node], layout.points[u], layout.points[v])
+                     for node, (u, v) in pairs]
