@@ -130,12 +130,19 @@ class _CoverSearch:
     Each part keeps the reachability closure of that digraph: ``above[g]``
     is the bitmask of nonempty part rows that must sit strictly above row
     g, directly or through other rows.  It is kept for every row, in the
-    part or not, because a row's out-edges do not depend on its own cells.  Adding cell (g, m) adds
-    the edges a -> g for the rows a incident to m, so the cell fits iff
-    no such row already sits above g: one AND of ``above[g]`` with
-    ``col_inc[m]``.  Committing the cell gives every row that is, or
-    reaches, a row incident to m the closure of g as well, in O(rows);
-    the trail keeps the previous closure for the undo.
+    part or not, because a row's out-edges do not depend on its own
+    cells.  Adding cell (g, m) adds the edges a -> g for the rows a
+    incident to m, so the cell fits iff no such row already sits above
+    g: one AND of ``above[g]`` with ``col_inc[m]``.  Committing the cell
+    gives every row that is, or reaches, a row incident to m the rows
+    ``gain`` = g and ``above[g]`` as well, in O(rows).
+
+    Each part also keeps one cell mask, ``fits[j]``: bit c is set iff
+    cell c fits part j's closure and conflicts with none of its cells.
+    Committing (g, m) clears the cells in conflict with it and, in the
+    rows whose closure took in ``gain``, the cells whose attribute is
+    incident to a row of ``gain``: a few big-int operations, no loop
+    over cells.  The trail keeps the old closure and mask for the undo.
     """
 
     def __init__(self, non_rows: Sequence[int], inc_rows: Sequence[int],
@@ -155,26 +162,27 @@ class _CoverSearch:
 
         # cells that can never share a part: both opposite corners
         # incident, i.e. (h, n) with h incident to m and g incident to n
-        row_cells = [0] * self.n_g
+        self.row_cells = [0] * self.n_g
         col_cells = [0] * width
         for c, (g, m) in enumerate(self.cells):
-            row_cells[g] |= 1 << c
+            self.row_cells[g] |= 1 << c
             col_cells[m] |= 1 << c
         rows_of_col = [0] * width
         for m in range(width):
             for h in _bits(self.col_inc[m]):
-                rows_of_col[m] |= row_cells[h]
-        cols_of_row = [0] * self.n_g
+                rows_of_col[m] |= self.row_cells[h]
+        # cols_of_row[a]: the cells whose attribute is incident to row a
+        self.cols_of_row = [0] * self.n_g
         for g, row in enumerate(inc_rows):
             for n in _bits(row):
-                cols_of_row[g] |= col_cells[n]
-        self.conflicts = [rows_of_col[m] & cols_of_row[g] for g, m in self.cells]
+                self.cols_of_row[g] |= col_cells[n]
+        self.conflicts = [rows_of_col[m] & self.cols_of_row[g]
+                          for g, m in self.cells]
 
         self.part_rows = [[0] * self.n_g for _ in range(k)]
-        self.part_cells = [0] * k
         self.above = [[0] * self.n_g for _ in range(k)]
-        self.adm = [(1 << k) - 1] * self.n_cells
         self.uncovered = (1 << self.n_cells) - 1
+        self.fits = [self.uncovered] * k
         self.n_used = 0
         self.nodes = 0
 
@@ -182,30 +190,19 @@ class _CoverSearch:
         """Whether cell (g, m) keeps the part with this closure feasible."""
         return not above[g] & self.col_inc[m]
 
-    def _grow(self, above: Sequence[int], g: int, m: int) -> list[int]:
-        """The closure after adding the fitting cell (g, m)."""
+    def _grow(self, above: Sequence[int], g: int, m: int) -> tuple[list[int], int]:
+        """The closure after adding the fitting cell (g, m), and the cells
+        of the rows whose closure took in the gain."""
         col = self.col_inc[m]
         gain = (1 << g) | above[g]
-        return [a | gain if (a | (1 << h)) & col else a
-                for h, a in enumerate(above)]
-
-    def _closure(self, rows: Sequence[int]) -> list[int] | None:
-        """Closure of a part given by its rows, or None if it is infeasible.
-
-        Every subset of a feasible part is feasible, so adding the cells
-        one at a time fails exactly when the whole part does.
-        """
-        above = [0] * self.n_g
-        for g, row in enumerate(rows):
-            for m in _bits(row):
-                if not self._fits(above, g, m):
-                    return None
-                above = self._grow(above, g, m)
-        return above
-
-    def extendable(self, rows: Sequence[int], g0: int, m0: int) -> bool:
-        above = self._closure(rows)
-        return above is not None and self._fits(above, g0, m0)
+        grown = []
+        hit = 0
+        for h, a in enumerate(above):
+            if (a | (1 << h)) & col:
+                a |= gain
+                hit |= self.row_cells[h]
+            grown.append(a)
+        return grown, hit
 
     def _assign(self, c: int, j: int):
         g, m = self.cells[c]
@@ -213,51 +210,52 @@ class _CoverSearch:
         if opened:
             self.n_used += 1
         self.part_rows[j][g] |= 1 << m
-        self.part_cells[j] |= 1 << c
         self.uncovered &= ~(1 << c)
-        old = self.above[j]
-        above = self.above[j] = self._grow(old, g, m)
-        jbit = 1 << j
-        cleared = []
-        for c2 in _bits(self.uncovered):
-            if self.adm[c2] & jbit:
-                g2, m2 = self.cells[c2]
-                if (self.conflicts[c2] & self.part_cells[j]
-                        or not self._fits(above, g2, m2)):
-                    self.adm[c2] &= ~jbit
-                    cleared.append(c2)
-        return c, j, opened, cleared, jbit, old
+        old_above, old_fits = self.above[j], self.fits[j]
+        self.above[j], hit = self._grow(old_above, g, m)
+        # a row whose closure took in the gain loses its cells whose
+        # attribute is incident to a row of the gain
+        blocked = 0
+        for a in _bits((1 << g) | old_above[g]):
+            blocked |= self.cols_of_row[a]
+        self.fits[j] = old_fits & ~(self.conflicts[c] | hit & blocked)
+        return c, j, opened, old_above, old_fits
 
     def _undo(self, trail) -> None:
-        c, j, opened, cleared, jbit, old = trail
+        c, j, opened, above, fits = trail
+        self.above[j], self.fits[j] = above, fits
         g, m = self.cells[c]
         self.part_rows[j][g] &= ~(1 << m)
-        self.part_cells[j] &= ~(1 << c)
-        self.above[j] = old
         self.uncovered |= 1 << c
-        for c2 in cleared:
-            self.adm[c2] |= jbit
         if opened:
             self.n_used -= 1
 
     def _branch(self) -> tuple[int, int] | None:
         """The uncovered cell with the fewest admissible parts and the
-        bitmask of those parts, or None when some cell has none left."""
-        used_mask = (1 << self.n_used) - 1
-        open_extra = 1 if self.n_used < self.k else 0
-        best_c = -1
-        best_count = self.k + 1
-        for c in _bits(self.uncovered):
-            count = bin(self.adm[c] & used_mask).count("1") + open_extra
-            if count == 0:
-                return None
-            if count < best_count:
-                best_count = count
-                best_c = c
-        options = self.adm[best_c] & used_mask
-        if open_extra:
-            options |= 1 << self.n_used
-        return best_c, options
+        bitmask of those parts, or None when some cell has none left.
+
+        ``at_least[t]`` holds the uncovered cells admissible in at least t
+        used parts, so the fewest-options cells are the first nonempty
+        ``at_least[t] & ~at_least[t + 1]``, and the lowest of them wins.
+        """
+        n = self.n_used
+        at_least = [self.uncovered] + [0] * (n + 1)
+        for j in range(n):
+            fits = self.fits[j]
+            for t in range(j + 1, 0, -1):
+                at_least[t] |= at_least[t - 1] & fits
+        for t in range(n + 1):
+            fewest = at_least[t] & ~at_least[t + 1]
+            if fewest:
+                break
+        if t == 0 and n == self.k:
+            return None
+        low = fewest & -fewest
+        options = 1 << n if n < self.k else 0
+        for j in range(n):
+            if self.fits[j] & low:
+                options |= 1 << j
+        return low.bit_length() - 1, options
 
     def _dfs(self) -> bool:
         """Depth-first search over an explicit stack of frames
@@ -293,7 +291,7 @@ class _CoverSearch:
         for g, m in self.cells:
             if not rows[g] >> m & 1 and self._fits(above, g, m):
                 rows[g] |= 1 << m
-                above = self._grow(above, g, m)
+                above = self._grow(above, g, m)[0]
         self.above[j] = above
         return rows
 

@@ -80,6 +80,8 @@ def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
     dirs = tuple((component(math.cos(math.radians(t))),
                   component(math.sin(math.radians(t))))
                  for t in thetas)
+    if len(set(dirs)) < d:
+        raise ValueError(f"spread {spread_deg:g} gives two equal directions")
     return AxisFrame(directions=dirs)
 
 

@@ -181,6 +181,63 @@ def digraph_extendable(allowance, rows, g0: int, m0: int) -> bool:
     return all(a in state or acyclic_from(a) for a in active)
 
 
+def search_closure(search, rows):
+    """Closure of a part of ``search`` given by its rows, rebuilt one cell
+    at a time from empty, or None if the part is infeasible.
+
+    Every subset of a feasible part is feasible, so adding the cells one
+    at a time fails exactly when the whole part does.
+    """
+    above = [0] * search.n_g
+    for g, row in enumerate(rows):
+        for m in range(row.bit_length()):
+            if row >> m & 1:
+                if not search._fits(above, g, m):
+                    return None
+                above = search._grow(above, g, m)[0]
+    return above
+
+
+def search_extendable(search, rows, g0: int, m0: int) -> bool:
+    """Whether the part ``rows`` plus cell (g0, m0) stays feasible, by the
+    search's closure test on a rebuilt closure."""
+    above = search_closure(search, rows)
+    return above is not None and search._fits(above, g0, m0)
+
+
+def scan_branch(search):
+    """The cover search's branching choice by a scan over every uncovered
+    cell: the cell with the fewest admissible parts, lowest index on
+    ties, and the bitmask of those parts, or None when some cell has none.
+
+    A part is admissible for a cell when the cell fits the part's closure
+    and conflicts with none of its cells; the part not yet opened counts
+    for every cell.
+    """
+    used = search.n_used
+    open_extra = 1 if used < search.k else 0
+    best = None
+    for c, (g, m) in enumerate(search.cells):
+        if not search.uncovered >> c & 1:
+            continue
+        parts = 0
+        for j in range(used):
+            rows = search.part_rows[j]
+            clash = any(search.conflicts[c] >> c2 & 1 and rows[h] >> n & 1
+                        for c2, (h, n) in enumerate(search.cells))
+            if search._fits(search.above[j], g, m) and not clash:
+                parts |= 1 << j
+        count = bin(parts).count("1") + open_extra
+        if count == 0:
+            return None
+        if best is None or count < best[0]:
+            best = (count, c, parts)
+    _, c, parts = best
+    if open_extra:
+        parts |= 1 << used
+    return c, parts
+
+
 def s3_up_masks() -> list[int]:
     """The 6-element standard example: atoms 0..2, coatoms 3..5,
     atom i below coatom j iff i != j."""

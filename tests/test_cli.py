@@ -123,9 +123,11 @@ def test_timeout_nan_is_rejected(life_file, capsys):
 
 
 def test_invalid_spread_rejected(life_file, capsys):
-    for spread in ("95", "nan"):
+    # 1e-300 and 1e-15 round every direction to (0, 1)
+    for spread in ("95", "nan", "1e-300", "1e-15"):
         assert main(["draw", life_file, "--spread", spread]) == 1
         assert "spread" in capsys.readouterr().err
+    assert main(["draw", life_file, "--spread", "1e-9"]) == 0
 
 
 def test_csv_input(tmp_path, capsys):

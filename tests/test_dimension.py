@@ -14,6 +14,7 @@ from helpers import (chain_context, complement, contra_nominal, crown_context,
                      diamond_up_masks, digraph_extendable, life_context,
                      life_ferrers_parts, life_letter_map,
                      quantifier_is_ferrers, random_context, s3_up_masks,
+                     scan_branch, search_closure, search_extendable,
                      seeded_context, two_dimensional_poset_context,
                      LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3)
 
@@ -118,7 +119,7 @@ def test_extendability_predicate_matches_exhaustive_enumeration():
         part_rows = [0] * n_g
         for g, m in chosen:
             part_rows[g] |= 1 << m
-        got = search.extendable(part_rows, candidate[0], candidate[1])
+        got = search_extendable(search, part_rows, candidate[0], candidate[1])
         assert got == digraph_extendable(allowance, part_rows, *candidate)
         committed = set(chosen) | {candidate}
         rest = [c for c in cells if c not in committed]
@@ -132,8 +133,8 @@ def test_extendability_predicate_matches_exhaustive_enumeration():
 def test_maintained_closure_matches_rebuild_and_digraph_test():
     # a random walk of _assign / _undo: after every step each part's
     # maintained closure equals a fresh rebuild, every candidate verdict
-    # equals the digraph test, and the admissible parts of every
-    # uncovered cell are exactly those it fits without a conflict
+    # equals the digraph test, and each part's mask of admissible cells
+    # holds exactly the cells it fits without a conflict
     rng = random.Random(77)
     for _ in range(60):
         ctx = seeded_context(rng.randint(2, 6), rng.randint(2, 6),
@@ -150,7 +151,8 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
             else:
                 c = rng.choice([c for c in range(search.n_cells)
                                 if search.uncovered >> c & 1])
-                parts = search.adm[c] & ((1 << search.n_used) - 1)
+                parts = sum(1 << j for j in range(search.n_used)
+                            if search.fits[j] >> c & 1)
                 if search.n_used < k:
                     parts |= 1 << search.n_used
                 if not parts:
@@ -160,14 +162,54 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
             for j in range(k):
                 rows = search.part_rows[j]
                 above = search.above[j]
-                assert above == search._closure(rows)
+                assert above == search_closure(search, rows)
+                part_cells = sum(1 << c for c, (g, m) in enumerate(search.cells)
+                                 if rows[g] >> m & 1)
                 for c, (g, m) in enumerate(search.cells):
                     fits = search._fits(above, g, m)
                     assert fits == digraph_extendable(allowance, rows, g, m)
-                    if search.uncovered >> c & 1:
-                        admissible = fits and not (
-                            search.conflicts[c] & search.part_cells[j])
-                        assert bool(search.adm[c] >> j & 1) == admissible
+                    admissible = fits and not search.conflicts[c] & part_cells
+                    assert bool(search.fits[j] >> c & 1) == admissible
+
+
+def test_branch_matches_per_cell_scan():
+    # on random _assign / _undo walks, the branch read from the per-part
+    # masks is the per-cell scan's: the same cell, the same parts, and
+    # None in the same states
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(80):
+        ctx = seeded_context(rng.randint(2, 7), rng.randint(2, 7),
+                             rng.choice((0.25, 0.4, 0.55)), rng.randrange(10 ** 6))
+        k = rng.randint(2, 4)
+        search = _search(ctx, k)
+        if not search.n_cells:
+            continue
+        trails = []
+        for _ in range(30):
+            if not search.uncovered:
+                search._undo(trails.pop())
+                continue
+            branch = search._branch()
+            assert branch == scan_branch(search)
+            outcomes.add(branch is None)
+            # the root always branches, so a dead end has a step to undo
+            if branch is None or trails and rng.random() < 0.25:
+                search._undo(trails.pop())
+                continue
+            c, parts = branch
+            if rng.random() < 0.5:
+                c = rng.choice([c for c in range(search.n_cells)
+                                if search.uncovered >> c & 1])
+                parts = sum(1 << j for j in range(search.n_used)
+                            if search.fits[j] >> c & 1)
+                if search.n_used < k:
+                    parts |= 1 << search.n_used
+                if not parts:
+                    continue
+            j = rng.choice([j for j in range(k) if parts >> j & 1])
+            trails.append(search._assign(c, j))
+    assert outcomes == {False, True}
 
 
 def test_conflicts_match_pairwise_definition():
@@ -188,7 +230,9 @@ def test_conflicts_match_pairwise_definition():
     (crown_context(14), {2: 135, 3: 169}),
     (seeded_context(14, 14, 0.35, 2), {2: 3, 3: 19, 4: 2630, 5: 125}),
     (two_dimensional_poset_context(24, 0), {2: 413}),
-], ids=["crown-12", "crown-14", "random-14x14-p.35-s2", "poset2d-24-s0"])
+    (crown_context(40), {2: 1409, 3: 1521}),
+], ids=["crown-12", "crown-14", "random-14x14-p.35-s2", "poset2d-24-s0",
+        "crown-40"])
 def test_search_tree_is_pinned(ctx, nodes):
     # node counts of the first search that used a per-part closure; the
     # same predicate and branching order must visit the same tree
