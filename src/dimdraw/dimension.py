@@ -138,11 +138,13 @@ class _CoverSearch:
     ``gain`` = g and ``above[g]`` as well, in O(rows).
 
     Each part also keeps one cell mask, ``fits[j]``: bit c is set iff
-    cell c fits part j's closure and conflicts with none of its cells.
-    Committing (g, m) clears the cells in conflict with it and, in the
-    rows whose closure took in ``gain``, the cells whose attribute is
-    incident to a row of ``gain``: a few big-int operations, no loop
-    over cells.  The trail keeps the old closure and mask for the undo.
+    cell c fits part j's closure.  Committing (g, m) clears, in the rows
+    whose closure took in ``gain``, the cells whose attribute is incident
+    to a row of ``gain``: a few big-int operations, no loop over cells.
+    The trail keeps the old closure and mask for the undo.  A cell (h, n)
+    whose opposite corners (g, n) and (h, m) are both incident can never
+    share a part with (g, m), and it needs no test of its own: h is
+    incident to m, so g now sits above h, and g is incident to n.
     """
 
     def __init__(self, non_rows: Sequence[int], inc_rows: Sequence[int],
@@ -160,24 +162,16 @@ class _CoverSearch:
             for m in _bits(row):
                 self.col_inc[m] |= 1 << g
 
-        # cells that can never share a part: both opposite corners
-        # incident, i.e. (h, n) with h incident to m and g incident to n
         self.row_cells = [0] * self.n_g
         col_cells = [0] * width
         for c, (g, m) in enumerate(self.cells):
             self.row_cells[g] |= 1 << c
             col_cells[m] |= 1 << c
-        rows_of_col = [0] * width
-        for m in range(width):
-            for h in _bits(self.col_inc[m]):
-                rows_of_col[m] |= self.row_cells[h]
         # cols_of_row[a]: the cells whose attribute is incident to row a
         self.cols_of_row = [0] * self.n_g
         for g, row in enumerate(inc_rows):
             for n in _bits(row):
                 self.cols_of_row[g] |= col_cells[n]
-        self.conflicts = [rows_of_col[m] & self.cols_of_row[g]
-                          for g, m in self.cells]
 
         self.part_rows = [[0] * self.n_g for _ in range(k)]
         self.above = [[0] * self.n_g for _ in range(k)]
@@ -218,7 +212,7 @@ class _CoverSearch:
         blocked = 0
         for a in _bits((1 << g) | old_above[g]):
             blocked |= self.cols_of_row[a]
-        self.fits[j] = old_fits & ~(self.conflicts[c] | hit & blocked)
+        self.fits[j] = old_fits & ~(hit & blocked)
         return c, j, opened, old_above, old_fits
 
     def _undo(self, trail) -> None:

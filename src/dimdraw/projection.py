@@ -6,16 +6,19 @@ direction has a strictly positive y component and all coordinates
 strictly increase along comparable pairs, so any axis assignment yields
 an upward drawing for free.  The assignment (which realizer axis goes to
 which fan direction) is chosen by exhaustive search to minimize edge
-crossings.  A final repair pass nudges nodes horizontally off any
-non-incident edge they touch.
+crossings, each count a sweep over the edges by low y that tests only
+pairs with overlapping bounding boxes.  A final repair pass nudges nodes
+horizontally off any non-incident edge they touch.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 
 from .embedding import DimEmbedding
 from .errors import ContractViolation, RepairFailed
@@ -47,7 +50,7 @@ class Layout:
     def crossings(self) -> int:
         """Unordered edge pairs meeting in exactly one interior point
         (pairs sharing an endpoint excluded), counted on first read."""
-        return _count_crossings(self.points, _disjoint_pairs(self.edges))
+        return _count_crossings(self.points, self.edges)
 
 
 @dataclass(frozen=True)
@@ -85,29 +88,31 @@ def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
     return AxisFrame(directions=dirs)
 
 
-def _disjoint_pairs(edges) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """Every unordered pair of edges that share no endpoint, grouped by the
-    earlier edge (a, b) as (a, b, [later edges (c, d)]), in edge order."""
-    return [(a, b, [edge for edge in edges[i + 1:]
-                    if a not in edge and b not in edge])
-            for i, (a, b) in enumerate(edges)]
-
-
-def _count_crossings(points, pairs, limit: float = math.inf) -> int:
-    """Pairs whose segments cross in one interior point: strict orientation
-    flips on both segments.  Counting stops once ``limit`` is reached."""
-    # The operand order of each orientation product is fixed: on
-    # near-collinear pairs the rounding decides the sign, and with it the
-    # count and the chosen assignment.
+def _count_crossings(points, edges, limit: float = math.inf) -> int:
+    """Edge pairs whose segments cross in one interior point: strict
+    orientation flips on both segments.  Counting stops once ``limit`` is
+    reached.  A sweep by low y tests only the pairs whose closed bounding
+    boxes overlap and that share no endpoint; which edge plays p does not
+    matter, since the two sign tests are joined by ``and``."""
+    if limit <= 0:
+        return 0
+    segments = []
+    for a, b in edges:
+        (p1x, p1y), (p2x, p2y) = points[a], points[b]
+        segments.append((min(p1y, p2y), max(p1y, p2y), min(p1x, p2x), max(p1x, p2x),
+                         a, b, p1x, p1y, p2x, p2y, p2x - p1x, p2y - p1y))
+    segments.sort(key=itemgetter(0))
+    lows = [s[0] for s in segments]
     total = 0
-    for a, b, later in pairs:
-        p1x, p1y = points[a]
-        p2x, p2y = points[b]
-        vx, vy = p2x - p1x, p2y - p1y
-        for c, d in later:
-            q1x, q1y = points[c]
-            q2x, q2y = points[d]
-            ux, uy = q2x - q1x, q2y - q1y
+    for i, (_, top, left, right, a, b, p1x, p1y, p2x, p2y, vx, vy) in enumerate(segments):
+        for _, _, q_left, q_right, c, d, q1x, q1y, q2x, q2y, ux, uy in segments[
+                i + 1:bisect_right(lows, top, i + 1)]:
+            if (q_left > right or q_right < left
+                    or c == a or c == b or d == a or d == b):
+                continue
+            # The operand order of each orientation product is fixed: on
+            # near-collinear pairs the rounding decides the sign, and with
+            # it the count and the chosen assignment.
             if ((ux * (p1y - q1y) - uy * (p1x - q1x))
                     * (ux * (p2y - q1y) - uy * (p2x - q1x)) < 0
                     and (vx * (q1y - p1y) - vy * (q1x - p1x))
@@ -159,7 +164,9 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     strictly lower count, so a candidate stops being counted once it
     reaches the best count so far: it can no longer win, and an equal
     count would lose the tie to the earlier permutation anyway.  Every
-    candidate is still checked for upward covers and distinct points.
+    candidate is still checked for upward covers and distinct points, and
+    counted by one sweep over its edges, which skips the edge pairs whose
+    bounding boxes are apart.
     A horizontal mirror is not searched: negating x negates every
     orientation product exactly, so its count equals the unmirrored one.
     Above ASSIGNMENT_CAP (d! search space) the identity assignment is
@@ -169,10 +176,9 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     identity = tuple(range(d))
     if d > ASSIGNMENT_CAP:
         return BestAssignment(identity, project(e, frame, identity), False)
-    pairs = _disjoint_pairs(e.covers)
     best, best_count = None, math.inf
     for perm in permutations(range(d)):
-        count = _count_crossings(_points(e, frame, perm), pairs, best_count)
+        count = _count_crossings(_points(e, frame, perm), e.covers, best_count)
         if count < best_count:
             best, best_count = perm, count
     assert best is not None

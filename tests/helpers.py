@@ -205,6 +205,17 @@ def search_extendable(search, rows, g0: int, m0: int) -> bool:
     return above is not None and search._fits(above, g0, m0)
 
 
+def cell_conflicts(search):
+    """Cogis's conflict graph on the cells of ``search``, from the pairwise
+    definition: bit b of entry a is set when cells a = (g, m) and
+    b = (h, n) have both opposite corners (g, n) and (h, m) incident, so
+    that no Ferrers part inside the non-incidence can hold both."""
+    inc = search.col_inc
+    return [sum(1 << b for b, (h, n) in enumerate(search.cells)
+                if inc[n] >> g & 1 and inc[m] >> h & 1)
+            for g, m in search.cells]
+
+
 def scan_branch(search):
     """The cover search's branching choice by a scan over every uncovered
     cell: the cell with the fewest admissible parts, lowest index on
@@ -216,6 +227,7 @@ def scan_branch(search):
     """
     used = search.n_used
     open_extra = 1 if used < search.k else 0
+    conflicts = cell_conflicts(search)
     best = None
     for c, (g, m) in enumerate(search.cells):
         if not search.uncovered >> c & 1:
@@ -223,7 +235,7 @@ def scan_branch(search):
         parts = 0
         for j in range(used):
             rows = search.part_rows[j]
-            clash = any(search.conflicts[c] >> c2 & 1 and rows[h] >> n & 1
+            clash = any(conflicts[c] >> c2 & 1 and rows[h] >> n & 1
                         for c2, (h, n) in enumerate(search.cells))
             if search._fits(search.above[j], g, m) and not clash:
                 parts |= 1 << j
@@ -354,6 +366,41 @@ def oracle_crossings(points, edges) -> int:
             continue  # parallel lines apart: |t| > 1000
         det, nt, nu = _solve(*((Fraction(x), Fraction(y)) for x, y in ends))
         total += det != 0 and 0 < nt / det < 1 and 0 < nu / det < 1
+    return total
+
+
+def _disjoint_pairs(edges) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """Every unordered pair of edges that share no endpoint, grouped by the
+    earlier edge (a, b) as (a, b, [later edges (c, d)]), in edge order."""
+    return [(a, b, [edge for edge in edges[i + 1:]
+                    if a not in edge and b not in edge])
+            for i, (a, b) in enumerate(edges)]
+
+
+def all_pairs_crossings(points, edges, limit: float = math.inf) -> int:
+    """The float crossing count without the sweep, the reference for
+    ``projection._count_crossings``: the same orientation test, in the
+    same operand order, on every pair of edges that share no endpoint.
+    Counting stops once ``limit`` is reached."""
+    # The operand order of each orientation product is fixed: on
+    # near-collinear pairs the rounding decides the sign, and with it the
+    # count and the chosen assignment.
+    total = 0
+    for a, b, later in _disjoint_pairs(edges):
+        p1x, p1y = points[a]
+        p2x, p2y = points[b]
+        vx, vy = p2x - p1x, p2y - p1y
+        for c, d in later:
+            q1x, q1y = points[c]
+            q2x, q2y = points[d]
+            ux, uy = q2x - q1x, q2y - q1y
+            if ((ux * (p1y - q1y) - uy * (p1x - q1x))
+                    * (ux * (p2y - q1y) - uy * (p2x - q1x)) < 0
+                    and (vx * (q1y - p1y) - vy * (q1x - p1x))
+                    * (vx * (q2y - p1y) - vy * (q2x - p1x)) < 0):
+                total += 1
+                if total >= limit:
+                    return total
     return total
 
 

@@ -208,10 +208,10 @@ def test_crossings_are_counted_at_most_once_after_the_search(
     search = dimdraw.projection.best_assignment
     calls, searched = [], []
 
-    def counting(points, pairs, limit=float("inf")):
+    def counting(points, edges, limit=float("inf")):
         if searched:
             calls.append(limit)
-        return counter(points, pairs, limit)
+        return counter(points, edges, limit)
 
     def searching(*args, **kwargs):
         result = search(*args, **kwargs)

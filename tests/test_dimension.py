@@ -10,9 +10,9 @@ from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
                      linear_extension_from_ferrers, order_dimension, realizer,
                      realizer_from_cover, verify_realizer)
 from dimdraw.dimension import _CoverSearch
-from helpers import (chain_context, complement, contra_nominal, crown_context,
-                     diamond_up_masks, digraph_extendable, life_context,
-                     life_ferrers_parts, life_letter_map,
+from helpers import (cell_conflicts, chain_context, complement, contra_nominal,
+                     crown_context, diamond_up_masks, digraph_extendable,
+                     life_context, life_ferrers_parts, life_letter_map,
                      quantifier_is_ferrers, random_context, s3_up_masks,
                      scan_branch, search_closure, search_extendable,
                      seeded_context, two_dimensional_poset_context,
@@ -144,6 +144,7 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
         if not search.n_cells:
             continue
         allowance = [(1 << ctx.n_attributes) - 1 & ~r for r in ctx.object_rows()]
+        conflicts = cell_conflicts(search)
         trails = []
         for _ in range(25):
             if trails and (rng.random() < 0.3 or not search.uncovered):
@@ -168,7 +169,7 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
                 for c, (g, m) in enumerate(search.cells):
                     fits = search._fits(above, g, m)
                     assert fits == digraph_extendable(allowance, rows, g, m)
-                    admissible = fits and not search.conflicts[c] & part_cells
+                    admissible = fits and not conflicts[c] & part_cells
                     assert bool(search.fits[j] >> c & 1) == admissible
 
 
@@ -213,16 +214,43 @@ def test_branch_matches_per_cell_scan():
 
 
 def test_conflicts_match_pairwise_definition():
+    # the masks carry no conflict term: on random _assign / _undo walks no
+    # cell admissible in a part conflicts with a cell of that part, since
+    # committing a cell already blocks every cell in conflict with it
     rng = random.Random(31)
     for _ in range(100):
         ctx = random_context(rng, 7, 7)
-        search = _search(ctx, 2)
+        k = rng.randint(2, 3)
+        search = _search(ctx, k)
+        conflicts = cell_conflicts(search)
         for a, (g, m) in enumerate(search.cells):
             want = 0
             for b, (h, n) in enumerate(search.cells):
                 if (g, n) in ctx.incidence and (h, m) in ctx.incidence:
                     want |= 1 << b
-            assert search.conflicts[a] == want, (ctx, (g, m))
+            assert conflicts[a] == want, (ctx, (g, m))
+        if not search.n_cells:
+            continue
+        trails = []
+        for _ in range(20):
+            if trails and (rng.random() < 0.3 or not search.uncovered):
+                search._undo(trails.pop())
+            else:
+                c = rng.choice([c for c in range(search.n_cells)
+                                if search.uncovered >> c & 1])
+                parts = [j for j in range(search.n_used)
+                         if search.fits[j] >> c & 1]
+                parts += [search.n_used] if search.n_used < k else []
+                if not parts:
+                    continue
+                trails.append(search._assign(c, rng.choice(parts)))
+            for j in range(k):
+                rows = search.part_rows[j]
+                part_cells = sum(1 << c for c, (g, m) in enumerate(search.cells)
+                                 if rows[g] >> m & 1)
+                for c in range(search.n_cells):
+                    if search.fits[j] >> c & 1:
+                        assert not conflicts[c] & part_cells, (ctx, j, c)
 
 
 @pytest.mark.parametrize("ctx, nodes", [

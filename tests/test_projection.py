@@ -8,8 +8,8 @@ from dimdraw import (DimEmbedding, FormalContext, Layout, LinearExtension,
                      Realizer, RepairFailed, best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
                      project, realizer_from_cover, repair_incidences)
-from helpers import (contra_nominal, grid_context, life_context,
-                     oracle_crossings, oracle_point_segment_distance,
+from helpers import (all_pairs_crossings, contra_nominal, grid_context,
+                     life_context, oracle_crossings, oracle_point_segment_distance,
                      random_context, seeded_context)
 
 SQ2 = math.sqrt(2.0) / 2.0
@@ -169,6 +169,51 @@ def test_crossings_invariant_under_translation_and_scaling():
             assert mirrored.crossings == layout.crossings
 
 
+def _stress_layouts():
+    """Hand-built (points, edges) pairs aimed at the sweep's filters."""
+    line = ((0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.0, 1.5))
+    along = ((0, 1), (2, 3), (0, 2), (1, 3), (4, 3))
+    # collinear edges along one axis, disjoint and overlapping
+    yield line, along
+    yield tuple((y, x) for x, y in line), along
+    # y-ranges touching at one height: a horizontal edge crossed by a
+    # vertical one, a vertical edge standing on it, and edges meeting the
+    # horizontal one's height from below
+    yield (((0.0, 1.0), (2.0, 1.0), (1.0, 0.0), (1.0, 2.0), (1.5, 1.0),
+            (1.5, 3.0), (2.5, 0.0), (3.0, 1.0), (1.8, 0.0), (1.2, 1.0)),
+           ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)))
+    # x-ranges apart and x-ranges touching at one value, y-ranges shared
+    yield (((0.0, 0.0), (1.0, 3.0), (2.0, 0.0), (3.0, 3.0), (1.0, 1.0),
+            (2.0, 2.5)), ((0, 1), (2, 3), (4, 5)))
+    # an X of two downward edges, and a y-mirrored, downward drawing
+    yield ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)), ((0, 1), (2, 3))
+    _, emb = _embedding(seeded_context(7, 7, 0.5, 9))
+    layout = best_assignment(emb, default_frame(emb.dim)).layout
+    yield tuple((x, -y) for x, y in layout.points), layout.edges
+
+
+def test_sweep_matches_all_pairs_count():
+    # the sweep skips the pairs whose bounding boxes are apart; on every
+    # permutation of seeded embeddings, at wide, narrow and almost
+    # collinear fans, and on hand-built layouts, it must give the all-pairs
+    # count, and min(count, limit) under every limit
+    from itertools import permutations
+    layouts = list(_stress_layouts())
+    assert [all_pairs_crossings(*pe) for pe in layouts[:5]] == [0, 0, 1, 0, 1]
+    for seed in range(12):
+        _, emb = _embedding(seeded_context(7, 7, 0.5, seed))
+        for spread in (45.0, 10.0, 80.0, 1e-6):
+            frame = default_frame(emb.dim, spread)
+            layouts += [(project(emb, frame, perm).points, emb.covers)
+                        for perm in permutations(range(emb.dim))]
+    for points, edges in layouts:
+        full = all_pairs_crossings(points, edges)
+        assert projection._count_crossings(points, edges) == full
+        for limit in range(full + 2):
+            assert projection._count_crossings(points, edges,
+                                               limit) == min(full, limit)
+
+
 # ---------------------------------------------------------------------------
 # best_assignment
 
@@ -218,6 +263,15 @@ def test_best_assignment_matches_exhaustive_reevaluation():
         assert result.layout == project(emb, frame, first)
         if name in pinned:
             assert (result.assignment, result.layout.crossings) == pinned[name]
+
+
+def test_best_assignment_is_pinned_at_dimension_four_and_five():
+    # the draw-highdim inputs random 12x12 .5 s0 (d = 5) and s3 (d = 4),
+    # recorded before the sweep
+    for seed, want in ((0, ((1, 0, 4, 2, 3), 414)), (3, ((1, 0, 2, 3), 341))):
+        _, emb = _embedding(seeded_context(12, 12, 0.5, seed))
+        result = best_assignment(emb, default_frame(emb.dim))
+        assert (result.assignment, result.layout.crossings) == want
 
 
 def test_best_assignment_cap_falls_back_to_identity():
