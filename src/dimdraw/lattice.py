@@ -15,7 +15,7 @@ from typing import Iterable
 from .context import FormalContext
 from .errors import ContractViolation, LatticeTooLargeError
 
-DEFAULT_CONCEPT_CAP = 100_000
+CONCEPT_CAP = 100_000
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -87,34 +87,35 @@ def derive_attributes(ctx: FormalContext, attributes: Iterable[int]) -> frozense
 
 
 def transitive_reduction(leq_masks: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (x, y): x < y with no z strictly between.
+    """Cover pairs (x, y): x < y with no z strictly between, by x then y.
 
     ``leq_masks[i]`` must be the bitmask of all j with i <= j, i
-    included; any finite order works, not just lattices.
+    included, and the indices must form a linear extension: ValueError
+    when a mask has a bit below its own index.  So the lowest index left
+    in x's strict up-set is a cover of x, and each cover clears its up-set.
     """
     masks = list(leq_masks)
-    n = len(masks)
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(masks[i]):
-            down[j] |= 1 << i
     covers = []
-    for i in range(n):
-        strict_up = masks[i] & ~(1 << i)
-        for j in _bits(strict_up):
-            if strict_up & down[j] & ~(1 << j) == 0:
-                covers.append((i, j))
+    for i, mask in enumerate(masks):
+        if mask & ((1 << i) - 1):
+            raise ValueError(f"up-set {i} has a bit below its own index; "
+                             "indices must form a linear extension")
+        rest = mask & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((i, j))
+            rest &= ~masks[j]
     return tuple(covers)
 
 
-def concepts(ctx: FormalContext, *,
-             max_concepts: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
+def concepts(ctx: FormalContext) -> ConceptLattice:
     """Enumerate every formal concept of ``ctx`` and build the lattice.
 
     The extent family is the closure system generated by the attribute
     extents under intersection.  Raises LatticeTooLargeError as soon as
-    the enumeration exceeds ``max_concepts``; output is never silently
-    truncated.
+    the enumeration exceeds CONCEPT_CAP; output is never silently
+    truncated.  A concept's up-set ANDs, per object of its extent, the
+    mask of the concepts whose extent holds that object.
     """
     n_g, n_m = ctx.n_objects, ctx.n_attributes
     rows = ctx.object_rows()
@@ -131,34 +132,32 @@ def concepts(ctx: FormalContext, *,
                 cut = ext & col
                 if cut not in extents:
                     extents.add(cut)
-                    if len(extents) > max_concepts:
+                    if len(extents) > CONCEPT_CAP:
                         raise LatticeTooLargeError(
-                            f"more than {max_concepts} concepts; raise the cap "
-                            "to enumerate this lattice")
+                            f"more than {CONCEPT_CAP} concepts, the fixed "
+                            "cap on the lattice size")
                     fresh.append(cut)
         frontier = fresh
 
     ordered = sorted(extents)
+    n = len(ordered)
+    holders = [0] * n_g
+    for j, ext in enumerate(ordered):
+        for g in _bits(ext):
+            holders[g] |= 1 << j
     concept_list = []
+    up_masks = []
     for ext in ordered:
-        intent = full_m
+        intent, up = full_m, (1 << n) - 1
         for g in _bits(ext):
             intent &= rows[g]
+            up &= holders[g]
         concept_list.append(Concept(
             extent=frozenset(_bits(ext)),
             intent=frozenset(_bits(intent)),
             extent_mask=ext,
         ))
-
-    n = len(ordered)
-    up_masks = []
-    for i in range(n):
-        mask = 0
-        ei = ordered[i]
-        for j in range(n):
-            if ei & ~ordered[j] == 0:
-                mask |= 1 << j
-        up_masks.append(mask)
+        up_masks.append(up)
 
     if up_masks[0] != (1 << n) - 1 or up_masks[n - 1] != 1 << (n - 1):
         raise ContractViolation("lattice lost its unique bottom or top")

@@ -125,8 +125,8 @@ def _count_crossings(points, edges, limit: float = math.inf) -> int:
 
 def _points(e: DimEmbedding, frame: AxisFrame,
             assignment: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
-    """point(C) = sum_i coords_i(C) * direction[assignment[i]], with the
-    upward-covers and distinct-points contract asserted."""
+    """point(C) = sum_i coords_i(C) * direction[assignment[i]], upward
+    covers asserted; ValueError when a too-narrow fan merges two points."""
     d = e.dim
     if sorted(assignment) != list(range(d)) or len(frame.directions) != d:
         raise ValueError("assignment must permute the frame directions")
@@ -140,7 +140,7 @@ def _points(e: DimEmbedding, frame: AxisFrame,
         if not points[lo][1] < points[hi][1]:
             raise ContractViolation(f"cover edge ({lo}, {hi}) is not upward")
     if len(set(points)) != len(points):
-        raise ContractViolation("two concepts share a projected point")
+        raise ValueError("spread too narrow: two concepts share a projected point")
     return points
 
 
@@ -149,7 +149,7 @@ def project(e: DimEmbedding, frame: AxisFrame,
     """Linear projection: point(C) = sum_i coords_i(C) * direction[assignment[i]].
 
     Upwardness along every cover edge is guaranteed by construction and
-    asserted; so is pairwise distinctness of the points.
+    asserted; points that a too-narrow spread merges raise ValueError.
     """
     assignment = tuple(assignment)
     return Layout(points=_points(e, frame, assignment), edges=e.covers,

@@ -314,6 +314,45 @@ def brute_covers(leq) -> set[tuple[int, int]]:
     return covers
 
 
+def pairwise_up_masks(extent_masks) -> list[int]:
+    """The lattice order by the O(n^2) pairwise extent test, the
+    reference for the up-sets of ``lattice.concepts``: bit j of entry i
+    is set when extent i is a subset of extent j."""
+    ordered = list(extent_masks)
+    n = len(ordered)
+    up_masks = []
+    for i in range(n):
+        mask = 0
+        ei = ordered[i]
+        for j in range(n):
+            if ei & ~ordered[j] == 0:
+                mask |= 1 << j
+        up_masks.append(mask)
+    return up_masks
+
+
+def down_mask_covers(leq_masks) -> tuple[tuple[int, int], ...]:
+    """Cover pairs from down-sets, for any finite order given as up-set
+    masks: the reference for ``lattice.transitive_reduction``.  j covers i
+    when no element of i's strict up-set lies strictly below j."""
+    def bits(mask):
+        return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+    masks = list(leq_masks)
+    n = len(masks)
+    down = [0] * n
+    for i in range(n):
+        for j in bits(masks[i]):
+            down[j] |= 1 << i
+    covers = []
+    for i in range(n):
+        strict_up = masks[i] & ~(1 << i)
+        for j in bits(strict_up):
+            if strict_up & down[j] & ~(1 << j) == 0:
+                covers.append((i, j))
+    return tuple(covers)
+
+
 def complement(n_objects: int, n_attributes: int, cells) -> frozenset:
     """All cells of G x M not in the given set."""
     return frozenset((g, m) for g in range(n_objects)

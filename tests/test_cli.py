@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import dimdraw.projection
 from dimdraw.cli import build_diagram, main, parse_poset_edges
-from dimdraw import ParseError, to_json, to_svg, to_tikz
-from helpers import life_context, life_csv_text, life_cxt_text
+from dimdraw import ParseError, to_json, to_svg, to_tikz, write_cxt
+from helpers import life_context, life_csv_text, life_cxt_text, seeded_context
 
 
 @pytest.fixture
@@ -128,6 +128,15 @@ def test_invalid_spread_rejected(life_file, capsys):
         assert main(["draw", life_file, "--spread", spread]) == 1
         assert "spread" in capsys.readouterr().err
     assert main(["draw", life_file, "--spread", "1e-9"]) == 0
+
+
+def test_spread_that_merges_points_is_an_input_error(tmp_path, capsys):
+    # at 1e-6 degrees two permutations of this fan put two concepts on
+    # one point: the user's spread is at fault, not the program
+    path = tmp_path / "s1.cxt"
+    path.write_text(write_cxt(seeded_context(10, 10, 0.5, 1)), encoding="utf-8")
+    assert main(["draw", str(path), "--spread", "1e-6"]) == 1
+    assert "spread" in capsys.readouterr().err
 
 
 def test_csv_input(tmp_path, capsys):

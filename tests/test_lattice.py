@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+import dimdraw.lattice
 from dimdraw import (FormalContext, LatticeTooLargeError, concepts,
                      derive_attributes, derive_objects, transitive_reduction)
 from helpers import (brute_concepts, brute_covers, chain_context,
-                     contra_nominal, life_context, random_context)
+                     contra_nominal, crown_context, down_mask_covers,
+                     life_context, pairwise_up_masks, random_context,
+                     seeded_context)
 
 
 def _attr_idx(ctx, names):
@@ -148,6 +151,32 @@ def test_transitive_reduction_direct_input():
     assert transitive_reduction(masks) == ((0, 1), (1, 2), (2, 3))
 
 
+def test_transitive_reduction_rejects_non_linear_extension():
+    # index 1 lies below index 0, so the lowest index is no longer a cover
+    with pytest.raises(ValueError, match="linear extension"):
+        transitive_reduction([0b01, 0b11])
+    with pytest.raises(ValueError, match="linear extension"):
+        transitive_reduction([0b111, 0b110, 0b101])
+
+
+def test_order_matches_pairwise_and_down_mask_references():
+    # the up-sets and covers are the tuples the pairwise extent test and
+    # the down-set reduction give, in the same order
+    contexts = [seeded_context(2 + s % 11, 2 + 7 * s % 11,
+                               (0.25, 0.5, 0.75)[s % 3], s) for s in range(120)]
+    contexts += [seeded_context(20, 20, 0.5, 1), contra_nominal(6),
+                 crown_context(12), chain_context(5), life_context(),
+                 FormalContext(("g",), ("m",), frozenset()),
+                 FormalContext(("g", "h"), ("m",), frozenset({(0, 0), (1, 0)}))]
+    for ctx in contexts:
+        lat = concepts(ctx)
+        extents = [c.extent_mask for c in lat.concepts]
+        assert lat.up_masks == tuple(pairwise_up_masks(extents))
+        assert lat.covers == down_mask_covers(lat.up_masks)
+    assert lat.n == 1 and lat.covers == ()
+    assert concepts(contexts[120]).n == 600
+
+
 def test_incomparable_pairs():
     def incomparable(lat):
         return {(i, j) for i in range(lat.n) for j in range(i + 1, lat.n)
@@ -160,6 +189,9 @@ def test_incomparable_pairs():
     assert incomparable(chain) == set()
 
 
-def test_concept_cap_is_explicit():
-    with pytest.raises(LatticeTooLargeError):
-        concepts(contra_nominal(4), max_concepts=10)
+def test_concept_cap_is_explicit(monkeypatch):
+    monkeypatch.setattr(dimdraw.lattice, "CONCEPT_CAP", 10)
+    with pytest.raises(LatticeTooLargeError, match="more than 10 concepts"):
+        concepts(contra_nominal(4))
+    monkeypatch.setattr(dimdraw.lattice, "CONCEPT_CAP", 16)
+    assert concepts(contra_nominal(4)).n == 16
