@@ -6,9 +6,10 @@ direction has a strictly positive y component and all coordinates
 strictly increase along comparable pairs, so any axis assignment yields
 an upward drawing for free.  The assignment (which realizer axis goes to
 which fan direction) is chosen by exhaustive search to minimize edge
-crossings, each count a sweep over the edges by low y that tests only
-pairs with overlapping bounding boxes.  A final repair pass nudges nodes
-horizontally off any non-incident edge they touch.
+crossings.  Each sweep over the edges by low y counts a permutation and
+its mirror complement together and tests only pairs with overlapping
+bounding boxes.  A final repair pass nudges nodes horizontally off any
+non-incident edge they touch.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import permutations
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .embedding import DimEmbedding
 from .errors import ContractViolation, RepairFailed
@@ -88,14 +89,54 @@ def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
     return AxisFrame(directions=dirs)
 
 
-def _count_crossings(points, edges, limit: float = math.inf) -> int:
-    """Edge pairs whose segments cross in one interior point: strict
-    orientation flips on both segments.  Counting stops once ``limit`` is
-    reached.  A sweep by low y tests only the pairs whose closed bounding
-    boxes overlap and that share no endpoint; which edge plays p does not
-    matter, since the two sign tests are joined by ``and``."""
-    if limit <= 0:
-        return 0
+def _crosses(points, a: int, b: int, c: int, d: int) -> bool:
+    """Whether edges (a, b) and (c, d) cross in ``points``: their closed
+    bounding boxes overlap and each segment strictly separates the
+    other's endpoints.  Swapping the two edges swaps the two sign tests,
+    which are joined by ``and``, so the answer does not depend on which
+    edge comes first."""
+    (p1x, p1y), (p2x, p2y) = points[a], points[b]
+    (q1x, q1y), (q2x, q2y) = points[c], points[d]
+    if (max(q1x, q2x) < min(p1x, p2x) or min(q1x, q2x) > max(p1x, p2x)
+            or max(q1y, q2y) < min(p1y, p2y) or min(q1y, q2y) > max(p1y, p2y)):
+        return False
+    ux, uy, vx, vy = q2x - q1x, q2y - q1y, p2x - p1x, p2y - p1y
+    # The operand order of each orientation product is fixed: on
+    # near-collinear pairs the rounding decides the sign, and with it the
+    # count and the chosen assignment.
+    return ((ux * (p1y - q1y) - uy * (p1x - q1x))
+            * (ux * (p2y - q1y) - uy * (p2x - q1x)) < 0
+            and (vx * (q1y - p1y) - vy * (q1x - p1x))
+            * (vx * (q2y - p1y) - vy * (q2x - p1x)) < 0)
+
+
+def _count_pair(points, mirror, edges, limit: float,
+                mirror_limit: float) -> tuple[int, int]:
+    """Crossings of the layout ``points`` and of ``mirror``, its x-mirror
+    to within rounding, from one sweep by low y; each count stops at its
+    limit.  ``mirror=None`` counts ``points`` alone.
+
+    With M the largest |coordinate| of ``points``, the sweep tests the
+    pairs that share no endpoint and whose boxes, widened by eps =
+    1e-9*M, overlap.  A pair whose four orientation values all exceed
+    tau = 1e-9*M**2 in size is decided once for both layouts: mirroring
+    negates each value, and a point drift of at most eps/1000 moves it by
+    under 2e-11*M**2.  Every other pair, and every pair when some point
+    drifts further, is decided in each layout by ``_crosses``.  Without a
+    mirror eps and tau are 0, and the sweep decides each pair whose closed
+    boxes overlap by the same test as ``_crosses``.
+    """
+    eps = tau = 0.0
+    if mirror is not None:
+        scale = max(max(abs(x), abs(y)) for x, y in points)
+        eps = 1e-9 * scale
+        if max(max(abs(x + mx), abs(y - my))
+               for (x, y), (mx, my) in zip(points, mirror)) <= eps / 1000:
+            tau = eps * scale
+        else:
+            eps = tau = math.inf
+    if limit <= 0 and mirror_limit <= 0:
+        return 0, 0
     segments = []
     for a, b in edges:
         (p1x, p1y), (p2x, p2y) = points[a], points[b]
@@ -103,38 +144,58 @@ def _count_crossings(points, edges, limit: float = math.inf) -> int:
                          a, b, p1x, p1y, p2x, p2y, p2x - p1x, p2y - p1y))
     segments.sort(key=itemgetter(0))
     lows = [s[0] for s in segments]
-    total = 0
+    total = mirror_total = 0
     for i, (_, top, left, right, a, b, p1x, p1y, p2x, p2y, vx, vy) in enumerate(segments):
+        left, right = left - eps, right + eps
         for _, _, q_left, q_right, c, d, q1x, q1y, q2x, q2y, ux, uy in segments[
-                i + 1:bisect_right(lows, top, i + 1)]:
+                i + 1:bisect_right(lows, top + eps, i + 1)]:
             if (q_left > right or q_right < left
                     or c == a or c == b or d == a or d == b):
                 continue
-            # The operand order of each orientation product is fixed: on
-            # near-collinear pairs the rounding decides the sign, and with
-            # it the count and the chosen assignment.
-            if ((ux * (p1y - q1y) - uy * (p1x - q1x))
-                    * (ux * (p2y - q1y) - uy * (p2x - q1x)) < 0
-                    and (vx * (q1y - p1y) - vy * (q1x - p1x))
-                    * (vx * (q2y - p1y) - vy * (q2x - p1x)) < 0):
+            o1 = ux * (p1y - q1y) - uy * (p1x - q1x)
+            o2 = ux * (p2y - q1y) - uy * (p2x - q1x)
+            if not (o1 * o2 < 0 or -tau < o1 < tau or -tau < o2 < tau):
+                continue
+            o3 = vx * (q1y - p1y) - vy * (q1x - p1x)
+            o4 = vx * (q2y - p1y) - vy * (q2x - p1x)
+            if -tau < o1 < tau or -tau < o2 < tau or -tau < o3 < tau or -tau < o4 < tau:
+                # an orientation value near zero: decide in each layout
+                total += _crosses(points, a, b, c, d)
+                mirror_total += _crosses(mirror, a, b, c, d)
+            elif o3 * o4 < 0:
                 total += 1
-                if total >= limit:
-                    return total
-    return total
+                mirror_total += 1
+            else:
+                continue
+            if total >= limit and mirror_total >= mirror_limit:
+                return limit, mirror_limit
+    return min(total, limit), min(mirror_total, mirror_limit)
 
 
-def _points(e: DimEmbedding, frame: AxisFrame,
+def _count_crossings(points, edges, limit: float = math.inf) -> int:
+    """Edge pairs whose segments cross in one interior point (see
+    ``_crosses``), counted by the one-layout sweep; counting stops once
+    ``limit`` is reached."""
+    return _count_pair(points, None, edges, limit, 0)[0]
+
+
+def _columns(e: DimEmbedding, frame: AxisFrame):
+    """``columns[i][j]``: the x and y contributions of realizer axis i,
+    one per concept, when it is drawn along direction j."""
+    return [[([c[i] * dx for c in e.coords], [c[i] * dy for c in e.coords])
+             for dx, dy in frame.directions] for i in range(e.dim)]
+
+
+def _points(e: DimEmbedding, columns,
             assignment: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
-    """point(C) = sum_i coords_i(C) * direction[assignment[i]], upward
+    """point(C) = sum_i coords_i(C) * direction[assignment[i]], added left
+    to right from 0 one column at a time, which gives the same bits on
+    every Python (``sum`` of floats is compensated since 3.12).  Upward
     covers asserted; ValueError when a too-narrow fan merges two points."""
-    d = e.dim
-    if sorted(assignment) != list(range(d)) or len(frame.directions) != d:
-        raise ValueError("assignment must permute the frame directions")
-    dirs = [frame.directions[assignment[i]] for i in range(d)]
-    points = tuple(
-        (sum(c[i] * dirs[i][0] for i in range(d)),
-         sum(c[i] * dirs[i][1] for i in range(d)))
-        for c in e.coords)
+    xs = ys = [0] * len(e.coords)
+    for axis, j in zip(columns, assignment):
+        xs, ys = map(add, xs, axis[j][0]), map(add, ys, axis[j][1])
+    points = tuple(zip(xs, ys))
 
     for lo, hi in e.covers:
         if not points[lo][1] < points[hi][1]:
@@ -152,36 +213,44 @@ def project(e: DimEmbedding, frame: AxisFrame,
     asserted; points that a too-narrow spread merges raise ValueError.
     """
     assignment = tuple(assignment)
-    return Layout(points=_points(e, frame, assignment), edges=e.covers,
+    if sorted(assignment) != list(range(e.dim)) or len(frame.directions) != e.dim:
+        raise ValueError("assignment must permute the frame directions")
+    return Layout(points=_points(e, _columns(e, frame), assignment), edges=e.covers,
                   frame=frame, assignment=assignment)
 
 
 def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     """Exhaust axis permutations, minimizing crossings.
 
-    Ties break to the lexicographically smallest permutation.  Permutations
-    are visited in lex order and a candidate replaces the best only with a
-    strictly lower count, so a candidate stops being counted once it
-    reaches the best count so far: it can no longer win, and an equal
-    count would lose the tie to the earlier permutation anyway.  Every
-    candidate is still checked for upward covers and distinct points, and
-    counted by one sweep over its edges, which skips the edge pairs whose
-    bounding boxes are apart.
-    A horizontal mirror is not searched: negating x negates every
-    orientation product exactly, so its count equals the unmirrored one.
+    Ties break to the lexicographically smallest permutation.  The
+    complement p' of a permutation p (p'[i] = d-1-p[i]) draws p's
+    x-mirror to within rounding, since direction d-1-j mirrors direction
+    j, so one sweep counts both (``_count_pair``) and only the lex-smaller
+    member of each pair is visited.  A candidate replaces the best only
+    when (count, permutation) is smaller, so its count stops at the best
+    count, plus one when it precedes the best: past that it cannot win.
+    Both layouts of a pair are still checked for upward covers and
+    distinct points.
     Above ASSIGNMENT_CAP (d! search space) the identity assignment is
     returned with ``exhaustive=False``.
     """
     d = e.dim
     identity = tuple(range(d))
-    if d > ASSIGNMENT_CAP:
-        return BestAssignment(identity, project(e, frame, identity), False)
-    best, best_count = None, math.inf
+    if d == 1 or d > ASSIGNMENT_CAP:
+        return BestAssignment(identity, project(e, frame, identity), d == 1)
+    columns = _columns(e, frame)
+    # (d,) sorts after every permutation, so the first count always wins
+    best, best_count = (d,), math.inf
     for perm in permutations(range(d)):
-        count = _count_crossings(_points(e, frame, perm), e.covers, best_count)
-        if count < best_count:
-            best, best_count = perm, count
-    assert best is not None
+        mirror = tuple(d - 1 - j for j in perm)
+        if mirror < perm:
+            continue
+        counts = _count_pair(_points(e, columns, perm), _points(e, columns, mirror),
+                             e.covers, best_count + (perm < best),
+                             best_count + (mirror < best))
+        for count, candidate in zip(counts, (perm, mirror)):
+            if (count, candidate) < (best_count, best):
+                best, best_count = candidate, count
     return BestAssignment(best, project(e, frame, best), True)
 
 
@@ -245,12 +314,19 @@ def repair_incidences(layout: Layout) -> Layout:
         diag = 1.0
     threshold = REPAIR_EPS * diag
     delta = 2.0 * threshold
+    # y never changes, so an edge whose y-range ends more than the
+    # threshold from a node's y can never touch it: keep, per node, the
+    # edges not incident to it that come within twice the threshold
+    window = 2.0 * threshold
+    near = [[(u, v) for u, v in edges
+             if node != u and node != v
+             and min(ys[u], ys[v]) - window <= y <= max(ys[u], ys[v]) + window]
+            for node, y in enumerate(ys)]
 
     def touching(node: int, p):
         """The edges not incident to ``node`` within the threshold of ``p``."""
-        return ((u, v) for u, v in edges
-                if node != u and node != v
-                and _segment_distance(p, points[u], points[v]) < threshold)
+        return ((u, v) for u, v in near[node]
+                if _segment_distance(p, points[u], points[v]) < threshold)
 
     def clear_at(node: int, x: float) -> bool:
         candidate = (x, points[node][1])

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 from dimdraw import FormalContext
 
@@ -441,6 +443,35 @@ def all_pairs_crossings(points, edges, limit: float = math.inf) -> int:
                 if total >= limit:
                     return total
     return total
+
+
+def generator_points(e, frame, assignment):
+    """The projected points by the generator formula, one sum of d
+    products per coordinate, added left to right from 0: the reference
+    for ``projection._points``.  This is what ``sum`` computed before
+    Python 3.12, which compensates float sums."""
+    dirs = [frame.directions[j] for j in assignment]
+    d = len(dirs)
+    return tuple((reduce(add, (c[i] * dirs[i][0] for i in range(d)), 0),
+                  reduce(add, (c[i] * dirs[i][1] for i in range(d)), 0))
+                 for c in e.coords)
+
+
+def mirror_drift(points, mirror, edges) -> float:
+    """max |O(p) + O(p')| / M**2 over every orientation value O of an edge
+    against a point, computed as the crossing count computes it, where p'
+    is the x-mirror of the layout p to within rounding and M the largest
+    |coordinate| of p.  Mirroring exactly would negate every value."""
+    def orientations(pts):
+        for a, b in edges:
+            (q1x, q1y), (q2x, q2y) = pts[a], pts[b]
+            ux, uy = q2x - q1x, q2y - q1y
+            for px, py in pts:
+                yield ux * (py - q1y) - uy * (px - q1x)
+
+    scale = max(max(abs(x), abs(y)) for x, y in points)
+    return max(abs(o + m) for o, m in zip(orientations(points),
+                                          orientations(mirror))) / scale ** 2
 
 
 def oracle_point_segment_distance(p, a, b, samples: int = 4096) -> float:

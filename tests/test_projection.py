@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -8,8 +9,9 @@ from dimdraw import (DimEmbedding, FormalContext, Layout, LinearExtension,
                      Realizer, RepairFailed, best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
                      project, realizer_from_cover, repair_incidences)
-from helpers import (all_pairs_crossings, contra_nominal, grid_context,
-                     life_context, oracle_crossings, oracle_point_segment_distance,
+from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
+                     contra_nominal, generator_points, grid_context, life_context,
+                     mirror_drift, oracle_crossings, oracle_point_segment_distance,
                      random_context, seeded_context)
 
 SQ2 = math.sqrt(2.0) / 2.0
@@ -157,7 +159,6 @@ def test_crossings_invariant_under_translation_and_scaling():
     assert moved.crossings == layout.crossings
     # negating x negates every orientation product exactly, which is why
     # the assignment search never tries the mirror image
-    from itertools import permutations
     for ctx in (life_context(), contra_nominal(4)):
         _, emb = _embedding(ctx)
         frame = default_frame(emb.dim)
@@ -197,7 +198,6 @@ def test_sweep_matches_all_pairs_count():
     # permutation of seeded embeddings, at wide, narrow and almost
     # collinear fans, and on hand-built layouts, it must give the all-pairs
     # count, and min(count, limit) under every limit
-    from itertools import permutations
     layouts = list(_stress_layouts())
     assert [all_pairs_crossings(*pe) for pe in layouts[:5]] == [0, 0, 1, 0, 1]
     for seed in range(12):
@@ -212,6 +212,102 @@ def test_sweep_matches_all_pairs_count():
         for limit in range(full + 2):
             assert projection._count_crossings(points, edges,
                                                limit) == min(full, limit)
+
+
+def _corpus_embeddings():
+    """Contranominal 4 and 5, life, and random 12x12 .5 s0 and s3."""
+    for ctx in (contra_nominal(4), contra_nominal(5), life_context(),
+                seeded_context(12, 12, 0.5, 0), seeded_context(12, 12, 0.5, 3)):
+        yield _embedding(ctx)[1]
+
+
+def _complement_layouts(emb):
+    """(points of perm, points of its complement) for every permutation;
+    the complement p'[i] = d-1-p[i] draws p's x-mirror to within
+    rounding."""
+    frame = default_frame(emb.dim)
+    for perm in permutations(range(emb.dim)):
+        mirror = tuple(emb.dim - 1 - j for j in perm)
+        yield project(emb, frame, perm).points, project(emb, frame, mirror).points
+
+
+def test_points_match_the_generator_formula_bit_for_bit():
+    # the column sums add the same products in the same order as the old
+    # generator sums, so every coordinate keeps its bits, signed zeros
+    # included, on every Python version
+    for emb in _corpus_embeddings():
+        frame = default_frame(emb.dim)
+        for perm in permutations(range(emb.dim)):
+            got = project(emb, frame, perm).points
+            want = generator_points(emb, frame, perm)
+            assert ([(x.hex(), y.hex()) for x, y in got]
+                    == [(x.hex(), y.hex()) for x, y in want])
+
+
+def test_pair_count_matches_all_pairs_count_for_each_layout():
+    # one sweep over a permutation's layout counts its complement too;
+    # each count must be the all-pairs count of its own layout, with
+    # either layout swept, and min(count, limit) under limits
+    embeddings = list(_corpus_embeddings()) + [
+        _embedding(seeded_context(7, 7, 0.5, seed))[1] for seed in range(1, 10)]
+    for emb in embeddings:
+        for points, mirror in _complement_layouts(emb):
+            full = (all_pairs_crossings(points, emb.covers),
+                    all_pairs_crossings(mirror, emb.covers))
+            assert projection._count_pair(points, mirror, emb.covers,
+                                          math.inf, math.inf) == full
+            if len(emb.coords) <= 32:  # limits on the smaller inputs only, for time
+                limits = [(0, 0), (0, full[1]), (full[0] // 2, full[1] + 1),
+                          (full[0] + 1, full[1] // 2), (full[0], 1)]
+                for limit, mirror_limit in limits:
+                    assert projection._count_pair(
+                        points, mirror, emb.covers, limit, mirror_limit) == (
+                            min(full[0], limit), min(full[1], mirror_limit))
+
+
+def test_near_collinear_pairs_are_decided_in_each_layout(monkeypatch):
+    # contranominal 5 has edge pairs with an orientation value within
+    # 1e-9*M**2 of zero, which the pair count decides in each layout on
+    # its own; random 12x12 s0 has none
+    decided = []
+    crosses = projection._crosses
+
+    def recording(points, *edge_pair):
+        decided.append(points)
+        return crosses(points, *edge_pair)
+
+    monkeypatch.setattr(projection, "_crosses", recording)
+    for ctx, fragile in ((contra_nominal(5), True), (seeded_context(12, 12, 0.5, 0), False)):
+        _, emb = _embedding(ctx)
+        found = False
+        for points, mirror in _complement_layouts(emb):
+            decided.clear()
+            projection._count_pair(points, mirror, emb.covers, math.inf, math.inf)
+            # each such pair is decided once in each layout
+            assert decided == [points, mirror] * (len(decided) // 2)
+            found = found or bool(decided)
+        assert found == fragile
+
+
+def test_complement_drift_is_far_below_the_robust_margin():
+    # the pair count treats an orientation value beyond 1e-9*M**2 as
+    # decided in both layouts; the complement drifts from the exact mirror
+    # by rounding only, yet the fan is not exactly symmetric
+    drifts = [mirror_drift(points, mirror, emb.covers)
+              for emb in _corpus_embeddings()
+              for points, mirror in _complement_layouts(emb)]
+    assert 0.0 < max(drifts) < 1e-12
+
+
+def test_pair_count_of_two_unrelated_layouts_is_exact():
+    # when the second layout is no mirror of the first, every pair is
+    # decided in each layout, so both counts stay exact
+    _, emb = _embedding(contra_nominal(4))
+    frame = default_frame(4)
+    layouts = [project(emb, frame, perm).points for perm in permutations(range(4))]
+    for points, other in zip(layouts, layouts[1:]):
+        assert projection._count_pair(points, other, emb.covers, math.inf, math.inf) == (
+            all_pairs_crossings(points, emb.covers), all_pairs_crossings(other, emb.covers))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +338,10 @@ def test_best_not_worse_than_identity_on_life():
 
 
 def test_best_assignment_matches_exhaustive_reevaluation():
-    # the search stops counting a candidate at the best count so far; the
-    # answer must still be the lex-first permutation of minimum count,
-    # recounted here by the independent oracle
-    from itertools import permutations
+    # the search visits one permutation of each complement pair and stops
+    # counting a candidate once it cannot win; the answer must still be
+    # the lex-first permutation of minimum count, recounted here by the
+    # independent oracle
     pinned = {"contra4": ((1, 2, 0, 3), 20), "contra5": ((2, 1, 4, 3, 0), 140)}
     for name, ctx in (("contra3", contra_nominal(3)), ("contra4", contra_nominal(4)),
                       ("contra5", contra_nominal(5)), ("life", life_context()),
@@ -265,6 +361,20 @@ def test_best_assignment_matches_exhaustive_reevaluation():
             assert (result.assignment, result.layout.crossings) == pinned[name]
 
 
+def test_best_assignment_is_the_lex_first_minimum_on_random_contexts():
+    # a permutation visited after a lex-larger best (a complement) must
+    # win ties, and a complement must lose them to a lex-smaller best;
+    # seeds 26 and 34 need each rule
+    for seed in range(40):
+        _, emb = _embedding(seeded_context(7, 7, 0.5, seed))
+        frame = default_frame(emb.dim)
+        counts = {perm: all_pairs_crossings(project(emb, frame, perm).points, emb.covers)
+                  for perm in permutations(range(emb.dim))}
+        first = min(counts, key=counts.get)  # counts is in lex order
+        result = best_assignment(emb, frame)
+        assert (result.assignment, result.layout.crossings) == (first, counts[first])
+
+
 def test_best_assignment_is_pinned_at_dimension_four_and_five():
     # the draw-highdim inputs random 12x12 .5 s0 (d = 5) and s3 (d = 4),
     # recorded before the sweep
@@ -272,6 +382,14 @@ def test_best_assignment_is_pinned_at_dimension_four_and_five():
         _, emb = _embedding(seeded_context(12, 12, 0.5, seed))
         result = best_assignment(emb, default_frame(emb.dim))
         assert (result.assignment, result.layout.crossings) == want
+
+
+def test_best_assignment_is_pinned_on_contranominal_six():
+    # the Boolean lattice 2^6, recorded before the search paired each
+    # permutation with its complement
+    _, emb = _embedding(contra_nominal(6))
+    result = best_assignment(emb, default_frame(6))
+    assert (result.assignment, result.layout.crossings) == ((2, 3, 0, 1, 4, 5), 812)
 
 
 def test_best_assignment_cap_falls_back_to_identity():
@@ -342,6 +460,23 @@ def test_repair_moves_node_off_foreign_edge():
     assert repaired.points[1] == layout.points[1]
 
 
+def test_repair_moves_node_just_beyond_a_foreign_edge_end():
+    # node 2 sits 0.7 thresholds above the top end of edge (0, 1), so its
+    # y lies outside that edge's y-range yet it touches the edge
+    threshold = projection.REPAIR_EPS * math.sqrt(2.0)
+    layout = Layout(points=((0.0, 0.0), (0.5, 0.5), (0.5, 0.5 + 0.7 * threshold),
+                            (1.0, 1.0)),
+                    edges=((0, 1), (2, 3)),
+                    frame=default_frame(1), assignment=(0,))
+    repaired = repair_incidences(layout).points
+    assert repaired != layout.points
+    for node, p in enumerate(repaired):
+        for u, v in layout.edges:
+            if node not in (u, v):
+                assert closed_form_point_segment_distance(
+                    p, repaired[u], repaired[v]) >= threshold
+
+
 def test_repair_is_idempotent_after_moving():
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (1.0, 0.0)),
                     edges=((0, 1), (3, 2)),
@@ -390,8 +525,10 @@ def test_repair_failure_lists_offenders():
 
 
 def test_repair_scans_each_node_edge_pair_once_per_round(monkeypatch):
-    # a drawing that needs no repair takes one scan: one distance per
-    # node and edge not incident to it, and no second scan to confirm
+    # a drawing that needs no repair takes one scan, which measures each
+    # node only against the edges not incident to it whose y-range comes
+    # within twice the threshold of its y; every skipped edge is at least
+    # the threshold away, and no second scan confirms
     _, emb = _embedding(contra_nominal(4))
     layout = normalize(best_assignment(emb, default_frame(emb.dim)).layout)
     calls = []
@@ -404,8 +541,17 @@ def test_repair_scans_each_node_edge_pair_once_per_round(monkeypatch):
     monkeypatch.setattr(projection, "_segment_distance", counted)
     repaired = repair_incidences(layout)
     assert repaired.points == layout.points
-    pairs = [(node, (u, v)) for node in range(len(layout.points))
-             for u, v in layout.edges if node not in (u, v)]
-    assert len(calls) == len(pairs) > 0
-    assert calls == [(layout.points[node], layout.points[u], layout.points[v])
-                     for node, (u, v) in pairs]
+    points = layout.points
+    threshold = projection.REPAIR_EPS * math.hypot(1.0, 1.0)
+    pairs, skipped = [], []
+    for node, (_, y) in enumerate(points):
+        for u, v in layout.edges:
+            if node in (u, v):
+                continue
+            low, high = sorted((points[u][1], points[v][1]))
+            near = low - 2 * threshold <= y <= high + 2 * threshold
+            (pairs if near else skipped).append((node, (u, v)))
+    assert len(calls) == len(pairs) > 0 and skipped
+    assert calls == [(points[node], points[u], points[v]) for node, (u, v) in pairs]
+    assert all(closed_form_point_segment_distance(points[node], points[u], points[v])
+               >= threshold for node, (u, v) in skipped)
