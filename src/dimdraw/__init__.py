@@ -10,11 +10,11 @@ the same stages as ``dimdraw draw``.
 
 from .context import (FormalContext, PosetInput, parse_csv, parse_cxt,
                       poset_to_context, write_cxt)
-from .dimension import (DimensionResult, FerrersCover, LinearExtension,
-                        Realizer, brute_force_dimension, certificate_json,
+from .dimension import (FerrersCover, LinearExtension, Realizer,
+                        brute_force_dimension, certificate_json,
                         ferrers_cover, is_ferrers,
                         linear_extension_from_ferrers, order_dimension,
-                        realizer, realizer_from_cover, verify_realizer)
+                        realizer_from_cover, verify_realizer)
 from .embedding import DimEmbedding, embed
 from .errors import (ContractViolation, CycleError, DimDrawError,
                      DimensionUndecided, LatticeTooLargeError,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AxisFrame", "BestAssignment", "Concept", "ConceptLattice",
     "ContractViolation", "CycleError", "DimDrawError", "DimEmbedding",
-    "DimensionResult", "DimensionUndecided", "FerrersCover", "FormalContext",
+    "DimensionUndecided", "FerrersCover", "FormalContext",
     "LabeledDiagram", "LatticeTooLargeError", "Layout", "LinearExtension",
     "OracleCapExceeded", "ParseError", "PosetInput", "Realizer",
     "RepairFailed", "SearchTimeout", "best_assignment",
@@ -40,7 +40,7 @@ __all__ = [
     "embed", "ferrers_cover", "is_ferrers", "label",
     "linear_extension_from_ferrers", "normalize", "order_dimension",
     "parse_csv", "parse_cxt", "poset_to_context", "project",
-    "realizer", "realizer_from_cover", "repair_incidences",
+    "realizer_from_cover", "repair_incidences",
     "to_json", "to_svg", "to_tikz", "transitive_reduction", "verify_realizer",
     "write_cxt",
 ]

@@ -18,7 +18,10 @@ uncovered cell with the fewest admissible parts, lowest index on ties;
 parts are tried in ascending index, and while several parts are still
 empty only the lowest-indexed empty one is branched on.  On success each
 part is grown into a maximal staircase by scanning cells in row-major
-order, so returned parts may overlap.
+order, so returned parts may overlap.  ``order_dimension`` refutes each
+k >= 3 with a conflict clique pre-placed, clique cell i in part i; that
+search only decides whether a k-cover exists, and the witness still
+comes from the search above.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .context import FormalContext
 from .errors import (ContractViolation, DimensionUndecided, OracleCapExceeded,
@@ -109,11 +112,6 @@ class Realizer:
     @property
     def dim(self) -> int:
         return len(self.extensions)
-
-
-class DimensionResult(NamedTuple):
-    dim: int
-    cover: FerrersCover
 
 
 class _CoverSearch:
@@ -278,6 +276,47 @@ class _CoverSearch:
             else:
                 return False
 
+    def clique(self) -> list[int]:
+        """A clique of Cogis's conflict graph on the cells: the largest of
+        the greedy cliques grown from each cell, in order of falling
+        degree, adding the candidate of highest degree (lowest index on
+        ties) until none is left.
+
+        Cells (g, m) and (h, n) conflict when (g, n) and (h, m) are both
+        incident, so no part holds two of them: the neighbours of (g, m)
+        are the cells of the rows incident to m that lie in
+        ``cols_of_row[g]``.
+        """
+        rows_of_col = [0] * len(self.col_inc)
+        for m, col in enumerate(self.col_inc):
+            for h in _bits(col):
+                rows_of_col[m] |= self.row_cells[h]
+        adjacent = [rows_of_col[m] & self.cols_of_row[g] for g, m in self.cells]
+        degree = [a.bit_count() for a in adjacent]
+        order = sorted(range(self.n_cells), key=lambda c: -degree[c])
+        rank = [0] * self.n_cells
+        for r, c in enumerate(order):
+            rank[c] = r
+        best: list[int] = []
+        for start in order:
+            if degree[start] < len(best):
+                break  # no clique through start can be larger
+            clique, candidates = [start], adjacent[start]
+            while candidates:
+                c = min(_bits(candidates), key=rank.__getitem__)
+                clique.append(c)
+                candidates &= adjacent[c]
+            if len(clique) > len(best):
+                best = clique
+        return best
+
+    def seed(self, clique: Sequence[int]) -> None:
+        """Put clique cell i in part i.  The cells need distinct parts and
+        parts are interchangeable, so a search from here finds a cover iff
+        one exists."""
+        for j, c in enumerate(clique):
+            self._assign(c, j)
+
     def maximalize(self, j: int) -> list[int]:
         """Grow part j from its kept closure into a maximal staircase,
         scanning cells in row-major order; return its rows."""
@@ -348,29 +387,49 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
 
 def order_dimension(ctx: FormalContext, *,
                     timeout_per_k: float | None = DEFAULT_TIMEOUT_S,
-                    max_k: int | None = None) -> DimensionResult:
+                    max_k: int | None = None) -> tuple[int, FerrersCover]:
     """Smallest k admitting a Ferrers cover, with the witness cover.
 
     k starts at 1 when the incidence relation is itself Ferrers (the
-    lattice is a chain) and at 2 otherwise, and increases by one.  An
+    lattice is a chain) and at 2 otherwise.  Once k = 2 is refuted, a
+    greedy conflict clique of q cells proves k >= q, so the k below it
+    are skipped.  From then on, while q >= 3, each k is first refuted
+    with the clique pre-placed; only a k that search cannot refute goes
+    to ``ferrers_cover``, which gives the witness under the documented
+    search order.  Both searches of one k share its budget.  An
     exhausted budget raises DimensionUndecided carrying the proven lower
     bound; it is never misreported as an answer.
     """
     inc_rows = ctx.object_rows()
     full = (1 << ctx.n_attributes) - 1
-    n_non = sum(bin(full & ~r).count("1") for r in inc_rows)
+    non_rows = [full & ~r for r in inc_rows]
+    n_non = sum(bin(r).count("1") for r in non_rows)
     lower = 1 if is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence) else 2
     hard_cap = max(1, n_non)
     limit = hard_cap if max_k is None else min(max_k, hard_cap)
-    for k in range(lower, limit + 1):
+    clique: list[int] = []
+    k = lower
+    while k <= limit:
+        deadline = None if timeout_per_k is None else time.monotonic() + timeout_per_k
         try:
-            cover = ferrers_cover(ctx, k, timeout=timeout_per_k)
+            if len(clique) >= 3:
+                seeded = _CoverSearch(non_rows, inc_rows, k, deadline)
+                seeded.seed(clique)
+                if seeded.run() is None:
+                    k += 1
+                    continue
+            timeout = None if deadline is None else deadline - time.monotonic()
+            cover = ferrers_cover(ctx, k, timeout=timeout)
         except SearchTimeout:
             raise DimensionUndecided(k, f"search budget exhausted at k = {k}") \
                 from None
         if cover is not None:
-            return DimensionResult(k, cover)
-    raise DimensionUndecided(max(lower, limit + 1), f"max-k {limit} exhausted")
+            return k, cover
+        if k == 2:
+            clique = _CoverSearch(non_rows, inc_rows, k, None).clique()
+        k = max(k + 1, len(clique))
+    raise DimensionUndecided(max(lower, limit + 1, len(clique)),
+                             f"max-k {limit} exhausted")
 
 
 def linear_extension_from_ferrers(ctx: FormalContext, part: Iterable[Cell],
@@ -444,14 +503,6 @@ def realizer_from_cover(ctx: FormalContext, lattice: ConceptLattice,
     if not verify_realizer(lattice, result):
         raise ContractViolation("cover-induced extensions do not realize the order")
     return result
-
-
-def realizer(ctx: FormalContext, lattice: ConceptLattice, *,
-             timeout_per_k: float | None = DEFAULT_TIMEOUT_S,
-             max_k: int | None = None) -> Realizer:
-    """Minimal realizer of the lattice order, via a minimal Ferrers cover."""
-    result = order_dimension(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
-    return realizer_from_cover(ctx, lattice, result.cover)
 
 
 def _all_linear_extensions(up_masks: Sequence[int], cap: int) -> list[tuple[int, ...]]:

@@ -15,7 +15,8 @@ from functools import reduce
 from itertools import combinations
 from operator import add
 
-from dimdraw import FormalContext
+from dimdraw import (FormalContext, ferrers_cover, order_dimension,
+                     realizer_from_cover)
 
 # ---------------------------------------------------------------------------
 # The classic 8x9 "living beings and water" demo context: 19 concepts,
@@ -250,6 +251,25 @@ def scan_branch(search):
     if open_extra:
         parts |= 1 << used
     return c, parts
+
+
+def plain_order_dimension(ctx: FormalContext):
+    """The dimension and its witness cover by trying k = 1, 2, ... with
+    ``ferrers_cover`` until one has a cover: the reference for
+    ``order_dimension``, which skips the k below a conflict clique and
+    refutes the others with the clique pre-placed."""
+    k = 1
+    while True:
+        cover = ferrers_cover(ctx, k, timeout=None)
+        if cover is not None:
+            return k, cover
+        k += 1
+
+
+def minimal_realizer(ctx: FormalContext, lattice):
+    """The verified realizer of the minimum cover that ``order_dimension``
+    finds, one linear extension per part."""
+    return realizer_from_cover(ctx, lattice, order_dimension(ctx)[1])
 
 
 def s3_up_masks() -> list[int]:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import dimdraw.projection
 from dimdraw.cli import build_diagram, main, parse_poset_edges
 from dimdraw import ParseError, to_json, to_svg, to_tikz, write_cxt
-from helpers import life_context, life_csv_text, life_cxt_text, seeded_context
+from helpers import (contra_nominal, life_context, life_csv_text,
+                     life_cxt_text, seeded_context)
 
 
 @pytest.fixture
@@ -112,6 +113,14 @@ def test_timeout_zero_is_undecided(life_file, capsys):
 def test_max_k_exhaustion_is_undecided(life_file, capsys):
     assert main(["dimension", life_file, "--max-k", "2"]) == 2
     assert "undecided" in capsys.readouterr().err
+
+
+def test_max_k_exhaustion_reports_the_clique_bound(tmp_path, capsys):
+    # the six cells (i, i) of contranominal 6 conflict pairwise
+    path = tmp_path / "contra6.cxt"
+    path.write_text(write_cxt(contra_nominal(6)), encoding="utf-8")
+    assert main(["dimension", str(path), "--max-k", "4"]) == 2
+    assert "dimension >= 6" in capsys.readouterr().err
 
 
 def test_timeout_nan_is_rejected(life_file, capsys):

@@ -7,12 +7,13 @@ from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
                      LinearExtension, OracleCapExceeded, Realizer,
                      SearchTimeout, brute_force_dimension, certificate_json,
                      concepts, ferrers_cover, is_ferrers,
-                     linear_extension_from_ferrers, order_dimension, realizer,
+                     linear_extension_from_ferrers, order_dimension,
                      realizer_from_cover, verify_realizer)
 from dimdraw.dimension import _CoverSearch
 from helpers import (cell_conflicts, chain_context, complement, contra_nominal,
                      crown_context, diamond_up_masks, digraph_extendable,
                      life_context, life_ferrers_parts, life_letter_map,
+                     minimal_realizer, plain_order_dimension,
                      quantifier_is_ferrers, random_context, s3_up_masks,
                      scan_branch, search_closure, search_extendable,
                      seeded_context, two_dimensional_poset_context,
@@ -271,6 +272,20 @@ def test_search_tree_is_pinned(ctx, nodes):
         assert (search.nodes, found) == (want, k == d)
 
 
+@pytest.mark.parametrize("ctx, k, nodes", [
+    (seeded_context(14, 14, 0.35, 2), 4, (2630, 148)),
+    (seeded_context(14, 14, 0.35, 4), 4, (2028, 173)),
+    (seeded_context(20, 20, 0.3, 6), 4, (9061, 16)),
+], ids=["random-14x14-p.35-s2", "random-14x14-p.35-s4", "random-20x20-p.3-s6"])
+def test_seeded_refutation_is_pinned(ctx, k, nodes):
+    # node counts of the plain refutation and of the one with the
+    # conflict clique pre-placed, clique cell i in part i
+    plain, seeded = _search(ctx, k), _search(ctx, k)
+    seeded.seed(seeded.clique())
+    assert (plain.run(), seeded.run()) == (None, None)
+    assert (plain.nodes, seeded.nodes) == nodes
+
+
 def test_one_part_cover_is_the_non_incidence_or_none():
     rng = random.Random(17)
     for _ in range(200):
@@ -368,9 +383,95 @@ def test_timeout_becomes_undecided_with_lower_bound():
 
 
 def test_max_k_exhaustion_is_undecided():
+    # once k = 2 is refuted, the n-cell clique of contranominal n proves
+    # d >= n, whatever max-k allowed
+    for n, max_k in ((3, 2), (6, 2), (6, 4)):
+        with pytest.raises(DimensionUndecided) as err:
+            order_dimension(contra_nominal(n), max_k=max_k)
+        assert err.value.known_lower_bound == n
+
+
+_REFERENCE_CONTEXTS = (
+    [seeded_context(n, n, p, s) for n in (6, 10) for p in (0.35, 0.5)
+     for s in range(3)]
+    + [seeded_context(14, 14, 0.35, s) for s in range(5)]
+    + [seeded_context(14, 14, 0.5, 0)]
+    + [crown_context(n) for n in range(4, 17)]
+    + [contra_nominal(n) for n in range(2, 7)]
+    + [two_dimensional_poset_context(n, s) for n in (8, 16, 24) for s in (0, 1)])
+
+
+def test_order_dimension_matches_plain_k_loop():
+    # the skipped k and the seeded refutations change no answer and no
+    # witness: the first cover under the documented search order
+    for ctx in _REFERENCE_CONTEXTS:
+        assert order_dimension(ctx) == plain_order_dimension(ctx)
+
+
+def test_clique_cells_pairwise_conflict():
+    for ctx in [*_REFERENCE_CONTEXTS, life_context(), seeded_context(20, 12, 0.4, 5)]:
+        search = _search(ctx, 2)
+        clique = search.clique()
+        conflicts = cell_conflicts(search)
+        assert clique and len(set(clique)) == len(clique)
+        for i, a in enumerate(clique):
+            for b in clique[i + 1:]:
+                assert conflicts[a] >> b & 1, (ctx, a, b)
+    assert len(_search(contra_nominal(6), 2).clique()) == 6
+    assert len(_search(seeded_context(20, 12, 0.4, 5), 2).clique()) == 5
+
+
+def test_seeded_search_refutes_exactly_when_no_cover_exists():
+    # no k below the clique has a cover, and from the clique size on the
+    # search with the clique pre-placed finds one iff ferrers_cover does
+    for ctx in _REFERENCE_CONTEXTS:
+        d, _ = order_dimension(ctx)
+        clique = _search(ctx, 2).clique()
+        assert len(clique) <= d
+        for k in range(2, d + 1):
+            if k < len(clique):
+                assert ferrers_cover(ctx, k) is None
+                continue
+            seeded = _search(ctx, k)
+            seeded.seed(clique)
+            assert (seeded.run() is None) == (ferrers_cover(ctx, k) is None)
+
+
+def test_order_dimension_pre_places_the_clique(monkeypatch):
+    # every search order_dimension runs from a seeded state holds clique
+    # cell i alone in part i: here k = 4 (refuted) and k = 5 (found)
+    placed = []
+    run = _CoverSearch.run
+
+    def recording(search):
+        if search.n_used:
+            placed.append([[c for c, (g, m) in enumerate(search.cells)
+                            if search.part_rows[j][g] >> m & 1]
+                           for j in range(search.n_used)])
+        return run(search)
+
+    monkeypatch.setattr(_CoverSearch, "run", recording)
+    ctx = seeded_context(14, 14, 0.35, 2)
+    assert order_dimension(ctx)[0] == 5
+    clique = _search(ctx, 2).clique()
+    assert len(clique) == 4
+    assert placed == [[[c] for c in clique]] * 2
+
+
+def test_seeded_search_timeout_is_undecided_at_its_k(monkeypatch):
+    # the 4-clique of 14x14 .35 s2 skips k = 3; the seeded search at k = 4
+    # runs out of budget
+    run = _CoverSearch.run
+
+    def timing_out(search):
+        if search.n_used:
+            raise SearchTimeout("Ferrers cover search ran out of budget")
+        return run(search)
+
+    monkeypatch.setattr(_CoverSearch, "run", timing_out)
     with pytest.raises(DimensionUndecided) as err:
-        order_dimension(contra_nominal(3), max_k=2)
-    assert err.value.known_lower_bound == 3
+        order_dimension(seeded_context(14, 14, 0.35, 2))
+    assert err.value.known_lower_bound == 4
 
 
 def test_k_must_be_positive():
@@ -418,16 +519,16 @@ def test_non_ferrers_part_is_rejected():
 
 def test_realizer_sizes():
     ctx = chain_context(3)
-    real = realizer(ctx, concepts(ctx))
+    real = minimal_realizer(ctx, concepts(ctx))
     assert real.dim == 1
 
     cn2 = contra_nominal(2)
-    real = realizer(cn2, concepts(cn2))
+    real = minimal_realizer(cn2, concepts(cn2))
     assert real.dim == 2
 
     life = life_context()
     lat = concepts(life)
-    real = realizer(life, lat)
+    real = minimal_realizer(life, lat)
     assert real.dim == 3
     assert verify_realizer(lat, real)
 

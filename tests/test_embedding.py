@@ -3,11 +3,11 @@ import random
 import pytest
 
 from dimdraw import (ContractViolation, LinearExtension, Realizer, concepts,
-                     embed, order_dimension, realizer,
-                     realizer_from_cover, verify_realizer)
+                     embed, order_dimension, realizer_from_cover,
+                     verify_realizer)
 from helpers import (chain_context, life_context, life_letter_map,
-                     random_context, LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3,
-                     LIFE_LETTER_COORDS)
+                     minimal_realizer, random_context, LIFE_CHAIN_1,
+                     LIFE_CHAIN_2, LIFE_CHAIN_3, LIFE_LETTER_COORDS)
 
 LETTERS = sorted(LIFE_LETTER_COORDS)
 
@@ -42,7 +42,7 @@ def test_embed_reproduces_reference_coordinates():
 def test_embed_two_chain():
     ctx = chain_context(1)  # two concepts
     lat = concepts(ctx)
-    real = realizer(ctx, lat)
+    real = minimal_realizer(ctx, lat)
     emb = embed(lat, real)
     assert emb.coords == ((0,), (1,))
 
@@ -84,6 +84,6 @@ def test_dominance_equivalence_both_directions():
 def test_embedding_is_deterministic():
     ctx = life_context()
     lat = concepts(ctx)
-    real = realizer(ctx, lat)
+    real = minimal_realizer(ctx, lat)
     assert embed(lat, real).coords == embed(lat, real).coords
     assert verify_realizer(lat, real)
