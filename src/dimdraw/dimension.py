@@ -13,15 +13,16 @@ branch-and-bound with an explicit time budget; running out of budget is
 an *undecided* outcome, never reported as a dimension.
 
 Search order (this fixes the deterministic "first witness" contract):
-non-incident cells are indexed row-major; the branching variable is the
-uncovered cell with the fewest admissible parts, lowest index on ties;
-parts are tried in ascending index, and while several parts are still
-empty only the lowest-indexed empty one is branched on.  On success each
-part is grown into a maximal staircase by scanning cells in row-major
-order, so returned parts may overlap.  ``order_dimension`` refutes each
-k >= 3 with a conflict clique pre-placed, clique cell i in part i; that
-search only decides whether a k-cover exists, and the witness still
-comes from the search above.
+non-incident cells are indexed row-major.  For k >= 3 the search starts
+from a greedy clique of Cogis's conflict graph (two cells conflict when
+both opposite corners are incident, so no part holds both), with clique
+cell i alone in part i; a clique of more than k cells refutes k with no
+search.  For k = 2 every part starts empty.  The branching variable is
+the uncovered cell with the fewest admissible parts, lowest index on
+ties; parts are tried in ascending index, and while several parts are
+still empty only the lowest-indexed empty one is branched on.  On
+success each part is grown into a maximal staircase by scanning cells
+in row-major order, so returned parts may overlap.
 """
 
 from __future__ import annotations
@@ -350,6 +351,13 @@ def _check_cover(ctx: FormalContext, cover: FerrersCover) -> None:
         raise ContractViolation("cover union differs from the non-incidence cells")
 
 
+def _rows(ctx: FormalContext) -> tuple[list[int], list[int]]:
+    """The non-incidence and the incidence of each object, as row masks."""
+    inc_rows = ctx.object_rows()
+    full = (1 << ctx.n_attributes) - 1
+    return [full & ~r for r in inc_rows], inc_rows
+
+
 def ferrers_cover(ctx: FormalContext, k: int, *,
                   timeout: float | None = DEFAULT_TIMEOUT_S) -> FerrersCover | None:
     """Exact search for k Ferrers relations covering all non-incident cells.
@@ -358,13 +366,12 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     when no k-part cover exists (a completed search, not a heuristic).
     Raises SearchTimeout when the budget runs out before either outcome.
     k = 1 needs no search: the answer is decided by whether the incidence
-    is Ferrers.
+    is Ferrers.  For k >= 3 the search starts from a conflict clique, one
+    cell per part, and a clique of more than k cells refutes k unsearched.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    inc_rows = ctx.object_rows()
-    full = (1 << ctx.n_attributes) - 1
-    non_rows = [full & ~r for r in inc_rows]
+    non_rows, inc_rows = _rows(ctx)
     if k == 1:
         # The only 1-part cover is the whole non-incidence set, and the
         # complement of a staircase is a staircase.
@@ -374,6 +381,11 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     else:
         deadline = None if timeout is None else time.monotonic() + timeout
         search = _CoverSearch(non_rows, inc_rows, k, deadline)
+        if k >= 3:
+            clique = search.clique()
+            if len(clique) > k:
+                return None
+            search.seed(clique)
         if search.run() is None:
             return None
         result = [search.maximalize(j) for j in range(k)]
@@ -391,43 +403,27 @@ def order_dimension(ctx: FormalContext, *,
     """Smallest k admitting a Ferrers cover, with the witness cover.
 
     k starts at 1 when the incidence relation is itself Ferrers (the
-    lattice is a chain) and at 2 otherwise.  Once k = 2 is refuted, a
-    greedy conflict clique of q cells proves k >= q, so the k below it
-    are skipped.  From then on, while q >= 3, each k is first refuted
-    with the clique pre-placed; only a k that search cannot refute goes
-    to ``ferrers_cover``, which gives the witness under the documented
-    search order.  Both searches of one k share its budget.  An
-    exhausted budget raises DimensionUndecided carrying the proven lower
-    bound; it is never misreported as an answer.
+    lattice is a chain) and at 2 otherwise, and each k up to ``max_k``
+    goes to ``ferrers_cover`` with its own budget.  The witness is that
+    function's first cover.  An exhausted budget raises
+    DimensionUndecided carrying the proven lower bound, which a conflict
+    clique can raise past ``max_k``; it is never misreported as an
+    answer.
     """
-    inc_rows = ctx.object_rows()
-    full = (1 << ctx.n_attributes) - 1
-    non_rows = [full & ~r for r in inc_rows]
-    n_non = sum(bin(r).count("1") for r in non_rows)
+    non_rows, inc_rows = _rows(ctx)
+    n_non = sum(r.bit_count() for r in non_rows)
     lower = 1 if is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence) else 2
     hard_cap = max(1, n_non)
     limit = hard_cap if max_k is None else min(max_k, hard_cap)
-    clique: list[int] = []
-    k = lower
-    while k <= limit:
-        deadline = None if timeout_per_k is None else time.monotonic() + timeout_per_k
+    for k in range(lower, limit + 1):
         try:
-            if len(clique) >= 3:
-                seeded = _CoverSearch(non_rows, inc_rows, k, deadline)
-                seeded.seed(clique)
-                if seeded.run() is None:
-                    k += 1
-                    continue
-            timeout = None if deadline is None else deadline - time.monotonic()
-            cover = ferrers_cover(ctx, k, timeout=timeout)
+            cover = ferrers_cover(ctx, k, timeout=timeout_per_k)
         except SearchTimeout:
             raise DimensionUndecided(k, f"search budget exhausted at k = {k}") \
                 from None
         if cover is not None:
             return k, cover
-        if k == 2:
-            clique = _CoverSearch(non_rows, inc_rows, k, None).clique()
-        k = max(k + 1, len(clique))
+    clique = _CoverSearch(non_rows, inc_rows, 2, None).clique()
     raise DimensionUndecided(max(lower, limit + 1, len(clique)),
                              f"max-k {limit} exhausted")
 

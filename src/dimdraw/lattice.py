@@ -51,17 +51,6 @@ class ConceptLattice:
     def n(self) -> int:
         return len(self.concepts)
 
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.concepts) - 1
-
-    def leq(self, i: int, j: int) -> bool:
-        """Order by extent inclusion."""
-        return bool(self.up_masks[i] >> j & 1)
 
 
 def derive_objects(ctx: FormalContext, objects: Iterable[int]) -> frozenset[int]:

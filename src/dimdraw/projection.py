@@ -187,11 +187,11 @@ def _columns(e: DimEmbedding, frame: AxisFrame):
 
 
 def _points(e: DimEmbedding, columns,
-            assignment: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
+            assignment: tuple[int, ...]) -> tuple[tuple[float, float], ...] | None:
     """point(C) = sum_i coords_i(C) * direction[assignment[i]], added left
     to right from 0 one column at a time, which gives the same bits on
     every Python (``sum`` of floats is compensated since 3.12).  Upward
-    covers asserted; ValueError when a too-narrow fan merges two points."""
+    covers asserted; None when the fan puts two concepts on one point."""
     xs = ys = [0] * len(e.coords)
     for axis, j in zip(columns, assignment):
         xs, ys = map(add, xs, axis[j][0]), map(add, ys, axis[j][1])
@@ -200,9 +200,7 @@ def _points(e: DimEmbedding, columns,
     for lo, hi in e.covers:
         if not points[lo][1] < points[hi][1]:
             raise ContractViolation(f"cover edge ({lo}, {hi}) is not upward")
-    if len(set(points)) != len(points):
-        raise ValueError("spread too narrow: two concepts share a projected point")
-    return points
+    return points if len(set(points)) == len(points) else None
 
 
 def project(e: DimEmbedding, frame: AxisFrame,
@@ -210,13 +208,15 @@ def project(e: DimEmbedding, frame: AxisFrame,
     """Linear projection: point(C) = sum_i coords_i(C) * direction[assignment[i]].
 
     Upwardness along every cover edge is guaranteed by construction and
-    asserted; points that a too-narrow spread merges raise ValueError.
+    asserted; points that the spread merges raise ValueError.
     """
     assignment = tuple(assignment)
     if sorted(assignment) != list(range(e.dim)) or len(frame.directions) != e.dim:
         raise ValueError("assignment must permute the frame directions")
-    return Layout(points=_points(e, _columns(e, frame), assignment), edges=e.covers,
-                  frame=frame, assignment=assignment)
+    points = _points(e, _columns(e, frame), assignment)
+    if points is None:
+        raise ValueError("the spread puts two concepts on one point")
+    return Layout(points=points, edges=e.covers, frame=frame, assignment=assignment)
 
 
 def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
@@ -229,8 +229,10 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     member of each pair is visited.  A candidate replaces the best only
     when (count, permutation) is smaller, so its count stops at the best
     count, plus one when it precedes the best: past that it cannot win.
-    Both layouts of a pair are still checked for upward covers and
-    distinct points.
+    Both layouts of a pair are still checked for upward covers.  A
+    permutation that puts two concepts on one point is skipped, and the
+    other member of its pair is then counted alone; ValueError only when
+    every permutation merges points.
     Above ASSIGNMENT_CAP (d! search space) the identity assignment is
     returned with ``exhaustive=False``.
     """
@@ -245,12 +247,20 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
         mirror = tuple(d - 1 - j for j in perm)
         if mirror < perm:
             continue
-        counts = _count_pair(_points(e, columns, perm), _points(e, columns, mirror),
-                             e.covers, best_count + (perm < best),
-                             best_count + (mirror < best))
-        for count, candidate in zip(counts, (perm, mirror)):
+        layouts = [(candidate, points) for candidate in (perm, mirror)
+                   if (points := _points(e, columns, candidate)) is not None]
+        limits = [best_count + (candidate < best) for candidate, _ in layouts]
+        if len(layouts) == 2:
+            counts = _count_pair(layouts[0][1], layouts[1][1], e.covers, *limits)
+        else:
+            counts = [_count_crossings(points, e.covers, limit)
+                      for (_, points), limit in zip(layouts, limits)]
+        for count, (candidate, _) in zip(counts, layouts):
             if (count, candidate) < (best_count, best):
                 best, best_count = candidate, count
+    if best_count == math.inf:
+        raise ValueError("the spread puts two concepts on one point under "
+                         "every axis assignment")
     return BestAssignment(best, project(e, frame, best), True)
 
 

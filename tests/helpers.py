@@ -15,8 +15,8 @@ from functools import reduce
 from itertools import combinations
 from operator import add
 
-from dimdraw import (FormalContext, ferrers_cover, order_dimension,
-                     realizer_from_cover)
+from dimdraw import FormalContext, order_dimension, realizer_from_cover
+from dimdraw.dimension import _CoverSearch
 
 # ---------------------------------------------------------------------------
 # The classic 8x9 "living beings and water" demo context: 19 concepts,
@@ -146,17 +146,17 @@ def seeded_context(n_g: int, n_m: int, p: float, seed: int) -> FormalContext:
                          tuple(f"m{j}" for j in range(n_m)), incidence)
 
 
-def two_dimensional_poset_context(n: int, seed: int) -> FormalContext:
-    """(X, X, <=) of the intersection of two seeded random linear orders
-    of n elements, each drawn by one shuffle of random.Random(s)."""
+def random_order_context(n: int, k: int, seed: int) -> FormalContext:
+    """(X, X, <=) of the intersection of k seeded random linear orders of
+    n elements, each drawn by one shuffle of random.Random(s)."""
     r = random.Random(seed)
-    first, second = list(range(n)), list(range(n))
-    r.shuffle(first)
-    r.shuffle(second)
-    pos1 = {v: i for i, v in enumerate(first)}
-    pos2 = {v: i for i, v in enumerate(second)}
+    positions = []
+    for _ in range(k):
+        order = list(range(n))
+        r.shuffle(order)
+        positions.append({v: i for i, v in enumerate(order)})
     incidence = frozenset((x, y) for x in range(n) for y in range(n)
-                          if pos1[x] <= pos1[y] and pos2[x] <= pos2[y])
+                          if all(pos[x] <= pos[y] for pos in positions))
     names = tuple(f"x{i}" for i in range(n))
     return FormalContext(names, names, incidence)
 
@@ -253,17 +253,23 @@ def scan_branch(search):
     return c, parts
 
 
-def plain_order_dimension(ctx: FormalContext):
-    """The dimension and its witness cover by trying k = 1, 2, ... with
-    ``ferrers_cover`` until one has a cover: the reference for
-    ``order_dimension``, which skips the k below a conflict clique and
-    refutes the others with the clique pre-placed."""
+def cover_search(ctx: FormalContext, k: int) -> _CoverSearch:
+    """The cover search for k parts of ``ctx`` with every part empty and
+    no budget."""
+    inc_rows = ctx.object_rows()
+    full = (1 << ctx.n_attributes) - 1
+    return _CoverSearch([full & ~r for r in inc_rows], inc_rows, k, None)
+
+
+def plain_order_dimension(ctx: FormalContext) -> int:
+    """The dimension by trying k = 1, 2, ... with the cover search from
+    empty parts until one finds a cover: the reference for
+    ``order_dimension``, whose ``ferrers_cover`` starts each k >= 3 from
+    a conflict clique and refutes the k below the clique unsearched."""
     k = 1
-    while True:
-        cover = ferrers_cover(ctx, k, timeout=None)
-        if cover is not None:
-            return k, cover
+    while cover_search(ctx, k).run() is None:
         k += 1
+    return k
 
 
 def minimal_realizer(ctx: FormalContext, lattice):
@@ -320,16 +326,20 @@ def brute_concepts(ctx: FormalContext) -> set[tuple[frozenset, frozenset]]:
     return found
 
 
-def brute_covers(leq) -> set[tuple[int, int]]:
-    """Cover pairs by the definition, via a double loop; ``leq`` is a
-    callable on index pairs and ``leq.n`` gives the element count."""
-    n = leq.n
+def leq(lattice, i: int, j: int) -> bool:
+    """Whether concept i lies below concept j, by extent inclusion."""
+    return lattice.concepts[i].extent <= lattice.concepts[j].extent
+
+
+def brute_covers(lattice) -> set[tuple[int, int]]:
+    """Cover pairs by the definition, via a double loop over ``leq``."""
+    n = lattice.n
     covers = set()
     for x in range(n):
         for y in range(n):
-            if x == y or not leq.leq(x, y):
+            if x == y or not leq(lattice, x, y):
                 continue
-            if any(z not in (x, y) and leq.leq(x, z) and leq.leq(z, y)
+            if any(z not in (x, y) and leq(lattice, x, z) and leq(lattice, z, y)
                    for z in range(n)):
                 continue
             covers.add((x, y))
@@ -532,8 +542,8 @@ def order_isomorphisms(letters, letter_leq, lattice, limit: int = 2):
         letter_sig[c] = (down, up)
     concept_sig = {}
     for i in range(n):
-        down = sum(1 for j in range(n) if lattice.leq(j, i))
-        up = sum(1 for j in range(n) if lattice.leq(i, j))
+        down = sum(1 for j in range(n) if leq(lattice, j, i))
+        up = sum(1 for j in range(n) if leq(lattice, i, j))
         concept_sig[i] = (down, up)
 
     ordering = sorted(letters, key=lambda c: (letter_sig[c], c))
@@ -549,8 +559,8 @@ def order_isomorphisms(letters, letter_leq, lattice, limit: int = 2):
         for i in range(n):
             if i in mapping.values() or concept_sig[i] != letter_sig[c]:
                 continue
-            if all(letter_leq[(c, d)] == lattice.leq(i, k)
-                   and letter_leq[(d, c)] == lattice.leq(k, i)
+            if all(letter_leq[(c, d)] == leq(lattice, i, k)
+                   and letter_leq[(d, c)] == leq(lattice, k, i)
                    for d, k in mapping.items()):
                 mapping[c] = i
                 extend(mapping)

@@ -13,7 +13,7 @@ from dimdraw import (FormalContext, LinearExtension, Realizer,
                      realizer_from_cover, repair_incidences, verify_realizer,
                      write_cxt)
 from dimdraw.cli import main
-from helpers import (closed_form_point_segment_distance, contra_nominal,
+from helpers import (closed_form_point_segment_distance, contra_nominal, leq,
                      life_context, life_cxt_text, life_letter_map,
                      quantifier_is_ferrers, random_context, s3_up_masks,
                      LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3,
@@ -142,7 +142,7 @@ def test_criterion_7_property_suite():
                 for j in range(lat.n):
                     meets = all(ext.pos[i] <= ext.pos[j]
                                 for ext in real.extensions)
-                    assert meets == lat.leq(i, j)
+                    assert meets == leq(lat, i, j)
 
             # dominance equivalence of the embedding
             emb = embed(lat, real)
@@ -150,7 +150,7 @@ def test_criterion_7_property_suite():
                 for j in range(lat.n):
                     dominated = all(a <= b for a, b in zip(emb.coords[i],
                                                            emb.coords[j]))
-                    assert dominated == lat.leq(i, j)
+                    assert dominated == leq(lat, i, j)
 
             # upward cover edges in the laid-out diagram, before and
             # after repair

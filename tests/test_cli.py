@@ -11,7 +11,7 @@ import dimdraw.projection
 from dimdraw.cli import build_diagram, main, parse_poset_edges
 from dimdraw import ParseError, to_json, to_svg, to_tikz, write_cxt
 from helpers import (contra_nominal, life_context, life_csv_text,
-                     life_cxt_text, seeded_context)
+                     life_cxt_text, random_order_context, seeded_context)
 
 
 @pytest.fixture
@@ -123,6 +123,13 @@ def test_max_k_exhaustion_reports_the_clique_bound(tmp_path, capsys):
     assert "dimension >= 6" in capsys.readouterr().err
 
 
+def test_twenty_by_twenty_s6_is_decided_within_a_second(tmp_path, capsys):
+    path = tmp_path / "s6.cxt"
+    path.write_text(write_cxt(seeded_context(20, 20, 0.3, 6)), encoding="utf-8")
+    assert main(["dimension", str(path), "--timeout", "1"]) == 0
+    assert capsys.readouterr().out.startswith("dimension: 5\n")
+
+
 def test_timeout_nan_is_rejected(life_file, capsys):
     # a NaN budget would never run out: the search would ignore --timeout
     assert main(["dimension", life_file, "--timeout", "nan"]) == 1
@@ -140,12 +147,25 @@ def test_invalid_spread_rejected(life_file, capsys):
 
 
 def test_spread_that_merges_points_is_an_input_error(tmp_path, capsys):
-    # at 1e-6 degrees two permutations of this fan put two concepts on
-    # one point: the user's spread is at fault, not the program
+    # at 60 degrees the three directions of a 3-axis fan satisfy
+    # u(150) + u(30) = u(90), and every permutation of this fan puts two
+    # concepts on one point: the user's spread is at fault, not the program
+    path = tmp_path / "order3.cxt"
+    path.write_text(write_cxt(random_order_context(24, 3, 3924)), encoding="utf-8")
+    assert main(["draw", str(path), "--spread", "60"]) == 1
+    assert "spread" in capsys.readouterr().err
+    assert main(["draw", str(path), "--spread", "59"]) == 0
+
+
+def test_spread_that_merges_points_in_some_assignments_draws(tmp_path, capsys):
+    # at 1e-6 degrees two of the 24 permutations of this fan put two
+    # concepts on one point; the search skips them and draws
     path = tmp_path / "s1.cxt"
     path.write_text(write_cxt(seeded_context(10, 10, 0.5, 1)), encoding="utf-8")
-    assert main(["draw", str(path), "--spread", "1e-6"]) == 1
-    assert "spread" in capsys.readouterr().err
+    assert main(["draw", str(path), "--spread", "1e-6", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    points = {(c["x"], c["y"]) for c in doc["concepts"]}
+    assert len(points) == len(doc["concepts"]) == 33
 
 
 def test_csv_input(tmp_path, capsys):

@@ -9,14 +9,14 @@ from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
                      concepts, ferrers_cover, is_ferrers,
                      linear_extension_from_ferrers, order_dimension,
                      realizer_from_cover, verify_realizer)
-from dimdraw.dimension import _CoverSearch
+from dimdraw.dimension import ORACLE_ELEMENT_CAP, _check_cover, _CoverSearch
 from helpers import (cell_conflicts, chain_context, complement, contra_nominal,
-                     crown_context, diamond_up_masks, digraph_extendable,
-                     life_context, life_ferrers_parts, life_letter_map,
-                     minimal_realizer, plain_order_dimension,
-                     quantifier_is_ferrers, random_context, s3_up_masks,
-                     scan_branch, search_closure, search_extendable,
-                     seeded_context, two_dimensional_poset_context,
+                     cover_search, crown_context, diamond_up_masks,
+                     digraph_extendable, leq, life_context, life_ferrers_parts,
+                     life_letter_map, minimal_realizer, plain_order_dimension,
+                     quantifier_is_ferrers, random_context,
+                     random_order_context, s3_up_masks, scan_branch,
+                     search_closure, search_extendable, seeded_context,
                      LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3)
 
 
@@ -25,16 +25,10 @@ def _non_incidence(ctx):
             if (g, m) not in ctx.incidence}
 
 
-def _search(ctx, k):
-    inc_rows = ctx.object_rows()
-    full = (1 << ctx.n_attributes) - 1
-    return _CoverSearch([full & ~r for r in inc_rows], inc_rows, k, None)
-
-
 def _is_linear_extension(lattice, ext):
     return all(ext.pos[i] <= ext.pos[j]
                for i in range(lattice.n) for j in range(lattice.n)
-               if lattice.leq(i, j))
+               if leq(lattice, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +135,7 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
         ctx = seeded_context(rng.randint(2, 6), rng.randint(2, 6),
                              rng.choice((0.25, 0.4, 0.55)), rng.randrange(10 ** 6))
         k = rng.randint(2, 3)
-        search = _search(ctx, k)
+        search = cover_search(ctx, k)
         if not search.n_cells:
             continue
         allowance = [(1 << ctx.n_attributes) - 1 & ~r for r in ctx.object_rows()]
@@ -184,7 +178,7 @@ def test_branch_matches_per_cell_scan():
         ctx = seeded_context(rng.randint(2, 7), rng.randint(2, 7),
                              rng.choice((0.25, 0.4, 0.55)), rng.randrange(10 ** 6))
         k = rng.randint(2, 4)
-        search = _search(ctx, k)
+        search = cover_search(ctx, k)
         if not search.n_cells:
             continue
         trails = []
@@ -222,7 +216,7 @@ def test_conflicts_match_pairwise_definition():
     for _ in range(100):
         ctx = random_context(rng, 7, 7)
         k = rng.randint(2, 3)
-        search = _search(ctx, k)
+        search = cover_search(ctx, k)
         conflicts = cell_conflicts(search)
         for a, (g, m) in enumerate(search.cells):
             want = 0
@@ -258,7 +252,7 @@ def test_conflicts_match_pairwise_definition():
     (crown_context(12), {2: 93, 3: 121}),
     (crown_context(14), {2: 135, 3: 169}),
     (seeded_context(14, 14, 0.35, 2), {2: 3, 3: 19, 4: 2630, 5: 125}),
-    (two_dimensional_poset_context(24, 0), {2: 413}),
+    (random_order_context(24, 2, 0), {2: 413}),
     (crown_context(40), {2: 1409, 3: 1521}),
 ], ids=["crown-12", "crown-14", "random-14x14-p.35-s2", "poset2d-24-s0",
         "crown-40"])
@@ -267,7 +261,7 @@ def test_search_tree_is_pinned(ctx, nodes):
     # same predicate and branching order must visit the same tree
     d = max(nodes)
     for k, want in nodes.items():
-        search = _search(ctx, k)
+        search = cover_search(ctx, k)
         found = search.run() is not None
         assert (search.nodes, found) == (want, k == d)
 
@@ -280,7 +274,7 @@ def test_search_tree_is_pinned(ctx, nodes):
 def test_seeded_refutation_is_pinned(ctx, k, nodes):
     # node counts of the plain refutation and of the one with the
     # conflict clique pre-placed, clique cell i in part i
-    plain, seeded = _search(ctx, k), _search(ctx, k)
+    plain, seeded = cover_search(ctx, k), cover_search(ctx, k)
     seeded.seed(seeded.clique())
     assert (plain.run(), seeded.run()) == (None, None)
     assert (plain.nodes, seeded.nodes) == nodes
@@ -291,7 +285,7 @@ def test_one_part_cover_is_the_non_incidence_or_none():
     for _ in range(200):
         ctx = random_context(rng, 5, 5)
         cover = ferrers_cover(ctx, 1)
-        search = _search(ctx, 1)
+        search = cover_search(ctx, 1)
         rows = search.run()
         if rows is None:
             assert cover is None
@@ -398,43 +392,73 @@ _REFERENCE_CONTEXTS = (
     + [seeded_context(14, 14, 0.5, 0)]
     + [crown_context(n) for n in range(4, 17)]
     + [contra_nominal(n) for n in range(2, 7)]
-    + [two_dimensional_poset_context(n, s) for n in (8, 16, 24) for s in (0, 1)])
+    + [random_order_context(n, 2, s) for n in (8, 16, 24) for s in (0, 1)])
 
 
 def test_order_dimension_matches_plain_k_loop():
-    # the skipped k and the seeded refutations change no answer and no
-    # witness: the first cover under the documented search order
+    # the searches from a conflict clique give the d of the searches from
+    # empty parts; the witness is a checked cover that realizes the order,
+    # and the oracle agrees on the small lattices
+    small = 0
     for ctx in _REFERENCE_CONTEXTS:
-        assert order_dimension(ctx) == plain_order_dimension(ctx)
+        d, cover = order_dimension(ctx)
+        assert d == cover.k == plain_order_dimension(ctx)
+        _check_cover(ctx, cover)
+        lat = concepts(ctx)
+        assert realizer_from_cover(ctx, lat, cover).dim == d
+        if lat.n <= ORACLE_ELEMENT_CAP:
+            assert brute_force_dimension(lat) == d
+            small += 1
+    assert small >= 5
 
 
 def test_clique_cells_pairwise_conflict():
     for ctx in [*_REFERENCE_CONTEXTS, life_context(), seeded_context(20, 12, 0.4, 5)]:
-        search = _search(ctx, 2)
+        search = cover_search(ctx, 2)
         clique = search.clique()
         conflicts = cell_conflicts(search)
         assert clique and len(set(clique)) == len(clique)
         for i, a in enumerate(clique):
             for b in clique[i + 1:]:
                 assert conflicts[a] >> b & 1, (ctx, a, b)
-    assert len(_search(contra_nominal(6), 2).clique()) == 6
-    assert len(_search(seeded_context(20, 12, 0.4, 5), 2).clique()) == 5
+    assert len(cover_search(contra_nominal(6), 2).clique()) == 6
+    assert len(cover_search(seeded_context(20, 12, 0.4, 5), 2).clique()) == 5
 
 
 def test_seeded_search_refutes_exactly_when_no_cover_exists():
-    # no k below the clique has a cover, and from the clique size on the
-    # search with the clique pre-placed finds one iff ferrers_cover does
+    # ferrers_cover starts each k >= 3 from the conflict clique and
+    # refutes the k below it unsearched; it finds a cover iff the search
+    # from empty parts does
     for ctx in _REFERENCE_CONTEXTS:
         d, _ = order_dimension(ctx)
-        clique = _search(ctx, 2).clique()
-        assert len(clique) <= d
+        assert len(cover_search(ctx, 2).clique()) <= d
         for k in range(2, d + 1):
-            if k < len(clique):
-                assert ferrers_cover(ctx, k) is None
-                continue
-            seeded = _search(ctx, k)
-            seeded.seed(clique)
-            assert (seeded.run() is None) == (ferrers_cover(ctx, k) is None)
+            assert ((ferrers_cover(ctx, k) is None)
+                    == (cover_search(ctx, k).run() is None)), (ctx, k)
+
+
+def test_clique_larger_than_k_refutes_without_a_search(monkeypatch):
+    # the six diagonal cells of contranominal 6 conflict pairwise
+    runs = []
+    run = _CoverSearch.run
+
+    def counting(search):
+        runs.append(search.k)
+        return run(search)
+
+    monkeypatch.setattr(_CoverSearch, "run", counting)
+    ctx = contra_nominal(6)
+    assert [ferrers_cover(ctx, k) is None for k in (3, 4, 5)] == [True] * 3
+    assert runs == []
+    assert order_dimension(ctx)[0] == 6
+    assert runs == [2, 6]
+
+
+def test_twenty_by_twenty_s6_is_decided():
+    # from its 4-cell clique the search finds a 5-cover in 278 nodes; the
+    # search from empty parts did not finish k = 5 within 60 s
+    d, cover = order_dimension(seeded_context(20, 20, 0.3, 6), timeout_per_k=1)
+    assert d == cover.k == 5
 
 
 def test_order_dimension_pre_places_the_clique(monkeypatch):
@@ -453,7 +477,7 @@ def test_order_dimension_pre_places_the_clique(monkeypatch):
     monkeypatch.setattr(_CoverSearch, "run", recording)
     ctx = seeded_context(14, 14, 0.35, 2)
     assert order_dimension(ctx)[0] == 5
-    clique = _search(ctx, 2).clique()
+    clique = cover_search(ctx, 2).clique()
     assert len(clique) == 4
     assert placed == [[[c] for c in clique]] * 2
 
@@ -495,8 +519,8 @@ def test_extensions_from_known_parts_are_linear_extensions():
     for part in life_ferrers_parts():
         ext = linear_extension_from_ferrers(ctx, part, lat)
         assert _is_linear_extension(lat, ext)
-        assert ext.pos[lat.bottom] == 0
-        assert ext.pos[lat.top] == lat.n - 1
+        assert ext.pos[0] == 0                  # the bottom concept
+        assert ext.pos[lat.n - 1] == lat.n - 1  # the top concept
     real = Realizer(tuple(linear_extension_from_ferrers(ctx, p, lat)
                           for p in life_ferrers_parts()))
     assert verify_realizer(lat, real)

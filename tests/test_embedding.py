@@ -5,7 +5,7 @@ import pytest
 from dimdraw import (ContractViolation, LinearExtension, Realizer, concepts,
                      embed, order_dimension, realizer_from_cover,
                      verify_realizer)
-from helpers import (chain_context, life_context, life_letter_map,
+from helpers import (chain_context, leq, life_context, life_letter_map,
                      minimal_realizer, random_context, LIFE_CHAIN_1,
                      LIFE_CHAIN_2, LIFE_CHAIN_3, LIFE_LETTER_COORDS)
 
@@ -78,7 +78,7 @@ def test_dominance_equivalence_both_directions():
             for j in range(lat.n):
                 dominated = all(a <= b for a, b in zip(emb.coords[i],
                                                        emb.coords[j]))
-                assert dominated == lat.leq(i, j)
+                assert dominated == leq(lat, i, j)
 
 
 def test_embedding_is_deterministic():

@@ -18,7 +18,7 @@ import pytest
 from dimdraw import write_cxt
 from dimdraw.cli import main
 from helpers import (contra_nominal, crown_context, life_cxt_text,
-                     seeded_context, two_dimensional_poset_context)
+                     random_order_context, seeded_context)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -42,7 +42,7 @@ def _inputs() -> dict[str, tuple[str, str]]:
         "seeded-7x7-s9": ("s9.cxt", write_cxt(seeded_context(7, 7, 0.5, 9))),
         "crown12": ("crown12.cxt", write_cxt(crown_context(12))),
         "poset2d-16-s0": ("p16.poset",
-                          _poset_edges(two_dimensional_poset_context(16, 0))),
+                          _poset_edges(random_order_context(16, 2, 0))),
     }
 
 

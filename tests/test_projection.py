@@ -12,7 +12,7 @@ from dimdraw import (DimEmbedding, FormalContext, Layout, LinearExtension,
 from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
                      contra_nominal, generator_points, grid_context, life_context,
                      mirror_drift, oracle_crossings, oracle_point_segment_distance,
-                     random_context, seeded_context)
+                     random_context, random_order_context, seeded_context)
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -377,11 +377,63 @@ def test_best_assignment_is_the_lex_first_minimum_on_random_contexts():
 
 def test_best_assignment_is_pinned_at_dimension_four_and_five():
     # the draw-highdim inputs random 12x12 .5 s0 (d = 5) and s3 (d = 4),
-    # recorded before the sweep
-    for seed, want in ((0, ((1, 0, 4, 2, 3), 414)), (3, ((1, 0, 2, 3), 341))):
+    # drawn from the realizer of the cover search that starts from a
+    # conflict clique; the all-pairs counter over every permutation gives
+    # the same minimum
+    for seed, want in ((0, ((2, 1, 3, 4, 0), 415)), (3, ((1, 2, 3, 0), 296))):
         _, emb = _embedding(seeded_context(12, 12, 0.5, seed))
         result = best_assignment(emb, default_frame(emb.dim))
         assert (result.assignment, result.layout.crossings) == want
+
+
+def test_best_assignment_skips_permutations_that_merge_points():
+    # at 1e-6 degrees the identity and its complement put two concepts of
+    # random 10x10 .5 s1 on one point; the search takes the minimum of
+    # the others, each counted alone or with its complement
+    _, emb = _embedding(seeded_context(10, 10, 0.5, 1))
+    frame = default_frame(emb.dim, 1e-6)
+    counts = {}
+    for perm in permutations(range(emb.dim)):
+        try:
+            counts[perm] = all_pairs_crossings(project(emb, frame, perm).points,
+                                               emb.covers)
+        except ValueError:
+            pass
+    assert sorted(set(permutations(range(emb.dim))) - set(counts)) == [
+        (0, 1, 2, 3), (3, 2, 1, 0)]
+    result = best_assignment(emb, frame)
+    assert (result.layout.crossings, result.assignment) == min(
+        (count, perm) for perm, count in counts.items())
+
+
+def test_best_assignment_counts_the_survivor_of_a_pair_alone(monkeypatch):
+    # rounding may merge two points in one layout of a complement pair and
+    # not in its mirror; here the best layout of life is made to merge,
+    # and its complement, counted alone, must win with the same count
+    _, emb = _embedding(life_context())
+    frame = default_frame(emb.dim)
+    counts = {perm: all_pairs_crossings(project(emb, frame, perm).points, emb.covers)
+              for perm in permutations(range(emb.dim))}
+    count, best = min((count, perm) for perm, count in counts.items())
+    mirror = tuple(emb.dim - 1 - j for j in best)
+    assert counts[mirror] == count
+    points = projection._points
+
+    def merging(e, columns, assignment):
+        return None if assignment == best else points(e, columns, assignment)
+
+    monkeypatch.setattr(projection, "_points", merging)
+    result = best_assignment(emb, frame)
+    assert (result.layout.crossings, result.assignment) == (count, mirror)
+
+
+def test_best_assignment_rejects_a_spread_that_merges_points_everywhere():
+    # u(150) + u(30) = u(90): at 60 degrees every permutation of the
+    # 3-axis fan puts two concepts of this order on one point
+    _, emb = _embedding(random_order_context(24, 3, 3924))
+    with pytest.raises(ValueError, match="every axis assignment"):
+        best_assignment(emb, default_frame(3, 60.0))
+    assert best_assignment(emb, default_frame(3, 59.0)).exhaustive
 
 
 def test_best_assignment_is_pinned_on_contranominal_six():

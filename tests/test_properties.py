@@ -8,7 +8,7 @@ from dimdraw import (FormalContext, PosetInput, concepts, derive_attributes,
                      derive_objects, is_ferrers, order_dimension, parse_csv,
                      parse_cxt, poset_to_context, realizer_from_cover,
                      write_cxt)
-from helpers import complement, quantifier_is_ferrers
+from helpers import complement, leq, quantifier_is_ferrers
 
 _SAFE = string.ascii_letters + string.digits + "_-"
 
@@ -100,7 +100,7 @@ def test_realizer_extensions_preserve_order(ctx):
     for ext in real.extensions:
         for i in range(lat.n):
             for j in range(lat.n):
-                if lat.leq(i, j):
+                if leq(lat, i, j):
                     assert ext.pos[i] <= ext.pos[j]
                     assert (ext.pos[i] < ext.pos[j]) == (i != j)
 

@@ -20,7 +20,7 @@ def _diagram(ctx):
 def test_attribute_a_labels_top_of_life():
     ctx = life_context()
     lat, diagram = _diagram(ctx)
-    assert "a" in diagram.attribute_labels[lat.top]
+    assert "a" in diagram.attribute_labels[lat.n - 1]  # the top concept
 
 
 def test_contra_nominal_two_labels():
@@ -31,8 +31,8 @@ def test_contra_nominal_two_labels():
         assert len(diagram.object_labels[i]) == 1
         assert len(diagram.attribute_labels[i]) == 1
         assert diagram.object_labels[i][0] != diagram.attribute_labels[i][0]
-    assert diagram.object_labels[lat.top] == ()
-    assert diagram.attribute_labels[lat.bottom] == ()
+    assert diagram.object_labels[lat.n - 1] == ()  # the top concept
+    assert diagram.attribute_labels[0] == ()        # the bottom concept
 
 
 def test_full_single_cell_context_carries_both_labels():
@@ -73,8 +73,9 @@ def test_svg_top_renders_above_bottom():
     root = ET.fromstring(to_svg(diagram))
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
     ys = [float(c.attrib["cy"]) for c in circles]
-    # lattice index 0 is the bottom; the y axis is flipped for the screen
-    assert ys[lat.top] < ys[lat.bottom]
+    # lattice index 0 is the bottom and the last the top; the y axis is
+    # flipped for the screen
+    assert ys[lat.n - 1] < ys[0]
 
 
 def test_svg_deterministic():
