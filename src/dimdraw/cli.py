@@ -10,12 +10,12 @@ invocations on identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
-from .context import (FormalContext, PosetInput, parse_csv, parse_cxt,
-                      poset_to_context)
+from .context import (FormalContext, PosetInput, _json_text, parse_csv,
+                      parse_cxt, poset_to_context)
 from .dimension import (DEFAULT_TIMEOUT_S, ORACLE_ELEMENT_CAP, FerrersCover,
                         Realizer, brute_force_dimension, certificate_json,
                         order_dimension, realizer_from_cover,
@@ -188,7 +188,7 @@ def _execute(cfg: RunConfig) -> int:
     elif cfg.command == "realizer":
         doc = {"dimension": dim,
                "realizer": realizer_permutations(ctx, lat, real)}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text(doc)
     else:
         diagram, exhaustive = _draw(ctx, lat, dim, real, cfg.spread)
         if not exhaustive:
@@ -209,6 +209,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dimdraw",
                      description="Draw concept lattices and finite posets by "

@@ -26,7 +26,11 @@ pipeline applies unchanged.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 
 from .errors import CycleError, ParseError
 
@@ -199,6 +203,47 @@ def write_cxt(ctx: FormalContext) -> str:
         out.append("".join(
             "X" if rows[g] >> m & 1 else "." for m in range(ctx.n_attributes)))
     return "\n".join(out) + "\n"
+
+
+def _json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2) + "\\n"``, but without a generator
+    per value: flat lists of str or of int, lists of [int, int] cells and
+    lists of name lists are each written in one join."""
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(o, nl: str) -> str:
+    """The JSON text of o, its nested lines two spaces deeper than nl."""
+    t = type(o)
+    if t is str:
+        return _json_str(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is float and isfinite(o):
+        return float.__repr__(o)
+    if (t is list or t is dict) and not o:
+        return "{}" if t is dict else "[]"
+    inner = nl + "  "
+    if t is list:
+        kinds = set(map(type, o))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        leaves = set(map(type, chain.from_iterable(o))) if kind is list else None
+        if kind is str or kind is int:
+            items = map(_json_str if kind is str else int.__repr__, o)
+        elif leaves == {int} and set(map(len, o)) == {2}:
+            items = map(f"[{inner}  %d,{inner}  %d{inner}]".__mod__, map(tuple, o))
+        elif leaves == {str}:
+            sep = f",{inner}  "
+            items = (f"[{inner}  {sep.join(map(_json_str, x))}{inner}]" if x
+                     else "[]" for x in o)
+        else:
+            items = (_json_value(x, inner) for x in o)
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if t is dict and set(map(type, o)) == {str}:
+        items = (f"{_json_str(k)}: {_json_value(v, inner)}" for k, v in o.items())
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    # None, bools, NaN, infinities, tuples, subclasses, other keys and types
+    return json.dumps(o, indent=2).replace("\n", nl)
 
 
 def parse_csv(text: str) -> FormalContext:

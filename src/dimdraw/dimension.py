@@ -27,13 +27,13 @@ in row-major order, so returned parts may overlap.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .context import FormalContext
+from .context import FormalContext, _json_text
 from .errors import (ContractViolation, DimensionUndecided, OracleCapExceeded,
                      SearchTimeout)
 from .lattice import ConceptLattice, _bits
@@ -358,6 +358,13 @@ def _rows(ctx: FormalContext) -> tuple[list[int], list[int]]:
     return [full & ~r for r in inc_rows], inc_rows
 
 
+@lru_cache(maxsize=1)
+def _conflict_clique(ctx: FormalContext) -> tuple[int, ...]:
+    """``_CoverSearch.clique`` of the context's cells, kept for the last
+    context: every k >= 3 of one ``order_dimension`` starts from it."""
+    return tuple(_CoverSearch(*_rows(ctx), 2, None).clique())
+
+
 def ferrers_cover(ctx: FormalContext, k: int, *,
                   timeout: float | None = DEFAULT_TIMEOUT_S) -> FerrersCover | None:
     """Exact search for k Ferrers relations covering all non-incident cells.
@@ -382,7 +389,7 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
         deadline = None if timeout is None else time.monotonic() + timeout
         search = _CoverSearch(non_rows, inc_rows, k, deadline)
         if k >= 3:
-            clique = search.clique()
+            clique = _conflict_clique(ctx)
             if len(clique) > k:
                 return None
             search.seed(clique)
@@ -410,8 +417,7 @@ def order_dimension(ctx: FormalContext, *,
     clique can raise past ``max_k``; it is never misreported as an
     answer.
     """
-    non_rows, inc_rows = _rows(ctx)
-    n_non = sum(r.bit_count() for r in non_rows)
+    n_non = ctx.n_objects * ctx.n_attributes - len(ctx.incidence)
     lower = 1 if is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence) else 2
     hard_cap = max(1, n_non)
     limit = hard_cap if max_k is None else min(max_k, hard_cap)
@@ -423,8 +429,7 @@ def order_dimension(ctx: FormalContext, *,
                 from None
         if cover is not None:
             return k, cover
-    clique = _CoverSearch(non_rows, inc_rows, 2, None).clique()
-    raise DimensionUndecided(max(lower, limit + 1, len(clique)),
+    raise DimensionUndecided(max(lower, limit + 1, len(_conflict_clique(ctx))),
                              f"max-k {limit} exhausted")
 
 
@@ -600,4 +605,4 @@ def certificate_json(ctx: FormalContext, lattice: ConceptLattice,
         ],
         "realizer": realizer_permutations(ctx, lattice, real),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc)

@@ -11,11 +11,10 @@ downward.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
-from .context import FormalContext
+from .context import FormalContext, _json_text
 from .dimension import Realizer
 from .lattice import ConceptLattice
 from .projection import Layout
@@ -206,4 +205,4 @@ def to_json(diagram: LabeledDiagram) -> str:
                      if diagram.realizer is not None else None),
         "crossings": layout.crossings,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dimdraw.projection
-from dimdraw.cli import build_diagram, main, parse_poset_edges
+from dimdraw.cli import _build_parser, build_diagram, main, parse_poset_edges
 from dimdraw import ParseError, to_json, to_svg, to_tikz, write_cxt
 from helpers import (contra_nominal, life_context, life_csv_text,
                      life_cxt_text, random_order_context, seeded_context)
@@ -267,6 +267,25 @@ def test_crossings_are_counted_at_most_once_after_the_search(
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_one_parser_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_reused_parser_carries_no_option_to_the_next_call(life_file, tmp_path,
+                                                          capsys):
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden", "life.svg")
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert main(["draw", life_file, "--spread", "30", "-o", str(a)]) == 0
+    assert main(["draw", life_file, "-o", str(b)]) == 0
+    with open(golden, "rb") as handle:
+        assert b.read_bytes() == handle.read() != a.read_bytes()
+    assert main(["draw"]) == 1
+    assert "required: input" in capsys.readouterr().err
+    assert main(["dimension", life_file]) == 0
+    assert capsys.readouterr().out.startswith("dimension: 3\n")
 
 
 def _sparse_40x40(tmp_path, cells):

@@ -1,8 +1,17 @@
-import pytest
+import json
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dimdraw.cli
+import dimdraw.dimension
+import dimdraw.render
 from dimdraw import (CycleError, FormalContext, ParseError, PosetInput,
                      parse_csv, parse_cxt, poset_to_context, write_cxt)
-from helpers import life_context, life_csv_text, life_cxt_text, LIFE_ROWS
+from dimdraw.context import _json_text
+from helpers import (crown_context, life_context, life_csv_text, life_cxt_text,
+                     LIFE_ROWS, seeded_context)
 
 
 def test_parse_smallest_context():
@@ -177,3 +186,85 @@ def test_context_rejects_out_of_range_cells():
 def test_context_rejects_duplicate_names():
     with pytest.raises(ValueError):
         FormalContext(("g", "g"), ("m",), frozenset())
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# every code point, lone surrogates included, and the characters json escapes
+_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                          st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\udfffé✓')),
+                max_size=6)
+_INTS = st.integers() | st.integers(-2 ** 200, 2 ** 200)
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1])
+_LEAVES = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+
+
+def _containers(children):
+    return (st.lists(children, max_size=6)
+            | st.lists(children, max_size=6).map(tuple)
+            | st.dictionaries(_TEXT, children, max_size=6))
+
+
+# the writer's fast shapes, and near misses of them, next to arbitrary nesting
+_SHAPES = (st.lists(_TEXT, max_size=6) | st.lists(_INTS, max_size=6)
+           | st.lists(st.integers() | st.booleans(), max_size=6)
+           | st.lists(st.lists(_INTS, min_size=2, max_size=2), max_size=6)
+           | st.lists(st.lists(st.integers() | st.booleans(), min_size=1, max_size=3),
+                      max_size=6)
+           | st.lists(st.lists(_TEXT, max_size=4), max_size=6)
+           | st.lists(st.lists(_TEXT | st.none(), max_size=4), max_size=6))
+_DOCUMENTS = st.recursive(_LEAVES | _SHAPES, _containers, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+def test_json_text_is_json_dumps_with_indent_two(doc):
+    assert _json_text(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], []], [[[]]], (), ((),),
+    [1, True], [True, 1], [0, False], [[1, True]], [[True, 1], [2, 3]],
+    [[1, 2], [3, 4]], [[1, 2], [3]], [[1, 2, 3]], [(1, 2)], [[1.0, 2]],
+    [["a"], []], [["a", "b"], ["c"]], [["a"], [1]], [[], ["a"]],
+    {"k": None, "t": True, "f": False}, None, True, 5e-324, -0.0,
+    {1: "int key", None: "null key", 2.5: "float key"}, "\ud800\"\\",
+])
+def test_json_text_edge_cases(doc):
+    assert _json_text(doc) == _dumps(doc)
+
+
+def test_json_text_raises_as_json_does():
+    for doc in ({(1, 2): 3}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(doc)
+
+
+@pytest.mark.parametrize("ctx", [life_context(), crown_context(12),
+                                 seeded_context(14, 14, 0.35, 2)],
+                         ids=["life", "crown12", "seeded-14x14-s2"])
+def test_json_text_on_the_artifact_documents(ctx, tmp_path, monkeypatch):
+    # the certificate, the realizer and the drawing, as the CLI writes them
+    documents = []
+
+    def recording(doc):
+        documents.append(doc)
+        return _json_text(doc)
+
+    for module in (dimdraw.cli, dimdraw.dimension, dimdraw.render):
+        monkeypatch.setattr(module, "_json_text", recording)
+    path = tmp_path / "input.cxt"
+    path.write_text(write_cxt(ctx), encoding="utf-8")
+    for args in (["dimension"], ["realizer"], ["draw", "--format", "json"]):
+        out = tmp_path / f"{args[0]}.json"
+        assert dimdraw.cli.main([args[0], str(path), "-o", str(out), *args[1:]]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == _dumps(documents[-1]) == _dumps(json.loads(text))
+    assert [sorted(doc) for doc in documents] == [
+        ["dimension", "ferrers_parts", "realizer"], ["dimension", "realizer"],
+        ["concepts", "crossings", "dimension", "edges", "realizer"]]

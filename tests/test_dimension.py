@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -9,7 +10,8 @@ from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
                      concepts, ferrers_cover, is_ferrers,
                      linear_extension_from_ferrers, order_dimension,
                      realizer_from_cover, verify_realizer)
-from dimdraw.dimension import ORACLE_ELEMENT_CAP, _check_cover, _CoverSearch
+from dimdraw.dimension import (ORACLE_ELEMENT_CAP, _check_cover,
+                               _conflict_clique, _CoverSearch)
 from helpers import (cell_conflicts, chain_context, complement, contra_nominal,
                      cover_search, crown_context, diamond_up_masks,
                      digraph_extendable, leq, life_context, life_ferrers_parts,
@@ -480,6 +482,47 @@ def test_order_dimension_pre_places_the_clique(monkeypatch):
     clique = cover_search(ctx, 2).clique()
     assert len(clique) == 4
     assert placed == [[[c] for c in clique]] * 2
+
+
+def _counting_cliques(monkeypatch) -> list:
+    """Count ``_CoverSearch.clique`` calls from an empty clique memo, so a
+    clique kept by an earlier test hides none."""
+    calls = []
+    clique = _CoverSearch.clique
+
+    def counting(search):
+        calls.append(search.n_cells)
+        return clique(search)
+
+    _conflict_clique.cache_clear()
+    monkeypatch.setattr(_CoverSearch, "clique", counting)
+    return calls
+
+
+def test_conflict_clique_is_computed_once_per_context(monkeypatch):
+    # k = 3 is refuted by the 4-cell clique, k = 4 and k = 5 start from it
+    calls = _counting_cliques(monkeypatch)
+    d, cover = order_dimension(seeded_context(14, 14, 0.35, 2))
+    assert len(calls) == 1
+    parts = [sorted(part) for part in cover.parts]
+    assert d == 5 and [len(part) for part in parts] == [51, 30, 47, 57, 47]
+    # the witness of the search that built the clique once per k
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
+        "4409a0992597958b4acc0d975cb0435288454d7eb64f6f2f83f0dc90818fc2b3")
+
+
+def test_max_k_bound_reads_the_same_clique(monkeypatch):
+    # contranominal 6: k = 3 and k = 4 refuted by the clique, and the
+    # exhausted max-k reports the bound from that clique
+    calls = _counting_cliques(monkeypatch)
+    with pytest.raises(DimensionUndecided) as err:
+        order_dimension(contra_nominal(6), max_k=4)
+    assert err.value.known_lower_bound == 6
+    assert len(calls) == 1
+    _conflict_clique.cache_clear()
+    with pytest.raises(DimensionUndecided):
+        order_dimension(contra_nominal(6), max_k=2)
+    assert len(calls) == 2
 
 
 def test_seeded_search_timeout_is_undecided_at_its_k(monkeypatch):
