@@ -97,7 +97,7 @@ def parse_poset_edges(text: str) -> PosetInput:
 
 
 def load_context(path: str, input_format: str) -> FormalContext:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     if input_format == "cxt":
         return parse_cxt(text)

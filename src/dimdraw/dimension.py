@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
@@ -115,8 +115,69 @@ class Realizer:
         return len(self.extensions)
 
 
+class _Cells:
+    """The non-incident cells of one context, indexed row-major, and the
+    tables that every cover search of the context reads: ``col_inc[m]``
+    masks the rows incident to attribute m, ``row_cells[g]`` the cells of
+    row g, and ``cols_of_row[a]`` the cells whose attribute is incident
+    to row a.
+    """
+
+    def __init__(self, non_rows: Sequence[int], inc_rows: Sequence[int]):
+        self.cells = tuple((g, m) for g in range(len(non_rows))
+                           for m in _bits(non_rows[g]))
+        width = max((r.bit_length() for r in (*non_rows, *inc_rows)), default=0)
+        row_cells = [0] * len(non_rows)
+        col_cells = [0] * width
+        for c, (g, m) in enumerate(self.cells):
+            row_cells[g] |= 1 << c
+            col_cells[m] |= 1 << c
+        col_inc = [0] * width
+        cols_of_row = [0] * len(inc_rows)
+        for g, row in enumerate(inc_rows):
+            for m in _bits(row):
+                col_inc[m] |= 1 << g
+                cols_of_row[g] |= col_cells[m]
+        self.row_cells = tuple(row_cells)
+        self.col_inc = tuple(col_inc)
+        self.cols_of_row = tuple(cols_of_row)
+
+    @cached_property
+    def clique(self) -> tuple[int, ...]:
+        """A clique of Cogis's conflict graph on the cells: the largest of
+        the greedy cliques grown from each cell, in order of falling
+        degree, adding the candidate of highest degree (lowest index on
+        ties) until none is left.
+
+        Cells (g, m) and (h, n) conflict when (g, n) and (h, m) are both
+        incident, so no part holds two of them: the neighbours of (g, m)
+        are the cells of the rows incident to m that lie in
+        ``cols_of_row[g]``.
+        """
+        rows_of_col = [0] * len(self.col_inc)
+        for m, col in enumerate(self.col_inc):
+            for h in _bits(col):
+                rows_of_col[m] |= self.row_cells[h]
+        adjacent = [rows_of_col[m] & self.cols_of_row[g] for g, m in self.cells]
+        degree = [a.bit_count() for a in adjacent]
+        order = sorted(range(len(self.cells)), key=lambda c: -degree[c])
+        rank = {c: r for r, c in enumerate(order)}
+        best: list[int] = []
+        for start in order:
+            if degree[start] < len(best):
+                break  # no clique through start can be larger
+            clique, candidates = [start], adjacent[start]
+            while candidates:
+                c = min(_bits(candidates), key=rank.__getitem__)
+                clique.append(c)
+                candidates &= adjacent[c]
+            if len(clique) > len(best):
+                best = clique
+        return tuple(best)
+
+
 class _CoverSearch:
-    """Exact assignment of non-incident cells to k staircase parts.
+    """Exact assignment of the cells of ``table`` to k staircase parts.
 
     A part is kept *feasible*: extendable to a Ferrers relation inside
     the non-incidence set.  Feasibility of a row-mask set S holds iff the
@@ -146,59 +207,39 @@ class _CoverSearch:
     incident to m, so g now sits above h, and g is incident to n.
     """
 
-    def __init__(self, non_rows: Sequence[int], inc_rows: Sequence[int],
-                 k: int, deadline: float | None):
-        self.n_g = len(non_rows)
+    def __init__(self, table: _Cells, k: int, deadline: float | None):
+        self.table = table
         self.k = k
         self.deadline = deadline
-        self.cells: list[Cell] = [(g, m) for g in range(self.n_g)
-                                  for m in _bits(non_rows[g])]
-        self.n_cells = len(self.cells)
-
-        width = max((r.bit_length() for r in (*non_rows, *inc_rows)), default=0)
-        self.col_inc = [0] * width
-        for g, row in enumerate(inc_rows):
-            for m in _bits(row):
-                self.col_inc[m] |= 1 << g
-
-        self.row_cells = [0] * self.n_g
-        col_cells = [0] * width
-        for c, (g, m) in enumerate(self.cells):
-            self.row_cells[g] |= 1 << c
-            col_cells[m] |= 1 << c
-        # cols_of_row[a]: the cells whose attribute is incident to row a
-        self.cols_of_row = [0] * self.n_g
-        for g, row in enumerate(inc_rows):
-            for n in _bits(row):
-                self.cols_of_row[g] |= col_cells[n]
-
-        self.part_rows = [[0] * self.n_g for _ in range(k)]
-        self.above = [[0] * self.n_g for _ in range(k)]
-        self.uncovered = (1 << self.n_cells) - 1
+        n_g = len(table.row_cells)
+        self.part_rows = [[0] * n_g for _ in range(k)]
+        self.above = [[0] * n_g for _ in range(k)]
+        self.uncovered = (1 << len(table.cells)) - 1
         self.fits = [self.uncovered] * k
         self.n_used = 0
         self.nodes = 0
 
     def _fits(self, above: Sequence[int], g: int, m: int) -> bool:
         """Whether cell (g, m) keeps the part with this closure feasible."""
-        return not above[g] & self.col_inc[m]
+        return not above[g] & self.table.col_inc[m]
 
     def _grow(self, above: Sequence[int], g: int, m: int) -> tuple[list[int], int]:
         """The closure after adding the fitting cell (g, m), and the cells
         of the rows whose closure took in the gain."""
-        col = self.col_inc[m]
+        col = self.table.col_inc[m]
+        row_cells = self.table.row_cells
         gain = (1 << g) | above[g]
         grown = []
         hit = 0
         for h, a in enumerate(above):
             if (a | (1 << h)) & col:
                 a |= gain
-                hit |= self.row_cells[h]
+                hit |= row_cells[h]
             grown.append(a)
         return grown, hit
 
     def _assign(self, c: int, j: int):
-        g, m = self.cells[c]
+        g, m = self.table.cells[c]
         opened = j == self.n_used
         if opened:
             self.n_used += 1
@@ -210,14 +251,14 @@ class _CoverSearch:
         # attribute is incident to a row of the gain
         blocked = 0
         for a in _bits((1 << g) | old_above[g]):
-            blocked |= self.cols_of_row[a]
+            blocked |= self.table.cols_of_row[a]
         self.fits[j] = old_fits & ~(hit & blocked)
         return c, j, opened, old_above, old_fits
 
     def _undo(self, trail) -> None:
         c, j, opened, above, fits = trail
         self.above[j], self.fits[j] = above, fits
-        g, m = self.cells[c]
+        g, m = self.table.cells[c]
         self.part_rows[j][g] &= ~(1 << m)
         self.uncovered |= 1 << c
         if opened:
@@ -277,40 +318,6 @@ class _CoverSearch:
             else:
                 return False
 
-    def clique(self) -> list[int]:
-        """A clique of Cogis's conflict graph on the cells: the largest of
-        the greedy cliques grown from each cell, in order of falling
-        degree, adding the candidate of highest degree (lowest index on
-        ties) until none is left.
-
-        Cells (g, m) and (h, n) conflict when (g, n) and (h, m) are both
-        incident, so no part holds two of them: the neighbours of (g, m)
-        are the cells of the rows incident to m that lie in
-        ``cols_of_row[g]``.
-        """
-        rows_of_col = [0] * len(self.col_inc)
-        for m, col in enumerate(self.col_inc):
-            for h in _bits(col):
-                rows_of_col[m] |= self.row_cells[h]
-        adjacent = [rows_of_col[m] & self.cols_of_row[g] for g, m in self.cells]
-        degree = [a.bit_count() for a in adjacent]
-        order = sorted(range(self.n_cells), key=lambda c: -degree[c])
-        rank = [0] * self.n_cells
-        for r, c in enumerate(order):
-            rank[c] = r
-        best: list[int] = []
-        for start in order:
-            if degree[start] < len(best):
-                break  # no clique through start can be larger
-            clique, candidates = [start], adjacent[start]
-            while candidates:
-                c = min(_bits(candidates), key=rank.__getitem__)
-                clique.append(c)
-                candidates &= adjacent[c]
-            if len(clique) > len(best):
-                best = clique
-        return best
-
     def seed(self, clique: Sequence[int]) -> None:
         """Put clique cell i in part i.  The cells need distinct parts and
         parts are interchangeable, so a search from here finds a cover iff
@@ -322,7 +329,7 @@ class _CoverSearch:
         """Grow part j from its kept closure into a maximal staircase,
         scanning cells in row-major order; return its rows."""
         rows, above = self.part_rows[j], self.above[j]
-        for g, m in self.cells:
+        for g, m in self.table.cells:
             if not rows[g] >> m & 1 and self._fits(above, g, m):
                 rows[g] |= 1 << m
                 above = self._grow(above, g, m)[0]
@@ -330,7 +337,7 @@ class _CoverSearch:
         return rows
 
     def run(self) -> list[list[int]] | None:
-        if self.n_cells and not self._dfs():
+        if self.table.cells and not self._dfs():
             return None
         return self.part_rows
 
@@ -359,10 +366,11 @@ def _rows(ctx: FormalContext) -> tuple[list[int], list[int]]:
 
 
 @lru_cache(maxsize=1)
-def _conflict_clique(ctx: FormalContext) -> tuple[int, ...]:
-    """``_CoverSearch.clique`` of the context's cells, kept for the last
-    context: every k >= 3 of one ``order_dimension`` starts from it."""
-    return tuple(_CoverSearch(*_rows(ctx), 2, None).clique())
+def _cells(ctx: FormalContext) -> _Cells:
+    """The cell table of the last context: every k >= 2 of one
+    ``order_dimension`` searches it, and every k >= 3 starts from its
+    clique."""
+    return _Cells(*_rows(ctx))
 
 
 def ferrers_cover(ctx: FormalContext, k: int, *,
@@ -378,21 +386,19 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    non_rows, inc_rows = _rows(ctx)
     if k == 1:
         # The only 1-part cover is the whole non-incidence set, and the
         # complement of a staircase is a staircase.
         if not is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence):
             return None
-        result = [non_rows]
+        result = [_rows(ctx)[0]]
     else:
         deadline = None if timeout is None else time.monotonic() + timeout
-        search = _CoverSearch(non_rows, inc_rows, k, deadline)
+        search = _CoverSearch(_cells(ctx), k, deadline)
         if k >= 3:
-            clique = _conflict_clique(ctx)
-            if len(clique) > k:
+            if len(search.table.clique) > k:
                 return None
-            search.seed(clique)
+            search.seed(search.table.clique)
         if search.run() is None:
             return None
         result = [search.maximalize(j) for j in range(k)]
@@ -429,7 +435,7 @@ def order_dimension(ctx: FormalContext, *,
                 from None
         if cover is not None:
             return k, cover
-    raise DimensionUndecided(max(lower, limit + 1, len(_conflict_clique(ctx))),
+    raise DimensionUndecided(max(lower, limit + 1, len(_cells(ctx).clique)),
                              f"max-k {limit} exhausted")
 
 
@@ -438,42 +444,28 @@ def linear_extension_from_ferrers(ctx: FormalContext, part: Iterable[Cell],
     """Linear extension induced by one Ferrers part of a cover.
 
     The complement J = (G x M) \\ F is a Ferrers relation containing the
-    incidence, so its concept lattice is a chain.  Each concept maps to
-    its closure under J; ranking along the chain and breaking ties by
-    canonical concept index (ascending, which is itself order-compatible)
-    yields a linear extension of the lattice order.
+    incidence, so its concept lattice is a chain, and each concept maps
+    to its closure under J.  The rows of F are nested, so that closure is
+    fixed by the most cells of F that one object of the extent holds (0
+    for an empty extent): a larger count gives a larger closure.  Concepts
+    are ranked by that count, ties broken by canonical concept index.
+    Both keys grow along the order, since extents do and the index order
+    is a linear extension, so the ranking is a linear extension of the
+    lattice order for any part, cover or not.
     """
     n_g, n_m = ctx.n_objects, ctx.n_attributes
     part = frozenset(part)
-    part_rows = _cell_rows(n_g, n_m, part)
+    sizes = [row.bit_count() for row in _cell_rows(n_g, n_m, part)]
     if part & ctx.incidence:
         raise ContractViolation(
             "part overlaps the incidence relation; its complement cannot "
             "contain the incidence")
     if not is_ferrers(n_g, n_m, part):
         raise ContractViolation("part is not a Ferrers relation")
-
-    full_m = (1 << n_m) - 1
-    j_rows = [full_m & ~r for r in part_rows]
-
-    def chain_extent(extent_mask: int) -> int:
-        intent = full_m
-        for g in _bits(extent_mask):
-            intent &= j_rows[g]
-        ext = 0
-        for g in range(n_g):
-            if intent & ~j_rows[g] == 0:
-                ext |= 1 << g
-        return ext
-
-    mapped = [chain_extent(c.extent_mask) for c in lattice.concepts]
-    levels = sorted(set(mapped))
-    for small, big in zip(levels, levels[1:]):
-        if small & ~big:
-            raise ContractViolation("chain closure produced incomparable levels")
-    rank = {ext: r for r, ext in enumerate(levels)}
-    order = sorted(range(lattice.n), key=lambda c: (rank[mapped[c]], c))
-    return LinearExtension.from_order(order)
+    level = [max((sizes[g] for g in _bits(c.extent_mask)), default=0)
+             for c in lattice.concepts]
+    return LinearExtension.from_order(
+        sorted(range(lattice.n), key=lambda c: (level[c], c)))
 
 
 def verify_realizer(lattice: ConceptLattice, r: Realizer) -> bool:
@@ -581,16 +573,11 @@ def realizer_permutations(ctx: FormalContext, lattice: ConceptLattice,
                           real: Realizer) -> dict:
     """Realizer as JSON-ready permutations, by concept index and by
     intent labels (attribute names, in input order)."""
-    by_intent = []
-    for ext in real.extensions:
-        chain = []
-        for c in ext.order:
-            intent = lattice.concepts[c].intent
-            chain.append([ctx.attributes[m] for m in sorted(intent)])
-        by_intent.append(chain)
+    labels = [[ctx.attributes[m] for m in sorted(c.intent)]
+              for c in lattice.concepts]
     return {
         "by_index": [list(ext.order) for ext in real.extensions],
-        "by_intent": by_intent,
+        "by_intent": [[labels[c] for c in ext.order] for ext in real.extensions],
     }
 
 

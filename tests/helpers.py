@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import add
 
 from dimdraw import FormalContext, order_dimension, realizer_from_cover
-from dimdraw.dimension import _CoverSearch
+from dimdraw.dimension import _Cells, _CoverSearch
 
 # ---------------------------------------------------------------------------
 # The classic 8x9 "living beings and water" demo context: 19 concepts,
@@ -191,7 +191,7 @@ def search_closure(search, rows):
     Every subset of a feasible part is feasible, so adding the cells one
     at a time fails exactly when the whole part does.
     """
-    above = [0] * search.n_g
+    above = [0] * len(search.table.row_cells)
     for g, row in enumerate(rows):
         for m in range(row.bit_length()):
             if row >> m & 1:
@@ -208,15 +208,15 @@ def search_extendable(search, rows, g0: int, m0: int) -> bool:
     return above is not None and search._fits(above, g0, m0)
 
 
-def cell_conflicts(search):
-    """Cogis's conflict graph on the cells of ``search``, from the pairwise
-    definition: bit b of entry a is set when cells a = (g, m) and
+def cell_conflicts(table):
+    """Cogis's conflict graph on the cells of a cell table, from the
+    pairwise definition: bit b of entry a is set when cells a = (g, m) and
     b = (h, n) have both opposite corners (g, n) and (h, m) incident, so
     that no Ferrers part inside the non-incidence can hold both."""
-    inc = search.col_inc
-    return [sum(1 << b for b, (h, n) in enumerate(search.cells)
+    inc = table.col_inc
+    return [sum(1 << b for b, (h, n) in enumerate(table.cells)
                 if inc[n] >> g & 1 and inc[m] >> h & 1)
-            for g, m in search.cells]
+            for g, m in table.cells]
 
 
 def scan_branch(search):
@@ -230,16 +230,16 @@ def scan_branch(search):
     """
     used = search.n_used
     open_extra = 1 if used < search.k else 0
-    conflicts = cell_conflicts(search)
+    conflicts = cell_conflicts(search.table)
     best = None
-    for c, (g, m) in enumerate(search.cells):
+    for c, (g, m) in enumerate(search.table.cells):
         if not search.uncovered >> c & 1:
             continue
         parts = 0
         for j in range(used):
             rows = search.part_rows[j]
             clash = any(conflicts[c] >> c2 & 1 and rows[h] >> n & 1
-                        for c2, (h, n) in enumerate(search.cells))
+                        for c2, (h, n) in enumerate(search.table.cells))
             if search._fits(search.above[j], g, m) and not clash:
                 parts |= 1 << j
         count = bin(parts).count("1") + open_extra
@@ -253,12 +253,17 @@ def scan_branch(search):
     return c, parts
 
 
+def cell_table(ctx: FormalContext) -> _Cells:
+    """A new cell table of ``ctx``, built outside the package's memo."""
+    inc_rows = ctx.object_rows()
+    full = (1 << ctx.n_attributes) - 1
+    return _Cells([full & ~r for r in inc_rows], inc_rows)
+
+
 def cover_search(ctx: FormalContext, k: int) -> _CoverSearch:
     """The cover search for k parts of ``ctx`` with every part empty and
     no budget."""
-    inc_rows = ctx.object_rows()
-    full = (1 << ctx.n_attributes) - 1
-    return _CoverSearch([full & ~r for r in inc_rows], inc_rows, k, None)
+    return _CoverSearch(cell_table(ctx), k, None)
 
 
 def plain_order_dimension(ctx: FormalContext) -> int:
@@ -270,6 +275,30 @@ def plain_order_dimension(ctx: FormalContext) -> int:
     while cover_search(ctx, k).run() is None:
         k += 1
     return k
+
+
+def chain_extent_order(ctx: FormalContext, part, lattice) -> tuple[int, ...]:
+    """The concept order induced by a Ferrers part, built from its
+    definition: map each concept to its closure under the complement J
+    of the part, rank the distinct closures (a chain, checked here) by
+    inclusion, and break ties by concept index."""
+    n_g, n_m = ctx.n_objects, ctx.n_attributes
+    j_rows = [sum(1 << m for m in range(n_m) if (g, m) not in part)
+              for g in range(n_g)]
+
+    def chain_extent(extent_mask: int) -> int:
+        intent = (1 << n_m) - 1
+        for g in range(n_g):
+            if extent_mask >> g & 1:
+                intent &= j_rows[g]
+        return sum(1 << g for g in range(n_g) if intent & ~j_rows[g] == 0)
+
+    mapped = [chain_extent(c.extent_mask) for c in lattice.concepts]
+    levels = sorted(set(mapped))
+    for small, big in zip(levels, levels[1:]):
+        assert not small & ~big, "chain closure produced incomparable levels"
+    rank = {ext: r for r, ext in enumerate(levels)}
+    return tuple(sorted(range(lattice.n), key=lambda c: (rank[mapped[c]], c)))
 
 
 def minimal_realizer(ctx: FormalContext, lattice):

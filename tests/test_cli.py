@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import os
@@ -189,6 +190,27 @@ def test_poset_input_pipeline(tmp_path, capsys):
     path.write_text("a\nb\n", encoding="utf-8")
     assert main(["dimension", str(path)]) == 0  # .poset extension inferred
     assert "dimension: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, text", [
+    ("life.cxt", life_cxt_text()),
+    ("life.csv", life_csv_text()),
+    ("diamond.poset", "a < b\na < c\nb < d\nc < d\n"),
+], ids=["cxt", "csv", "poset-edges"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, name, text):
+    # a file saved with a UTF-8 byte-order mark reads as the same input:
+    # the same listing, the same drawing, the same names
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / encoding / name
+        path.parent.mkdir()
+        path.write_text(text, encoding=encoding)
+        assert path.read_bytes().startswith(codecs.BOM_UTF8) == (
+            encoding == "utf-8-sig")
+        for command in (["concepts"], ["draw", "--format", "json"]):
+            assert main([command[0], str(path), *command[1:]]) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
 
 
 def test_poset_cycle_reported(tmp_path, capsys):

@@ -10,9 +10,10 @@ from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
                      concepts, ferrers_cover, is_ferrers,
                      linear_extension_from_ferrers, order_dimension,
                      realizer_from_cover, verify_realizer)
-from dimdraw.dimension import (ORACLE_ELEMENT_CAP, _check_cover,
-                               _conflict_clique, _CoverSearch)
-from helpers import (cell_conflicts, chain_context, complement, contra_nominal,
+from dimdraw.dimension import (ORACLE_ELEMENT_CAP, _Cells, _cells,
+                               _check_cover, _CoverSearch)
+from helpers import (cell_conflicts, cell_table, chain_context,
+                     chain_extent_order, complement, contra_nominal,
                      cover_search, crown_context, diamond_up_masks,
                      digraph_extendable, leq, life_context, life_ferrers_parts,
                      life_letter_map, minimal_realizer, plain_order_dimension,
@@ -110,7 +111,8 @@ def test_extendability_predicate_matches_exhaustive_enumeration():
         if not cells:
             continue
         full = (1 << n_m) - 1
-        search = _CoverSearch(allowance, [full & ~r for r in allowance], 1, None)
+        search = _CoverSearch(_Cells(allowance, [full & ~r for r in allowance]),
+                              1, None)
         chosen = rng.sample(cells, rng.randint(0, min(len(cells) - 1, 5)))
         candidate = rng.choice([c for c in cells if c not in chosen])
         part_rows = [0] * n_g
@@ -138,16 +140,17 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
                              rng.choice((0.25, 0.4, 0.55)), rng.randrange(10 ** 6))
         k = rng.randint(2, 3)
         search = cover_search(ctx, k)
-        if not search.n_cells:
+        cells = search.table.cells
+        if not cells:
             continue
         allowance = [(1 << ctx.n_attributes) - 1 & ~r for r in ctx.object_rows()]
-        conflicts = cell_conflicts(search)
+        conflicts = cell_conflicts(search.table)
         trails = []
         for _ in range(25):
             if trails and (rng.random() < 0.3 or not search.uncovered):
                 search._undo(trails.pop())
             else:
-                c = rng.choice([c for c in range(search.n_cells)
+                c = rng.choice([c for c in range(len(cells))
                                 if search.uncovered >> c & 1])
                 parts = sum(1 << j for j in range(search.n_used)
                             if search.fits[j] >> c & 1)
@@ -161,9 +164,9 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
                 rows = search.part_rows[j]
                 above = search.above[j]
                 assert above == search_closure(search, rows)
-                part_cells = sum(1 << c for c, (g, m) in enumerate(search.cells)
+                part_cells = sum(1 << c for c, (g, m) in enumerate(cells)
                                  if rows[g] >> m & 1)
-                for c, (g, m) in enumerate(search.cells):
+                for c, (g, m) in enumerate(cells):
                     fits = search._fits(above, g, m)
                     assert fits == digraph_extendable(allowance, rows, g, m)
                     admissible = fits and not conflicts[c] & part_cells
@@ -181,7 +184,8 @@ def test_branch_matches_per_cell_scan():
                              rng.choice((0.25, 0.4, 0.55)), rng.randrange(10 ** 6))
         k = rng.randint(2, 4)
         search = cover_search(ctx, k)
-        if not search.n_cells:
+        cells = search.table.cells
+        if not cells:
             continue
         trails = []
         for _ in range(30):
@@ -197,7 +201,7 @@ def test_branch_matches_per_cell_scan():
                 continue
             c, parts = branch
             if rng.random() < 0.5:
-                c = rng.choice([c for c in range(search.n_cells)
+                c = rng.choice([c for c in range(len(cells))
                                 if search.uncovered >> c & 1])
                 parts = sum(1 << j for j in range(search.n_used)
                             if search.fits[j] >> c & 1)
@@ -219,21 +223,22 @@ def test_conflicts_match_pairwise_definition():
         ctx = random_context(rng, 7, 7)
         k = rng.randint(2, 3)
         search = cover_search(ctx, k)
-        conflicts = cell_conflicts(search)
-        for a, (g, m) in enumerate(search.cells):
+        cells = search.table.cells
+        conflicts = cell_conflicts(search.table)
+        for a, (g, m) in enumerate(cells):
             want = 0
-            for b, (h, n) in enumerate(search.cells):
+            for b, (h, n) in enumerate(cells):
                 if (g, n) in ctx.incidence and (h, m) in ctx.incidence:
                     want |= 1 << b
             assert conflicts[a] == want, (ctx, (g, m))
-        if not search.n_cells:
+        if not cells:
             continue
         trails = []
         for _ in range(20):
             if trails and (rng.random() < 0.3 or not search.uncovered):
                 search._undo(trails.pop())
             else:
-                c = rng.choice([c for c in range(search.n_cells)
+                c = rng.choice([c for c in range(len(cells))
                                 if search.uncovered >> c & 1])
                 parts = [j for j in range(search.n_used)
                          if search.fits[j] >> c & 1]
@@ -243,9 +248,9 @@ def test_conflicts_match_pairwise_definition():
                 trails.append(search._assign(c, rng.choice(parts)))
             for j in range(k):
                 rows = search.part_rows[j]
-                part_cells = sum(1 << c for c, (g, m) in enumerate(search.cells)
+                part_cells = sum(1 << c for c, (g, m) in enumerate(cells)
                                  if rows[g] >> m & 1)
-                for c in range(search.n_cells):
+                for c in range(len(cells)):
                     if search.fits[j] >> c & 1:
                         assert not conflicts[c] & part_cells, (ctx, j, c)
 
@@ -277,7 +282,7 @@ def test_seeded_refutation_is_pinned(ctx, k, nodes):
     # node counts of the plain refutation and of the one with the
     # conflict clique pre-placed, clique cell i in part i
     plain, seeded = cover_search(ctx, k), cover_search(ctx, k)
-    seeded.seed(seeded.clique())
+    seeded.seed(seeded.table.clique)
     assert (plain.run(), seeded.run()) == (None, None)
     assert (plain.nodes, seeded.nodes) == nodes
 
@@ -416,15 +421,15 @@ def test_order_dimension_matches_plain_k_loop():
 
 def test_clique_cells_pairwise_conflict():
     for ctx in [*_REFERENCE_CONTEXTS, life_context(), seeded_context(20, 12, 0.4, 5)]:
-        search = cover_search(ctx, 2)
-        clique = search.clique()
-        conflicts = cell_conflicts(search)
+        table = cell_table(ctx)
+        clique = table.clique
+        conflicts = cell_conflicts(table)
         assert clique and len(set(clique)) == len(clique)
         for i, a in enumerate(clique):
             for b in clique[i + 1:]:
                 assert conflicts[a] >> b & 1, (ctx, a, b)
-    assert len(cover_search(contra_nominal(6), 2).clique()) == 6
-    assert len(cover_search(seeded_context(20, 12, 0.4, 5), 2).clique()) == 5
+    assert len(cell_table(contra_nominal(6)).clique) == 6
+    assert len(cell_table(seeded_context(20, 12, 0.4, 5)).clique) == 5
 
 
 def test_seeded_search_refutes_exactly_when_no_cover_exists():
@@ -433,7 +438,7 @@ def test_seeded_search_refutes_exactly_when_no_cover_exists():
     # from empty parts does
     for ctx in _REFERENCE_CONTEXTS:
         d, _ = order_dimension(ctx)
-        assert len(cover_search(ctx, 2).clique()) <= d
+        assert len(cell_table(ctx).clique) <= d
         for k in range(2, d + 1):
             assert ((ferrers_cover(ctx, k) is None)
                     == (cover_search(ctx, k).run() is None)), (ctx, k)
@@ -471,7 +476,7 @@ def test_order_dimension_pre_places_the_clique(monkeypatch):
 
     def recording(search):
         if search.n_used:
-            placed.append([[c for c, (g, m) in enumerate(search.cells)
+            placed.append([[c for c, (g, m) in enumerate(search.table.cells)
                             if search.part_rows[j][g] >> m & 1]
                            for j in range(search.n_used)])
         return run(search)
@@ -479,31 +484,32 @@ def test_order_dimension_pre_places_the_clique(monkeypatch):
     monkeypatch.setattr(_CoverSearch, "run", recording)
     ctx = seeded_context(14, 14, 0.35, 2)
     assert order_dimension(ctx)[0] == 5
-    clique = cover_search(ctx, 2).clique()
+    clique = cell_table(ctx).clique
     assert len(clique) == 4
     assert placed == [[[c] for c in clique]] * 2
 
 
-def _counting_cliques(monkeypatch) -> list:
-    """Count ``_CoverSearch.clique`` calls from an empty clique memo, so a
-    clique kept by an earlier test hides none."""
-    calls = []
-    clique = _CoverSearch.clique
+def _counting_tables(monkeypatch) -> list:
+    """Count ``_Cells`` constructions from an empty ``_cells`` memo, so a
+    table kept by an earlier test hides none."""
+    built = []
+    init = _Cells.__init__
 
-    def counting(search):
-        calls.append(search.n_cells)
-        return clique(search)
+    def counting(table, non_rows, inc_rows):
+        built.append(len(non_rows))
+        init(table, non_rows, inc_rows)
 
-    _conflict_clique.cache_clear()
-    monkeypatch.setattr(_CoverSearch, "clique", counting)
-    return calls
+    _cells.cache_clear()
+    monkeypatch.setattr(_Cells, "__init__", counting)
+    return built
 
 
 def test_conflict_clique_is_computed_once_per_context(monkeypatch):
-    # k = 3 is refuted by the 4-cell clique, k = 4 and k = 5 start from it
-    calls = _counting_cliques(monkeypatch)
+    # k = 2 and k = 4 search one cell table, k = 3 is refuted by its
+    # 4-cell clique, and k = 4 and k = 5 start from that clique
+    built = _counting_tables(monkeypatch)
     d, cover = order_dimension(seeded_context(14, 14, 0.35, 2))
-    assert len(calls) == 1
+    assert built == [14]
     parts = [sorted(part) for part in cover.parts]
     assert d == 5 and [len(part) for part in parts] == [51, 30, 47, 57, 47]
     # the witness of the search that built the clique once per k
@@ -514,15 +520,23 @@ def test_conflict_clique_is_computed_once_per_context(monkeypatch):
 def test_max_k_bound_reads_the_same_clique(monkeypatch):
     # contranominal 6: k = 3 and k = 4 refuted by the clique, and the
     # exhausted max-k reports the bound from that clique
-    calls = _counting_cliques(monkeypatch)
+    built = _counting_tables(monkeypatch)
     with pytest.raises(DimensionUndecided) as err:
         order_dimension(contra_nominal(6), max_k=4)
     assert err.value.known_lower_bound == 6
-    assert len(calls) == 1
-    _conflict_clique.cache_clear()
+    assert len(built) == 1
+    _cells.cache_clear()
     with pytest.raises(DimensionUndecided):
         order_dimension(contra_nominal(6), max_k=2)
-    assert len(calls) == 2
+    assert len(built) == 2
+
+
+def test_one_part_cover_builds_no_cell_table(monkeypatch):
+    # k = 1 reads only the rows
+    built = _counting_tables(monkeypatch)
+    for n in (1, 4, 12):
+        assert order_dimension(chain_context(n))[0] == 1
+    assert built == []
 
 
 def test_seeded_search_timeout_is_undecided_at_its_k(monkeypatch):
@@ -554,6 +568,31 @@ def test_extension_from_empty_part_on_chain_is_the_chain():
     lat = concepts(ctx)
     ext = linear_extension_from_ferrers(ctx, frozenset(), lat)
     assert ext.order == tuple(range(lat.n))
+
+
+def test_extension_ranks_match_chain_closures():
+    # ranking by the most part cells held by an object of the extent
+    # gives the order of ranking the closures under the part's
+    # complement along their chain: on every witness part, and on the
+    # sub-parts of the empty part, each single cell and the Ferrers parts
+    # of the unseeded search before maximalize
+    unfinished = 0
+    for ctx in _REFERENCE_CONTEXTS:
+        lat = concepts(ctx)
+        d, cover = order_dimension(ctx)
+        search = cover_search(ctx, d)
+        assert search.run() is not None
+        cells = search.table.cells
+        found = [frozenset((g, m) for g, m in cells if rows[g] >> m & 1)
+                 for rows in search.part_rows]
+        found = [part for part in found
+                 if is_ferrers(ctx.n_objects, ctx.n_attributes, part)]
+        unfinished += len(found)
+        singles = [frozenset([cell]) for cell in cells]
+        for part in (*cover.parts, frozenset(), *singles, *found):
+            ext = linear_extension_from_ferrers(ctx, part, lat)
+            assert ext.order == chain_extent_order(ctx, part, lat), (ctx, part)
+    assert unfinished >= 100
 
 
 def test_extensions_from_known_parts_are_linear_extensions():
