@@ -6,10 +6,11 @@ direction has a strictly positive y component and all coordinates
 strictly increase along comparable pairs, so any axis assignment yields
 an upward drawing for free.  The assignment (which realizer axis goes to
 which fan direction) is chosen by exhaustive search to minimize edge
-crossings.  Each sweep over the edges by low y counts a permutation and
-its mirror complement together and tests only pairs with overlapping
-bounding boxes.  A final repair pass nudges nodes horizontally off any
-non-incident edge they touch.
+crossings.  The fan is mirror symmetric to the bit, so a permutation and
+its complement draw exact x-mirrors with equal counts, and one sweep
+over the edges by low y, testing only pairs with overlapping bounding
+boxes, counts each complement pair.  A final repair pass nudges nodes
+horizontally off any non-incident edge they touch.
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ class BestAssignment:
 
 def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
     """Equally spaced directions with angles in [90-spread, 90+spread],
-    descending; a single vertical axis for d = 1."""
+    descending; a single vertical axis for d = 1.  Direction d-1-j is
+    built as exactly (-x, y) of direction j, so the fan is mirror
+    symmetric to the bit and ``best_assignment`` sweeps one member of
+    each complement pair."""
     if d < 1:
         raise ValueError("need at least one direction")
     if not 0.0 < spread_deg < 90.0:
@@ -81,62 +85,25 @@ def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
         # cos(pi/2) is ~6e-17 in doubles; snap so vertical means vertical
         return 0.0 if abs(value) < 1e-15 else value
 
-    dirs = tuple((component(math.cos(math.radians(t))),
-                  component(math.sin(math.radians(t))))
-                 for t in thetas)
+    # the left half and, for odd d, the vertical middle; the right half
+    # mirrors the left, since cos(180-t) and -cos(t) differ in doubles
+    dirs = [(component(math.cos(math.radians(t))),
+             component(math.sin(math.radians(t))))
+            for t in thetas[:d - d // 2]]
+    dirs += [(-x, y) for x, y in reversed(dirs[:d // 2])]
     if len(set(dirs)) < d:
         raise ValueError(f"spread {spread_deg:g} gives two equal directions")
-    return AxisFrame(directions=dirs)
+    return AxisFrame(directions=tuple(dirs))
 
 
-def _crosses(points, a: int, b: int, c: int, d: int) -> bool:
-    """Whether edges (a, b) and (c, d) cross in ``points``: their closed
-    bounding boxes overlap and each segment strictly separates the
-    other's endpoints.  Swapping the two edges swaps the two sign tests,
-    which are joined by ``and``, so the answer does not depend on which
-    edge comes first."""
-    (p1x, p1y), (p2x, p2y) = points[a], points[b]
-    (q1x, q1y), (q2x, q2y) = points[c], points[d]
-    if (max(q1x, q2x) < min(p1x, p2x) or min(q1x, q2x) > max(p1x, p2x)
-            or max(q1y, q2y) < min(p1y, p2y) or min(q1y, q2y) > max(p1y, p2y)):
-        return False
-    ux, uy, vx, vy = q2x - q1x, q2y - q1y, p2x - p1x, p2y - p1y
-    # The operand order of each orientation product is fixed: on
-    # near-collinear pairs the rounding decides the sign, and with it the
-    # count and the chosen assignment.
-    return ((ux * (p1y - q1y) - uy * (p1x - q1x))
-            * (ux * (p2y - q1y) - uy * (p2x - q1x)) < 0
-            and (vx * (q1y - p1y) - vy * (q1x - p1x))
-            * (vx * (q2y - p1y) - vy * (q2x - p1x)) < 0)
-
-
-def _count_pair(points, mirror, edges, limit: float,
-                mirror_limit: float) -> tuple[int, int]:
-    """Crossings of the layout ``points`` and of ``mirror``, its x-mirror
-    to within rounding, from one sweep by low y; each count stops at its
-    limit.  ``mirror=None`` counts ``points`` alone.
-
-    With M the largest |coordinate| of ``points``, the sweep tests the
-    pairs that share no endpoint and whose boxes, widened by eps =
-    1e-9*M, overlap.  A pair whose four orientation values all exceed
-    tau = 1e-9*M**2 in size is decided once for both layouts: mirroring
-    negates each value, and a point drift of at most eps/1000 moves it by
-    under 2e-11*M**2.  Every other pair, and every pair when some point
-    drifts further, is decided in each layout by ``_crosses``.  Without a
-    mirror eps and tau are 0, and the sweep decides each pair whose closed
-    boxes overlap by the same test as ``_crosses``.
-    """
-    eps = tau = 0.0
-    if mirror is not None:
-        scale = max(max(abs(x), abs(y)) for x, y in points)
-        eps = 1e-9 * scale
-        if max(max(abs(x + mx), abs(y - my))
-               for (x, y), (mx, my) in zip(points, mirror)) <= eps / 1000:
-            tau = eps * scale
-        else:
-            eps = tau = math.inf
-    if limit <= 0 and mirror_limit <= 0:
-        return 0, 0
+def _count_crossings(points, edges, limit: float = math.inf) -> int:
+    """Edge pairs whose segments cross in one interior point: strict
+    orientation flips on both segments.  Counting stops once ``limit`` is
+    reached.  A sweep by low y tests only the pairs whose closed bounding
+    boxes overlap and that share no endpoint; which edge plays p does not
+    matter, since the two sign tests are joined by ``and``."""
+    if limit <= 0:
+        return 0
     segments = []
     for a, b in edges:
         (p1x, p1y), (p2x, p2y) = points[a], points[b]
@@ -144,39 +111,24 @@ def _count_pair(points, mirror, edges, limit: float,
                          a, b, p1x, p1y, p2x, p2y, p2x - p1x, p2y - p1y))
     segments.sort(key=itemgetter(0))
     lows = [s[0] for s in segments]
-    total = mirror_total = 0
+    total = 0
     for i, (_, top, left, right, a, b, p1x, p1y, p2x, p2y, vx, vy) in enumerate(segments):
-        left, right = left - eps, right + eps
         for _, _, q_left, q_right, c, d, q1x, q1y, q2x, q2y, ux, uy in segments[
-                i + 1:bisect_right(lows, top + eps, i + 1)]:
+                i + 1:bisect_right(lows, top, i + 1)]:
             if (q_left > right or q_right < left
                     or c == a or c == b or d == a or d == b):
                 continue
-            o1 = ux * (p1y - q1y) - uy * (p1x - q1x)
-            o2 = ux * (p2y - q1y) - uy * (p2x - q1x)
-            if not (o1 * o2 < 0 or -tau < o1 < tau or -tau < o2 < tau):
-                continue
-            o3 = vx * (q1y - p1y) - vy * (q1x - p1x)
-            o4 = vx * (q2y - p1y) - vy * (q2x - p1x)
-            if -tau < o1 < tau or -tau < o2 < tau or -tau < o3 < tau or -tau < o4 < tau:
-                # an orientation value near zero: decide in each layout
-                total += _crosses(points, a, b, c, d)
-                mirror_total += _crosses(mirror, a, b, c, d)
-            elif o3 * o4 < 0:
+            # The operand order of each orientation product is fixed: on
+            # near-collinear pairs the rounding decides the sign, and with
+            # it the count and the chosen assignment.
+            if ((ux * (p1y - q1y) - uy * (p1x - q1x))
+                    * (ux * (p2y - q1y) - uy * (p2x - q1x)) < 0
+                    and (vx * (q1y - p1y) - vy * (q1x - p1x))
+                    * (vx * (q2y - p1y) - vy * (q2x - p1x)) < 0):
                 total += 1
-                mirror_total += 1
-            else:
-                continue
-            if total >= limit and mirror_total >= mirror_limit:
-                return limit, mirror_limit
-    return min(total, limit), min(mirror_total, mirror_limit)
-
-
-def _count_crossings(points, edges, limit: float = math.inf) -> int:
-    """Edge pairs whose segments cross in one interior point (see
-    ``_crosses``), counted by the one-layout sweep; counting stops once
-    ``limit`` is reached."""
-    return _count_pair(points, None, edges, limit, 0)[0]
+                if total >= limit:
+                    return total
+    return total
 
 
 def _columns(e: DimEmbedding, frame: AxisFrame):
@@ -223,15 +175,17 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     """Exhaust axis permutations, minimizing crossings.
 
     Ties break to the lexicographically smallest permutation.  The
-    complement p' of a permutation p (p'[i] = d-1-p[i]) draws p's
-    x-mirror to within rounding, since direction d-1-j mirrors direction
-    j, so one sweep counts both (``_count_pair``) and only the lex-smaller
-    member of each pair is visited.  A candidate replaces the best only
-    when (count, permutation) is smaller, so its count stops at the best
-    count, plus one when it precedes the best: past that it cannot win.
-    Both layouts of a pair are still checked for upward covers.  A
-    permutation that puts two concepts on one point is skipped, and the
-    other member of its pair is then counted alone; ValueError only when
+    complement p' of a permutation p (p'[i] = d-1-p[i]) draws exactly
+    p's x-mirror on a mirror-symmetric frame such as ``default_frame``'s:
+    direction d-1-j is (-x, y) of direction j, round-to-nearest is
+    symmetric under negation and the points are summed column by column
+    from 0.  Every orientation value is then exactly negated, so p' has
+    p's crossings, collisions and upward covers, and only the lex-smaller
+    member of each pair is visited, in lex order.  On a frame that is
+    not mirror symmetric every permutation is visited.  A candidate
+    replaces the best only with a strictly lower count, so its count
+    stops at the best count: past that it cannot win.  A permutation
+    that puts two concepts on one point is skipped; ValueError only when
     every permutation merges points.
     Above ASSIGNMENT_CAP (d! search space) the identity assignment is
     returned with ``exhaustive=False``.
@@ -241,27 +195,22 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     if d == 1 or d > ASSIGNMENT_CAP:
         return BestAssignment(identity, project(e, frame, identity), d == 1)
     columns = _columns(e, frame)
-    # (d,) sorts after every permutation, so the first count always wins
-    best, best_count = (d,), math.inf
+    symmetric = frame.directions == tuple((-x, y) for x, y in reversed(frame.directions))
+    best, best_points, best_count = None, None, math.inf
     for perm in permutations(range(d)):
-        mirror = tuple(d - 1 - j for j in perm)
-        if mirror < perm:
+        if symmetric and tuple(d - 1 - j for j in perm) < perm:
             continue
-        layouts = [(candidate, points) for candidate in (perm, mirror)
-                   if (points := _points(e, columns, candidate)) is not None]
-        limits = [best_count + (candidate < best) for candidate, _ in layouts]
-        if len(layouts) == 2:
-            counts = _count_pair(layouts[0][1], layouts[1][1], e.covers, *limits)
-        else:
-            counts = [_count_crossings(points, e.covers, limit)
-                      for (_, points), limit in zip(layouts, limits)]
-        for count, (candidate, _) in zip(counts, layouts):
-            if (count, candidate) < (best_count, best):
-                best, best_count = candidate, count
-    if best_count == math.inf:
+        points = _points(e, columns, perm)
+        if points is None:
+            continue
+        count = _count_crossings(points, e.covers, best_count)
+        if count < best_count:
+            best, best_points, best_count = perm, points, count
+    if best is None:
         raise ValueError("the spread puts two concepts on one point under "
                          "every axis assignment")
-    return BestAssignment(best, project(e, frame, best), True)
+    return BestAssignment(best, Layout(points=best_points, edges=e.covers,
+                                       frame=frame, assignment=best), True)
 
 
 def normalize(layout: Layout) -> Layout:

@@ -516,23 +516,6 @@ def generator_points(e, frame, assignment):
                  for c in e.coords)
 
 
-def mirror_drift(points, mirror, edges) -> float:
-    """max |O(p) + O(p')| / M**2 over every orientation value O of an edge
-    against a point, computed as the crossing count computes it, where p'
-    is the x-mirror of the layout p to within rounding and M the largest
-    |coordinate| of p.  Mirroring exactly would negate every value."""
-    def orientations(pts):
-        for a, b in edges:
-            (q1x, q1y), (q2x, q2y) = pts[a], pts[b]
-            ux, uy = q2x - q1x, q2y - q1y
-            for px, py in pts:
-                yield ux * (py - q1y) - uy * (px - q1x)
-
-    scale = max(max(abs(x), abs(y)) for x, y in points)
-    return max(abs(o + m) for o, m in zip(orientations(points),
-                                          orientations(mirror))) / scale ** 2
-
-
 def oracle_point_segment_distance(p, a, b, samples: int = 4096) -> float:
     """Distance to a segment by dense sampling of the parameter."""
     best = float("inf")

@@ -159,14 +159,14 @@ def test_spread_that_merges_points_is_an_input_error(tmp_path, capsys):
 
 
 def test_spread_that_merges_points_in_some_assignments_draws(tmp_path, capsys):
-    # at 1e-6 degrees two of the 24 permutations of this fan put two
+    # at 60 degrees two of the 6 permutations of this fan put two
     # concepts on one point; the search skips them and draws
-    path = tmp_path / "s1.cxt"
-    path.write_text(write_cxt(seeded_context(10, 10, 0.5, 1)), encoding="utf-8")
-    assert main(["draw", str(path), "--spread", "1e-6", "--format", "json"]) == 0
+    path = tmp_path / "s4.cxt"
+    path.write_text(write_cxt(seeded_context(7, 7, 0.5, 4)), encoding="utf-8")
+    assert main(["draw", str(path), "--spread", "60", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     points = {(c["x"], c["y"]) for c in doc["concepts"]}
-    assert len(points) == len(doc["concepts"]) == 33
+    assert len(points) == len(doc["concepts"]) == 19
 
 
 def test_csv_input(tmp_path, capsys):

@@ -5,13 +5,14 @@ from itertools import permutations
 import pytest
 
 import dimdraw.projection as projection
-from dimdraw import (DimEmbedding, FormalContext, Layout, LinearExtension,
-                     Realizer, RepairFailed, best_assignment, concepts,
+from dimdraw import (AxisFrame, DimEmbedding, FormalContext, Layout,
+                     LinearExtension, Realizer, RepairFailed,
+                     best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
                      project, realizer_from_cover, repair_incidences)
 from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
                      contra_nominal, generator_points, grid_context, life_context,
-                     mirror_drift, oracle_crossings, oracle_point_segment_distance,
+                     oracle_crossings, oracle_point_segment_distance,
                      random_context, random_order_context, seeded_context)
 
 SQ2 = math.sqrt(2.0) / 2.0
@@ -44,6 +45,21 @@ def test_default_frame_three_axes_descending():
     frame = default_frame(3, 45.0)
     angles = [math.degrees(math.atan2(y, x)) for x, y in frame.directions]
     assert angles == pytest.approx([135.0, 90.0, 45.0])
+
+
+def test_default_frame_is_exactly_mirror_symmetric():
+    # direction d-1-j is built as (-x, y) of direction j, bit for bit,
+    # and the middle direction of an odd fan is exactly vertical
+    for spread in (1e-6, 10.0, 45.0, 59.0, 60.0, 80.0, 89.9):
+        for d in range(1, 10):
+            dirs = default_frame(d, spread).directions
+            for j in range(d // 2):
+                x, y = dirs[j]
+                assert x < 0.0
+                assert ([v.hex() for v in dirs[d - 1 - j]]
+                        == [(-x).hex(), y.hex()])
+            if d % 2:
+                assert [v.hex() for v in dirs[d // 2]] == [0.0.hex(), 1.0.hex()]
 
 
 def test_default_frame_validation():
@@ -158,7 +174,7 @@ def test_crossings_invariant_under_translation_and_scaling():
                    assignment=layout.assignment)
     assert moved.crossings == layout.crossings
     # negating x negates every orientation product exactly, which is why
-    # the assignment search never tries the mirror image
+    # the assignment search sweeps one member of each complement pair
     for ctx in (life_context(), contra_nominal(4)):
         _, emb = _embedding(ctx)
         frame = default_frame(emb.dim)
@@ -221,14 +237,12 @@ def _corpus_embeddings():
         yield _embedding(ctx)[1]
 
 
-def _complement_layouts(emb):
-    """(points of perm, points of its complement) for every permutation;
-    the complement p'[i] = d-1-p[i] draws p's x-mirror to within
-    rounding."""
-    frame = default_frame(emb.dim)
-    for perm in permutations(range(emb.dim)):
-        mirror = tuple(emb.dim - 1 - j for j in perm)
-        yield project(emb, frame, perm).points, project(emb, frame, mirror).points
+def _points_or_none(emb, frame, perm):
+    """The projected points of ``perm``, or None when two concepts merge."""
+    try:
+        return project(emb, frame, perm).points
+    except ValueError:
+        return None
 
 
 def test_points_match_the_generator_formula_bit_for_bit():
@@ -244,70 +258,25 @@ def test_points_match_the_generator_formula_bit_for_bit():
                     == [(x.hex(), y.hex()) for x, y in want])
 
 
-def test_pair_count_matches_all_pairs_count_for_each_layout():
-    # one sweep over a permutation's layout counts its complement too;
-    # each count must be the all-pairs count of its own layout, with
-    # either layout swept, and min(count, limit) under limits
-    embeddings = list(_corpus_embeddings()) + [
-        _embedding(seeded_context(7, 7, 0.5, seed))[1] for seed in range(1, 10)]
-    for emb in embeddings:
-        for points, mirror in _complement_layouts(emb):
-            full = (all_pairs_crossings(points, emb.covers),
-                    all_pairs_crossings(mirror, emb.covers))
-            assert projection._count_pair(points, mirror, emb.covers,
-                                          math.inf, math.inf) == full
-            if len(emb.coords) <= 32:  # limits on the smaller inputs only, for time
-                limits = [(0, 0), (0, full[1]), (full[0] // 2, full[1] + 1),
-                          (full[0] + 1, full[1] // 2), (full[0], 1)]
-                for limit, mirror_limit in limits:
-                    assert projection._count_pair(
-                        points, mirror, emb.covers, limit, mirror_limit) == (
-                            min(full[0], limit), min(full[1], mirror_limit))
-
-
-def test_near_collinear_pairs_are_decided_in_each_layout(monkeypatch):
-    # contranominal 5 has edge pairs with an orientation value within
-    # 1e-9*M**2 of zero, which the pair count decides in each layout on
-    # its own; random 12x12 s0 has none
-    decided = []
-    crosses = projection._crosses
-
-    def recording(points, *edge_pair):
-        decided.append(points)
-        return crosses(points, *edge_pair)
-
-    monkeypatch.setattr(projection, "_crosses", recording)
-    for ctx, fragile in ((contra_nominal(5), True), (seeded_context(12, 12, 0.5, 0), False)):
-        _, emb = _embedding(ctx)
-        found = False
-        for points, mirror in _complement_layouts(emb):
-            decided.clear()
-            projection._count_pair(points, mirror, emb.covers, math.inf, math.inf)
-            # each such pair is decided once in each layout
-            assert decided == [points, mirror] * (len(decided) // 2)
-            found = found or bool(decided)
-        assert found == fragile
-
-
-def test_complement_drift_is_far_below_the_robust_margin():
-    # the pair count treats an orientation value beyond 1e-9*M**2 as
-    # decided in both layouts; the complement drifts from the exact mirror
-    # by rounding only, yet the fan is not exactly symmetric
-    drifts = [mirror_drift(points, mirror, emb.covers)
-              for emb in _corpus_embeddings()
-              for points, mirror in _complement_layouts(emb)]
-    assert 0.0 < max(drifts) < 1e-12
-
-
-def test_pair_count_of_two_unrelated_layouts_is_exact():
-    # when the second layout is no mirror of the first, every pair is
-    # decided in each layout, so both counts stay exact
-    _, emb = _embedding(contra_nominal(4))
-    frame = default_frame(4)
-    layouts = [project(emb, frame, perm).points for perm in permutations(range(4))]
-    for points, other in zip(layouts, layouts[1:]):
-        assert projection._count_pair(points, other, emb.covers, math.inf, math.inf) == (
-            all_pairs_crossings(points, emb.covers), all_pairs_crossings(other, emb.covers))
+def test_complement_layout_is_the_exact_mirror():
+    # on the symmetric fan the complement p'[i] = d-1-p[i] of every
+    # permutation draws exactly (-x, y) of p's points, so both merge
+    # points or neither does, and both have the same crossings
+    for emb in _corpus_embeddings():
+        for spread in (45.0, 10.0, 80.0, 60.0, 1e-6):
+            frame = default_frame(emb.dim, spread)
+            for perm in permutations(range(emb.dim)):
+                mirror = tuple(emb.dim - 1 - j for j in perm)
+                if mirror < perm:
+                    continue
+                points = _points_or_none(emb, frame, perm)
+                mirrored = _points_or_none(emb, frame, mirror)
+                if points is None:
+                    assert mirrored is None
+                    continue
+                assert mirrored == tuple((-x, y) for x, y in points)
+                assert (all_pairs_crossings(points, emb.covers)
+                        == all_pairs_crossings(mirrored, emb.covers))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +310,9 @@ def test_best_assignment_matches_exhaustive_reevaluation():
     # the search visits one permutation of each complement pair and stops
     # counting a candidate once it cannot win; the answer must still be
     # the lex-first permutation of minimum count, recounted here by the
-    # independent oracle
-    pinned = {"contra4": ((1, 2, 0, 3), 20), "contra5": ((2, 1, 4, 3, 0), 140)}
+    # independent oracle.  Contranominal 5 has near-collinear edge pairs,
+    # which the last bits of the fan's directions decide
+    pinned = {"contra4": ((1, 2, 0, 3), 20), "contra5": ((1, 3, 0, 4, 2), 132)}
     for name, ctx in (("contra3", contra_nominal(3)), ("contra4", contra_nominal(4)),
                       ("contra5", contra_nominal(5)), ("life", life_context()),
                       ("grid3", grid_context(3))):
@@ -362,9 +332,8 @@ def test_best_assignment_matches_exhaustive_reevaluation():
 
 
 def test_best_assignment_is_the_lex_first_minimum_on_random_contexts():
-    # a permutation visited after a lex-larger best (a complement) must
-    # win ties, and a complement must lose them to a lex-smaller best;
-    # seeds 26 and 34 need each rule
+    # only the lex-smaller member of each complement pair is visited; the
+    # answer must be the lex-first minimum over all d! permutations
     for seed in range(40):
         _, emb = _embedding(seeded_context(7, 7, 0.5, seed))
         frame = default_frame(emb.dim)
@@ -373,6 +342,40 @@ def test_best_assignment_is_the_lex_first_minimum_on_random_contexts():
         first = min(counts, key=counts.get)  # counts is in lex order
         result = best_assignment(emb, frame)
         assert (result.assignment, result.layout.crossings) == (first, counts[first])
+
+
+def test_best_assignment_sweeps_one_member_of_each_complement_pair(monkeypatch):
+    # on the symmetric fan the search projects the lex-smaller member of
+    # each complement pair once, in lex order: d!/2 layouts; on a frame
+    # that is not mirror symmetric, every permutation
+    visited = []
+    points = projection._points
+
+    def recording(e, columns, assignment):
+        visited.append(assignment)
+        return points(e, columns, assignment)
+
+    monkeypatch.setattr(projection, "_points", recording)
+    _, emb = _embedding(contra_nominal(4))
+    best_assignment(emb, default_frame(4))
+    assert visited == [perm for perm in permutations(range(4))
+                       if perm < tuple(3 - j for j in perm)]
+    assert len(visited) == 12
+    visited.clear()
+    best_assignment(emb, AxisFrame(((-0.8, 0.6), (-0.3, 0.95), (0.2, 0.98),
+                                    (0.8, 0.6))))
+    assert visited == list(permutations(range(4)))
+
+
+def test_best_assignment_layout_is_the_projection_of_its_assignment():
+    # the winner's layout is built from the points the search counted;
+    # it must be what project draws for the winning assignment
+    for emb in _corpus_embeddings():
+        for spread in (45.0, 10.0, 80.0):
+            frame = default_frame(emb.dim, spread)
+            result = best_assignment(emb, frame)
+            assert result.layout == project(emb, frame, result.assignment)
+            assert result.layout.assignment == result.assignment
 
 
 def test_best_assignment_is_pinned_at_dimension_four_and_five():
@@ -387,44 +390,34 @@ def test_best_assignment_is_pinned_at_dimension_four_and_five():
 
 
 def test_best_assignment_skips_permutations_that_merge_points():
-    # at 1e-6 degrees the identity and its complement put two concepts of
-    # random 10x10 .5 s1 on one point; the search takes the minimum of
-    # the others, each counted alone or with its complement
-    _, emb = _embedding(seeded_context(10, 10, 0.5, 1))
-    frame = default_frame(emb.dim, 1e-6)
+    # at 60 degrees the identity and its complement put two concepts of
+    # random 7x7 .5 s4 on one point; the search takes the minimum of the
+    # others
+    _, emb = _embedding(seeded_context(7, 7, 0.5, 4))
+    frame = default_frame(emb.dim, 60.0)
     counts = {}
     for perm in permutations(range(emb.dim)):
-        try:
-            counts[perm] = all_pairs_crossings(project(emb, frame, perm).points,
-                                               emb.covers)
-        except ValueError:
-            pass
+        if (points := _points_or_none(emb, frame, perm)) is not None:
+            counts[perm] = all_pairs_crossings(points, emb.covers)
     assert sorted(set(permutations(range(emb.dim))) - set(counts)) == [
-        (0, 1, 2, 3), (3, 2, 1, 0)]
+        (0, 1, 2), (2, 1, 0)]
     result = best_assignment(emb, frame)
     assert (result.layout.crossings, result.assignment) == min(
         (count, perm) for perm, count in counts.items())
 
 
-def test_best_assignment_counts_the_survivor_of_a_pair_alone(monkeypatch):
-    # rounding may merge two points in one layout of a complement pair and
-    # not in its mirror; here the best layout of life is made to merge,
-    # and its complement, counted alone, must win with the same count
-    _, emb = _embedding(life_context())
-    frame = default_frame(emb.dim)
-    counts = {perm: all_pairs_crossings(project(emb, frame, perm).points, emb.covers)
-              for perm in permutations(range(emb.dim))}
-    count, best = min((count, perm) for perm, count in counts.items())
-    mirror = tuple(emb.dim - 1 - j for j in best)
-    assert counts[mirror] == count
-    points = projection._points
-
-    def merging(e, columns, assignment):
-        return None if assignment == best else points(e, columns, assignment)
-
-    monkeypatch.setattr(projection, "_points", merging)
-    result = best_assignment(emb, frame)
-    assert (result.layout.crossings, result.assignment) == (count, mirror)
+def test_best_assignment_counts_every_permutation_of_an_asymmetric_frame():
+    # a frame that is not mirror symmetric gives a complement its own
+    # count, so no permutation is skipped
+    frame = AxisFrame(((-0.8, 0.6), (-0.1, 0.995), (0.5, 0.866)))
+    for ctx in (life_context(), seeded_context(7, 7, 0.5, 1)):
+        _, emb = _embedding(ctx)
+        counts = {perm: all_pairs_crossings(project(emb, frame, perm).points,
+                                            emb.covers)
+                  for perm in permutations(range(emb.dim))}
+        first = min(counts, key=counts.get)  # counts is in lex order
+        result = best_assignment(emb, frame)
+        assert (result.assignment, result.layout.crossings) == (first, counts[first])
 
 
 def test_best_assignment_rejects_a_spread_that_merges_points_everywhere():
