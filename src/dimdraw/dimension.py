@@ -28,10 +28,10 @@ in row-major order, so returned parts may overlap.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence, Union
 
 from .context import FormalContext, _json_text
 from .errors import (ContractViolation, DimensionUndecided, OracleCapExceeded,
@@ -415,19 +415,17 @@ def order_dimension(ctx: FormalContext, *,
                     max_k: int | None = None) -> tuple[int, FerrersCover]:
     """Smallest k admitting a Ferrers cover, with the witness cover.
 
-    k starts at 1 when the incidence relation is itself Ferrers (the
-    lattice is a chain) and at 2 otherwise, and each k up to ``max_k``
-    goes to ``ferrers_cover`` with its own budget.  The witness is that
-    function's first cover.  An exhausted budget raises
-    DimensionUndecided carrying the proven lower bound, which a conflict
-    clique can raise past ``max_k``; it is never misreported as an
-    answer.
+    Each k from 1 up to ``max_k`` goes to ``ferrers_cover`` with its own
+    budget; k = 1 succeeds exactly when the incidence relation is itself
+    Ferrers (the lattice is a chain).  The witness is that function's
+    first cover.  An exhausted budget raises DimensionUndecided carrying
+    the proven lower bound, which a conflict clique can raise past
+    ``max_k``; it is never misreported as an answer.
     """
     n_non = ctx.n_objects * ctx.n_attributes - len(ctx.incidence)
-    lower = 1 if is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence) else 2
     hard_cap = max(1, n_non)
     limit = hard_cap if max_k is None else min(max_k, hard_cap)
-    for k in range(lower, limit + 1):
+    for k in range(1, limit + 1):
         try:
             cover = ferrers_cover(ctx, k, timeout=timeout_per_k)
         except SearchTimeout:
@@ -435,7 +433,7 @@ def order_dimension(ctx: FormalContext, *,
                 from None
         if cover is not None:
             return k, cover
-    raise DimensionUndecided(max(lower, limit + 1, len(_cells(ctx).clique)),
+    raise DimensionUndecided(max(1, limit + 1, len(_cells(ctx).clique)),
                              f"max-k {limit} exhausted")
 
 
@@ -526,7 +524,7 @@ def _all_linear_extensions(up_masks: Sequence[int], cap: int) -> list[tuple[int,
     return out
 
 
-def brute_force_dimension(order: Union[ConceptLattice, Sequence[int]]) -> int:
+def brute_force_dimension(order: ConceptLattice | Sequence[int]) -> int:
     """Exact dimension by exhausting linear-extension subsets.
 
     Independent of the Ferrers machinery by construction: enumerates all

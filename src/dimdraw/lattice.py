@@ -9,8 +9,8 @@ n-1 and makes every downstream artifact reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .context import FormalContext
 from .errors import ContractViolation, LatticeTooLargeError

@@ -187,13 +187,13 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     stops at the best count: past that it cannot win.  A permutation
     that puts two concepts on one point is skipped; ValueError only when
     every permutation merges points.
-    Above ASSIGNMENT_CAP (d! search space) the identity assignment is
-    returned with ``exhaustive=False``.
+    Up to ASSIGNMENT_CAP (d! search space) every d, 1 included, is searched;
+    above it the identity assignment is returned with ``exhaustive=False``.
     """
     d = e.dim
-    identity = tuple(range(d))
-    if d == 1 or d > ASSIGNMENT_CAP:
-        return BestAssignment(identity, project(e, frame, identity), d == 1)
+    if d > ASSIGNMENT_CAP:
+        identity = tuple(range(d))
+        return BestAssignment(identity, project(e, frame, identity), False)
     columns = _columns(e, frame)
     symmetric = frame.directions == tuple((-x, y) for x, y in reversed(frame.directions))
     best, best_points, best_count = None, None, math.inf

@@ -12,7 +12,6 @@ downward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .context import FormalContext, _json_text
 from .dimension import Realizer
@@ -127,10 +126,10 @@ def to_svg(diagram: LabeledDiagram) -> str:
         objs = diagram.object_labels[i]
         if attrs:
             out.append(f'<text x="{x - r - 2:.2f}" y="{y - r - 2:.2f}" '
-                       f'text-anchor="end">{escape(_join(attrs))}</text>')
+                       f'text-anchor="end">{_xml_escape(_join(attrs))}</text>')
         if objs:
             out.append(f'<text x="{x + r + 2:.2f}" y="{y + r + 2 + 0.8 * fs:.2f}" '
-                       f'text-anchor="start">{escape(_join(objs))}</text>')
+                       f'text-anchor="start">{_xml_escape(_join(objs))}</text>')
     out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
@@ -145,6 +144,17 @@ _TEX_SPECIALS = {
 
 def _tex_escape(text: str) -> str:
     return "".join(_TEX_SPECIALS.get(ch, ch) for ch in text)
+
+
+# xml.sax.saxutils.escape's three entities, and U+FFFD for each character
+# that XML 1.0 excludes: C0 controls but tab, LF and CR; U+FFFE, U+FFFF
+_XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;",
+             **dict.fromkeys((*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF),
+                             "\ufffd")}
+
+
+def _xml_escape(text: str) -> str:
+    return text.translate(_XML_TEXT)
 
 
 def to_tikz(diagram: LabeledDiagram) -> str:

@@ -2,6 +2,8 @@ import codecs
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -293,6 +295,20 @@ def test_help_exits_zero(capsys):
 
 def test_one_parser_per_process():
     assert _build_parser() is _build_parser()
+
+
+def test_importing_the_cli_loads_no_xml_network_email_or_typing_module():
+    # -S: a site .pth hook would preload modules and hide their import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    code = ("import sys; before = set(sys.modules); import dimdraw.cli; "
+            "print(*{name.partition('.')[0] for name in set(sys.modules) - before})")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True).stdout.split()
+    assert "dimdraw" in loaded
+    assert not {"xml", "urllib", "http", "email", "ssl", "socket",
+                "typing"}.intersection(loaded)
 
 
 def test_reused_parser_carries_no_option_to_the_next_call(life_file, tmp_path,

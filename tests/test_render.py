@@ -1,10 +1,14 @@
 import json
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
+
+from hypothesis import given, strategies as st
 
 from dimdraw import (FormalContext, best_assignment, concepts, default_frame,
                      embed, label, normalize, order_dimension,
                      realizer_from_cover, repair_incidences, to_json, to_svg,
                      to_tikz)
+from dimdraw.render import _xml_escape
 from helpers import contra_nominal, life_context
 
 
@@ -84,11 +88,31 @@ def test_svg_deterministic():
 
 
 def test_svg_escapes_labels():
-    ctx = FormalContext(("a<b",), ("m&n",), frozenset({(0, 0)}))
-    _, diagram = _diagram(ctx)
-    svg = to_svg(diagram)
-    assert "a&lt;b" in svg and "m&amp;n" in svg
-    ET.fromstring(svg)
+    # object and attribute names, and the label texts the SVG parses back
+    # to: the characters XML 1.0 excludes (C0 controls but tab, LF and CR;
+    # U+FFFE and U+FFFF) read as U+FFFD
+    cases = [
+        (("a<b", "m&n"), {"a<b", "m&n"}),
+        (("a\x0cb", "m\x0bn"), {"a\ufffdb", "m\ufffdn"}),
+        (("a\uffffb", "\x00m\x1f\ufffe"), {"a\ufffdb", "\ufffdm\ufffd\ufffd"}),
+        (("a\tb>", "\x7f\x85\ufffd"), {"a\tb>", "\x7f\x85\ufffd"}),
+    ]
+    svgs = []
+    for (obj, attr), texts in cases:
+        ctx = FormalContext((obj,), (attr,), frozenset({(0, 0)}))
+        _, diagram = _diagram(ctx)
+        svgs.append(to_svg(diagram))
+        root = ET.fromstring(svgs[-1])
+        assert {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")} == texts
+    assert "a&lt;b" in svgs[0] and "m&amp;n" in svgs[0]
+
+
+_XML_EXCLUDED = {*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF}
+
+
+@given(st.text(st.characters().filter(lambda ch: ord(ch) not in _XML_EXCLUDED)))
+def test_xml_escape_matches_saxutils_outside_the_excluded_characters(text):
+    assert _xml_escape(text) == saxutils.escape(text)
 
 
 def test_tikz_counts_and_determinism():
