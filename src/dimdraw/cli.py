@@ -227,7 +227,7 @@ def _build_parser() -> _Parser:
                        help="output file (default: stdout)")
         if search:
             p.add_argument("--timeout", type=float,
-                           help="search budget per k, in seconds "
+                           help="search budget per k >= 3, in seconds "
                                 f"(default {DEFAULT_TIMEOUT_S:g})")
             p.add_argument("--max-k", type=int,
                            help="largest cover size to try "

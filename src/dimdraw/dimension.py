@@ -8,21 +8,30 @@ complement of each part is a Ferrers superset of the incidence whose
 concept lattice is a chain; ranking concepts along those chains yields
 the linear extensions of a realizer.
 
-Deciding dimension >= 3 is NP-complete, so the cover search is exact
-branch-and-bound with an explicit time budget; running out of budget is
-an *undecided* outcome, never reported as a dimension.
+k = 1 and k = 2 need no search.  The only 1-part cover is the whole
+non-incidence, and a relation has Ferrers dimension at most 2 iff
+Cogis's conflict graph on its non-incident cells is bipartite (Cogis
+1982; Doignon, Ducamp and Falmagne 1984): two cells conflict when both
+opposite corners are incident, so no part holds both.  Both are decided
+in polynomial time, outside any budget.  Deciding dimension >= 3 is
+NP-complete, so for k >= 3 the cover search is exact branch-and-bound
+with an explicit time budget; running out of budget is an *undecided*
+outcome, never reported as a dimension.
 
-Search order (this fixes the deterministic "first witness" contract):
-non-incident cells are indexed row-major.  For k >= 3 the search starts
-from a greedy clique of Cogis's conflict graph (two cells conflict when
-both opposite corners are incident, so no part holds both), with clique
-cell i alone in part i; a clique of more than k cells refutes k with no
-search.  For k = 2 every part starts empty.  The branching variable is
-the uncovered cell with the fewest admissible parts, lowest index on
-ties; parts are tried in ascending index, and while several parts are
-still empty only the lowest-indexed empty one is branched on.  On
-success each part is grown into a maximal staircase by scanning cells
-in row-major order, so returned parts may overlap.
+Witness order (this fixes the deterministic "first witness" contract):
+non-incident cells are indexed row-major.  For k = 2 the conflict graph
+is coloured component by component in cell-index order, breadth first
+from the lowest cell of each, which takes colour 0; part j holds colour
+class j, its rows placed in a topological order, lowest ready row
+first, each part row the union of the class rows placed up to it.  For
+k >= 3 the search starts from a greedy clique of the conflict graph,
+with clique cell i alone in part i; a clique of more than k cells
+refutes k with no search.  The branching variable is the uncovered cell
+with the fewest admissible parts, lowest index on ties; parts are tried
+in ascending index, and while several parts are still empty only the
+lowest-indexed empty one is branched on.  On success each part is grown
+into a maximal staircase by scanning cells in row-major order.  Parts
+of either kind may overlap.
 """
 
 from __future__ import annotations
@@ -117,10 +126,10 @@ class Realizer:
 
 class _Cells:
     """The non-incident cells of one context, indexed row-major, and the
-    tables that every cover search of the context reads: ``col_inc[m]``
-    masks the rows incident to attribute m, ``row_cells[g]`` the cells of
-    row g, and ``cols_of_row[a]`` the cells whose attribute is incident
-    to row a.
+    tables that the colouring and every cover search of the context
+    read: ``col_inc[m]`` masks the rows incident to attribute m,
+    ``row_cells[g]`` the cells of row g, and ``cols_of_row[a]`` the cells
+    whose attribute is incident to row a.
     """
 
     def __init__(self, non_rows: Sequence[int], inc_rows: Sequence[int]):
@@ -143,22 +152,26 @@ class _Cells:
         self.cols_of_row = tuple(cols_of_row)
 
     @cached_property
-    def clique(self) -> tuple[int, ...]:
-        """A clique of Cogis's conflict graph on the cells: the largest of
-        the greedy cliques grown from each cell, in order of falling
-        degree, adding the candidate of highest degree (lowest index on
-        ties) until none is left.
-
-        Cells (g, m) and (h, n) conflict when (g, n) and (h, m) are both
-        incident, so no part holds two of them: the neighbours of (g, m)
-        are the cells of the rows incident to m that lie in
+    def adjacent(self) -> tuple[int, ...]:
+        """Cogis's conflict graph on the cells, as one neighbour mask per
+        cell.  Cells (g, m) and (h, n) conflict when (g, n) and (h, m) are
+        both incident, so no part holds two of them: the neighbours of
+        (g, m) are the cells of the rows incident to m that lie in
         ``cols_of_row[g]``.
         """
         rows_of_col = [0] * len(self.col_inc)
         for m, col in enumerate(self.col_inc):
             for h in _bits(col):
                 rows_of_col[m] |= self.row_cells[h]
-        adjacent = [rows_of_col[m] & self.cols_of_row[g] for g, m in self.cells]
+        return tuple(rows_of_col[m] & self.cols_of_row[g] for g, m in self.cells)
+
+    @cached_property
+    def clique(self) -> tuple[int, ...]:
+        """A clique of the conflict graph: the largest of the greedy
+        cliques grown from each cell, in order of falling degree, adding
+        the candidate of highest degree (lowest index on ties) until none
+        is left."""
+        adjacent = self.adjacent
         degree = [a.bit_count() for a in adjacent]
         order = sorted(range(len(self.cells)), key=lambda c: -degree[c])
         rank = {c: r for r, c in enumerate(order)}
@@ -174,6 +187,55 @@ class _Cells:
             if len(clique) > len(best):
                 best = clique
         return tuple(best)
+
+    def two_colouring(self) -> tuple[int, int] | None:
+        """The two colour classes of the conflict graph as cell masks, or
+        None when an odd cycle leaves it without one.
+
+        Components are coloured in cell-index order, breadth first from
+        their lowest cell, which takes colour 0; a frontier cell with a
+        neighbour of its own colour closes an odd cycle.
+        """
+        classes = [0, 0]
+        uncoloured = (1 << len(self.cells)) - 1
+        while uncoloured:
+            frontier, side = uncoloured & -uncoloured, 0
+            while frontier:
+                classes[side] |= frontier
+                uncoloured &= ~frontier
+                reached = 0
+                for c in _bits(frontier):
+                    reached |= self.adjacent[c]
+                if reached & classes[side]:
+                    return None
+                frontier, side = reached & uncoloured, side ^ 1
+        return classes[0], classes[1]
+
+    def staircase(self, cells: int) -> list[int]:
+        """The rows of a Ferrers part inside the non-incidence that holds
+        the given conflict-free cells.
+
+        Row b must sit above row a when the cells of b meet the incidence
+        of a, that is, when a is incident to one of their attributes.
+        The rows are placed in a topological order of that relation,
+        lowest ready row first, and each part row is the union of the
+        cells' rows placed so far.
+        """
+        n_g = len(self.row_cells)
+        rows, below = [0] * n_g, [0] * n_g
+        for c in _bits(cells):
+            g, m = self.cells[c]
+            rows[g] |= 1 << m
+            below[g] |= self.col_inc[m]
+        part, unplaced, union = [0] * n_g, (1 << n_g) - 1, 0
+        while unplaced:
+            g = next((g for g in _bits(unplaced) if not below[g] & unplaced), None)
+            if g is None:
+                raise ContractViolation("colour class rows form a cycle")
+            union |= rows[g]
+            part[g] = union
+            unplaced ^= 1 << g
+        return part
 
 
 class _CoverSearch:
@@ -367,9 +429,9 @@ def _rows(ctx: FormalContext) -> tuple[list[int], list[int]]:
 
 @lru_cache(maxsize=1)
 def _cells(ctx: FormalContext) -> _Cells:
-    """The cell table of the last context: every k >= 2 of one
-    ``order_dimension`` searches it, and every k >= 3 starts from its
-    clique."""
+    """The cell table of the last context: k = 2 of one
+    ``order_dimension`` colours its conflict graph, and every k >= 3
+    searches it from its clique."""
     return _Cells(*_rows(ctx))
 
 
@@ -377,12 +439,14 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
                   timeout: float | None = DEFAULT_TIMEOUT_S) -> FerrersCover | None:
     """Exact search for k Ferrers relations covering all non-incident cells.
 
-    Returns the first witness under the documented search order, or None
-    when no k-part cover exists (a completed search, not a heuristic).
-    Raises SearchTimeout when the budget runs out before either outcome.
-    k = 1 needs no search: the answer is decided by whether the incidence
-    is Ferrers.  For k >= 3 the search starts from a conflict clique, one
-    cell per part, and a clique of more than k cells refutes k unsearched.
+    Returns the first witness under the documented witness order, or None
+    when no k-part cover exists (a proof, not a heuristic).  k = 1 and
+    k = 2 need no search and ignore the budget: k = 1 is decided by
+    whether the incidence is Ferrers, and k = 2 by two-colouring the
+    conflict graph, whose odd cycle refutes it.  For k >= 3 the search
+    starts from a conflict clique, one cell per part, and a clique of more
+    than k cells refutes k unsearched; it raises SearchTimeout when the
+    budget runs out before either outcome.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -392,13 +456,18 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
         if not is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence):
             return None
         result = [_rows(ctx)[0]]
+    elif k == 2:
+        table = _cells(ctx)
+        classes = table.two_colouring()
+        if classes is None:
+            return None
+        result = [table.staircase(cells) for cells in classes]
     else:
         deadline = None if timeout is None else time.monotonic() + timeout
         search = _CoverSearch(_cells(ctx), k, deadline)
-        if k >= 3:
-            if len(search.table.clique) > k:
-                return None
-            search.seed(search.table.clique)
+        if len(search.table.clique) > k:
+            return None
+        search.seed(search.table.clique)
         if search.run() is None:
             return None
         result = [search.maximalize(j) for j in range(k)]
@@ -415,9 +484,10 @@ def order_dimension(ctx: FormalContext, *,
                     max_k: int | None = None) -> tuple[int, FerrersCover]:
     """Smallest k admitting a Ferrers cover, with the witness cover.
 
-    Each k from 1 up to ``max_k`` goes to ``ferrers_cover`` with its own
-    budget; k = 1 succeeds exactly when the incidence relation is itself
-    Ferrers (the lattice is a chain).  The witness is that function's
+    Each k from 1 up to ``max_k`` goes to ``ferrers_cover``, and each
+    k >= 3 with its own budget; k = 1 succeeds exactly when the incidence
+    relation is itself Ferrers (the lattice is a chain), and k = 2 when
+    the conflict graph is bipartite.  The witness is that function's
     first cover.  An exhausted budget raises DimensionUndecided carrying
     the proven lower bound, which a conflict clique can raise past
     ``max_k``; it is never misreported as an answer.

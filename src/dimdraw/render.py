@@ -135,22 +135,23 @@ def to_svg(diagram: LabeledDiagram) -> str:
     return "\n".join(out) + "\n"
 
 
-_TEX_SPECIALS = {
-    "\\": r"\textbackslash{}", "&": r"\&", "%": r"\%", "$": r"\$",
-    "#": r"\#", "_": r"\_", "{": r"\{", "}": r"\}",
-    "~": r"\textasciitilde{}", "^": r"\textasciicircum{}",
-}
+# U+FFFD for each character that XML 1.0 excludes: C0 controls but tab,
+# LF and CR; U+FFFE, U+FFFF
+_EXCLUDED = dict.fromkeys((*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF),
+                          "\ufffd")
+
+# the ten TeX specials, and the excluded characters
+_TEX_TEXT = {**{ord(ch): "\\" + ch for ch in "&%$#_{}"},
+             ord("\\"): r"\textbackslash{}", ord("~"): r"\textasciitilde{}",
+             ord("^"): r"\textasciicircum{}", **_EXCLUDED}
 
 
 def _tex_escape(text: str) -> str:
-    return "".join(_TEX_SPECIALS.get(ch, ch) for ch in text)
+    return text.translate(_TEX_TEXT)
 
 
-# xml.sax.saxutils.escape's three entities, and U+FFFD for each character
-# that XML 1.0 excludes: C0 controls but tab, LF and CR; U+FFFE, U+FFFF
-_XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;",
-             **dict.fromkeys((*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF),
-                             "\ufffd")}
+# xml.sax.saxutils.escape's three entities, and the excluded characters
+_XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", **_EXCLUDED}
 
 
 def _xml_escape(text: str) -> str:

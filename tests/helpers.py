@@ -269,8 +269,9 @@ def cover_search(ctx: FormalContext, k: int) -> _CoverSearch:
 def plain_order_dimension(ctx: FormalContext) -> int:
     """The dimension by trying k = 1, 2, ... with the cover search from
     empty parts until one finds a cover: the reference for
-    ``order_dimension``, whose ``ferrers_cover`` starts each k >= 3 from
-    a conflict clique and refutes the k below the clique unsearched."""
+    ``order_dimension``, whose ``ferrers_cover`` runs no search for k = 2
+    (it two-colours the conflict graph), starts each k >= 3 from a
+    conflict clique and refutes the k below the clique unsearched."""
     k = 1
     while cover_search(ctx, k).run() is None:
         k += 1

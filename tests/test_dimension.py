@@ -372,14 +372,17 @@ def test_search_is_deterministic():
 
 
 def test_timeout_raises_searchtimeout():
+    # k = 2 is decided outside the budget; life's 3-cell clique leaves
+    # k = 3 to the search
+    assert ferrers_cover(life_context(), 2, timeout=0.0) is None
     with pytest.raises(SearchTimeout):
-        ferrers_cover(life_context(), 2, timeout=0.0)
+        ferrers_cover(life_context(), 3, timeout=0.0)
 
 
 def test_timeout_becomes_undecided_with_lower_bound():
     with pytest.raises(DimensionUndecided) as err:
         order_dimension(life_context(), timeout_per_k=0.0)
-    assert err.value.known_lower_bound == 2
+    assert err.value.known_lower_bound == 3
     assert "undecided" in str(err.value)
 
 
@@ -458,7 +461,127 @@ def test_clique_larger_than_k_refutes_without_a_search(monkeypatch):
     assert [ferrers_cover(ctx, k) is None for k in (3, 4, 5)] == [True] * 3
     assert runs == []
     assert order_dimension(ctx)[0] == 6
-    assert runs == [2, 6]
+    assert runs == [6]
+
+
+def _noisy_orders():
+    """Random 2-dimensional orders of 8-16 elements with 1-3 cells of
+    their incidence toggled, drawn after the order by a second
+    random.Random(s)."""
+    out = []
+    for n in (8, 12, 16):
+        for s in range(30):
+            base, r = random_order_context(n, 2, s), random.Random(s)
+            incidence = set(base.incidence)
+            for _ in range(r.randint(1, 3)):
+                incidence ^= {(r.randrange(n), r.randrange(n))}
+            out.append(FormalContext(base.objects, base.attributes,
+                                     frozenset(incidence)))
+    return out
+
+
+def test_two_colouring_finds_a_cover_exactly_when_the_search_does():
+    # k = 2 two-colours the conflict graph; the search from empty parts
+    # is the reference, and each cover found is checked by ferrers_cover
+    contexts = [seeded_context(n_g, n_m, p, s) for n_g in range(3, 10)
+                for n_m in range(3, 10) for p in (0.2, 0.35, 0.5, 0.65, 0.8)
+                for s in range(2)]
+    contexts += [random_order_context(n, 2, s) for n in (8, 16, 24)
+                 for s in range(5)]
+    contexts += _noisy_orders()
+    found = 0
+    for ctx in contexts:
+        cover = ferrers_cover(ctx, 2)
+        assert (cover is None) == (cover_search(ctx, 2).run() is None), ctx
+        found += cover is not None
+    assert (found, len(contexts)) == (371, 595)
+
+
+def test_two_part_cover_builds_no_search(monkeypatch):
+    # k = 2 is refuted or witnessed by the colouring alone; only life's
+    # k = 3 builds a search
+    built = []
+    init = _CoverSearch.__init__
+
+    def recording(search, table, k, deadline):
+        built.append(k)
+        init(search, table, k, deadline)
+
+    monkeypatch.setattr(_CoverSearch, "__init__", recording)
+    for ctx in (random_order_context(24, 2, 0), crown_context(40),
+                seeded_context(12, 12, 0.2, 0), life_context()):
+        ferrers_cover(ctx, 2, timeout=0.0)
+    assert built == []
+    assert order_dimension(random_order_context(16, 2, 0))[0] == 2
+    assert order_dimension(life_context())[0] == 3
+    assert built == [3]
+
+
+def _odd_cycle(ctx):
+    """An odd cycle of cells, each conflicting with the next by the raw
+    corner definition, found by a breadth-first search of the pairwise
+    conflicts, or None when the conflict graph is bipartite."""
+    cells = sorted(_non_incidence(ctx))
+
+    def conflict(a, b):
+        (g, m), (h, n) = a, b
+        return (g, n) in ctx.incidence and (h, m) in ctx.incidence
+
+    parent, depth = {}, {}
+    for root in cells:
+        if root in depth:
+            continue
+        parent[root], depth[root], layer = None, 0, [root]
+        while layer:
+            following = []
+            for a in layer:
+                for b in cells:
+                    if not conflict(a, b):
+                        continue
+                    if b not in depth:
+                        parent[b], depth[b] = a, depth[a] + 1
+                        following.append(b)
+                    elif depth[b] == depth[a]:
+                        # the tree paths from a and b meet at a common
+                        # ancestor; with the edge a - b they close a cycle
+                        left, right = [a], [b]
+                        while left[-1] != right[-1]:
+                            left.append(parent[left[-1]])
+                            right.append(parent[right[-1]])
+                        return left + right[-2::-1]
+            layer = following
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 9, 12, 24, 40])
+def test_crowns_are_refuted_at_two_by_an_odd_cycle(n):
+    ctx = crown_context(n)
+    cycle = _odd_cycle(ctx)
+    assert cycle is not None and len(cycle) % 2 == 1
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (a[0], b[1]) in ctx.incidence and (b[0], a[1]) in ctx.incidence
+    assert cell_table(ctx).two_colouring() is None
+    assert ferrers_cover(ctx, 2) is None
+    assert order_dimension(ctx)[0] == 3
+
+
+def test_two_dimensional_witness_is_pinned():
+    # poset2d-16-s0: the parts grown from the two colour classes
+    d, cover = order_dimension(random_order_context(16, 2, 0))
+    parts = [sorted(part) for part in cover.parts]
+    assert d == 2 and [len(part) for part in parts] == [120, 78]
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
+        "d63cf73ea9cf0ab17fe444d3ff8833ff7fdfb19a9f3893425f15e08cc7259e96")
+
+
+@pytest.mark.parametrize("n_g", [10, 12])
+def test_sparse_twelve_columns_are_decided_at_three(n_g):
+    # random 12x12 and 10x12 .2 s0: the search from empty parts did not
+    # refute k = 2 within 20 s; the colouring does, and the 3-cell clique
+    # seeds the k = 3 witness
+    ctx = seeded_context(n_g, 12, 0.2, 0)
+    d, cover = order_dimension(ctx, timeout_per_k=1)
+    assert d == cover.k == 3
 
 
 def test_twenty_by_twenty_s6_is_decided():
@@ -505,8 +628,9 @@ def _counting_tables(monkeypatch) -> list:
 
 
 def test_conflict_clique_is_computed_once_per_context(monkeypatch):
-    # k = 2 and k = 4 search one cell table, k = 3 is refuted by its
-    # 4-cell clique, and k = 4 and k = 5 start from that clique
+    # k = 2 colours the conflict graph of the one cell table, k = 3 is
+    # refuted by its 4-cell clique, and k = 4 and k = 5 start from that
+    # clique
     built = _counting_tables(monkeypatch)
     d, cover = order_dimension(seeded_context(14, 14, 0.35, 2))
     assert built == [14]

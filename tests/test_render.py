@@ -126,10 +126,24 @@ def test_tikz_counts_and_determinism():
 
 
 def test_tikz_escapes_labels():
-    ctx = FormalContext(("a_b",), ("m%n",), frozenset({(0, 0)}))
-    _, diagram = _diagram(ctx)
-    tikz = to_tikz(diagram)
-    assert r"a\_b" in tikz and r"m\%n" in tikz
+    # object and attribute names, and the node texts of the .tex bytes:
+    # the ten TeX specials escaped, and U+FFFD for each character that
+    # XML 1.0 excludes, so no form feed, NUL or U+FFFF reaches the file
+    cases = [
+        (("a_b", "m%n"), (r"a\_b", r"m\%n")),
+        (("a\x0cb", "\x00m\uffff"), ("a\ufffdb", "\ufffdm\ufffd")),
+        (("\\~^", "&$#{}\t"),
+         (r"\textbackslash{}\textasciitilde{}\textasciicircum{}",
+          "\\&\\$\\#\\{\\}\t")),
+    ]
+    for (obj, attr), texts in cases:
+        ctx = FormalContext((obj,), (attr,), frozenset({(0, 0)}))
+        _, diagram = _diagram(ctx)
+        data = to_tikz(diagram).encode("utf-8")
+        for text in texts:
+            assert ("{" + text + "};\n").encode("utf-8") in data
+        for raw in ("\x0c", "\x00", "\uffff"):
+            assert raw.encode("utf-8") not in data
 
 
 def test_json_round_trip_fields():
