@@ -107,7 +107,8 @@ def _count_crossings(points, edges, limit: float = math.inf) -> int:
     segments = []
     for a, b in edges:
         (p1x, p1y), (p2x, p2y) = points[a], points[b]
-        segments.append((min(p1y, p2y), max(p1y, p2y), min(p1x, p2x), max(p1x, p2x),
+        segments.append((p1y if p1y < p2y else p2y, p2y if p1y < p2y else p1y,
+                         p1x if p1x < p2x else p2x, p2x if p1x < p2x else p1x,
                          a, b, p1x, p1y, p2x, p2y, p2x - p1x, p2y - p1y))
     segments.sort(key=itemgetter(0))
     lows = [s[0] for s in segments]
@@ -256,9 +257,11 @@ def repair_incidences(layout: Layout) -> Layout:
     + before -, smallest k first); y never changes, so upwardness
     survives.  Candidate positions never leave the input bounding box,
     which keeps the relative tolerance monotone and the operation
-    idempotent.  Raises RepairFailed with the offending (node, edge)
-    pairs of the last scan when a round moves nothing or the round cap
-    is hit.
+    idempotent.  A node is measured only against the edges whose y-range
+    and current x-range both come within twice the threshold of it; any
+    other edge is provably at least the threshold away.  Raises
+    RepairFailed with the offending (node, edge) pairs of the last scan
+    when a round moves nothing or the round cap is hit.
     """
     points = [tuple(p) for p in layout.points]
     edges = layout.edges
@@ -273,24 +276,27 @@ def repair_incidences(layout: Layout) -> Layout:
         diag = 1.0
     threshold = REPAIR_EPS * diag
     delta = 2.0 * threshold
-    # y never changes, so an edge whose y-range ends more than the
-    # threshold from a node's y can never touch it: keep, per node, the
-    # edges not incident to it that come within twice the threshold
+    # y never changes, so keep per node the edges not incident to it
+    # whose y-range comes within the window; x is tested at each call
     window = 2.0 * threshold
-    near = [[(u, v) for u, v in edges
-             if node != u and node != v
-             and min(ys[u], ys[v]) - window <= y <= max(ys[u], ys[v]) + window]
+    spans = [(u, v, min(ys[u], ys[v]) - window, max(ys[u], ys[v]) + window)
+             for u, v in edges]
+    near = [[(u, v) for u, v, low, high in spans
+             if node != u and node != v and low <= y <= high]
             for node, y in enumerate(ys)]
 
     def touching(node: int, p):
         """The edges not incident to ``node`` within the threshold of ``p``."""
+        left, right = p[0] - window, p[0] + window
         return ((u, v) for u, v in near[node]
-                if _segment_distance(p, points[u], points[v]) < threshold)
+                if (points[u][0] >= left or points[v][0] >= left)
+                and (points[u][0] <= right or points[v][0] <= right)
+                and _segment_distance(p, points[u], points[v]) < threshold)
 
     def clear_at(node: int, x: float) -> bool:
         candidate = (x, points[node][1])
-        return (not any(p == candidate
-                        for other, p in enumerate(points) if other != node)
+        # the node's own point counts once when x rounds back onto it
+        return (points.count(candidate) <= (points[node] == candidate)
                 and next(touching(node, candidate), None) is None)
 
     def nudge(nodes) -> bool:

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import add
 
-from dimdraw import FormalContext, order_dimension, realizer_from_cover
+from dimdraw import FormalContext, RepairFailed, order_dimension, realizer_from_cover
 from dimdraw.dimension import _Cells, _CoverSearch
+from dimdraw.projection import (_REPAIR_MAX_STEPS, _REPAIR_ROUNDS, REPAIR_EPS,
+                                _segment_distance)
 
 # ---------------------------------------------------------------------------
 # The classic 8x9 "living beings and water" demo context: 19 concepts,
@@ -539,6 +542,64 @@ def closed_form_point_segment_distance(p, a, b) -> float:
     t = max(0.0, min(1.0, (wx * vx + wy * vy) / norm2))
     dx, dy = wx - t * vx, wy - t * vy
     return (dx * dx + dy * dy) ** 0.5
+
+
+def reference_repair(layout):
+    """``projection.repair_incidences`` without its x-window and with the
+    duplicate test written out: every node is measured against every edge
+    not incident to it whose y-range comes within twice the threshold, and
+    a candidate is refused when any *other* node already sits on it.  The
+    reference for the repair's points and for its ``RepairFailed``."""
+    points = [tuple(p) for p in layout.points]
+    edges = layout.edges
+    if not points or not edges:
+        return layout
+
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    x_lo, x_hi = min(xs), max(xs)
+    diag = math.hypot(x_hi - x_lo, max(ys) - min(ys))
+    if diag <= 0.0:
+        diag = 1.0
+    threshold = REPAIR_EPS * diag
+    delta = 2.0 * threshold
+    window = 2.0 * threshold
+    near = [[(u, v) for u, v in edges
+             if node != u and node != v
+             and min(ys[u], ys[v]) - window <= y <= max(ys[u], ys[v]) + window]
+            for node, y in enumerate(ys)]
+
+    def touching(node: int, p):
+        return ((u, v) for u, v in near[node]
+                if _segment_distance(p, points[u], points[v]) < threshold)
+
+    def clear_at(node: int, x: float) -> bool:
+        candidate = (x, points[node][1])
+        return (not any(p == candidate
+                        for other, p in enumerate(points) if other != node)
+                and next(touching(node, candidate), None) is None)
+
+    def nudge(nodes) -> bool:
+        moved = False
+        for node in nodes:
+            base_x = points[node][0]
+            candidates = (x for k in range(1, _REPAIR_MAX_STEPS + 1)
+                          for x in (base_x + k * delta, base_x - k * delta)
+                          if x_lo <= x <= x_hi)
+            x = next((x for x in candidates if clear_at(node, x)), None)
+            if x is not None:
+                points[node] = (x, points[node][1])
+                moved = True
+        return moved
+
+    for round_no in range(_REPAIR_ROUNDS + 1):
+        offenders = [(node, edge) for node, p in enumerate(points)
+                     for edge in touching(node, p)]
+        if not offenders:
+            return replace(layout, points=tuple(points))
+        if (round_no == _REPAIR_ROUNDS
+                or not nudge(sorted({n for n, _ in offenders}))):
+            raise RepairFailed(offenders)
 
 
 def order_isomorphisms(letters, letter_leq, lattice, limit: int = 2):

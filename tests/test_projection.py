@@ -13,7 +13,8 @@ from dimdraw import (AxisFrame, DimEmbedding, FormalContext, Layout,
 from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
                      contra_nominal, generator_points, grid_context, life_context,
                      oracle_crossings, oracle_point_segment_distance,
-                     random_context, random_order_context, seeded_context)
+                     random_context, random_order_context, reference_repair,
+                     seeded_context)
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -204,6 +205,12 @@ def _stress_layouts():
             (2.0, 2.5)), ((0, 1), (2, 3), (4, 5)))
     # an X of two downward edges, and a y-mirrored, downward drawing
     yield ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)), ((0, 1), (2, 3))
+    # 0.0 and -0.0 mixed on horizontal and vertical edges through the
+    # origin, so segment bounds tie at signed zeros: two crossings there,
+    # and edges standing on the others' interiors or lying along them
+    yield (((0.0, -1.0), (-0.0, 1.0), (-1.0, 0.0), (1.0, -0.0), (-0.0, -0.0),
+            (0.0, 2.0), (-1.0, -0.0), (1.0, 0.0), (0.0, 0.0), (-0.0, 0.5)),
+           ((0, 1), (2, 3), (4, 5), (6, 7), (8, 3), (9, 1), (2, 8)))
     _, emb = _embedding(seeded_context(7, 7, 0.5, 9))
     layout = best_assignment(emb, default_frame(emb.dim)).layout
     yield tuple((x, -y) for x, y in layout.points), layout.edges
@@ -215,7 +222,7 @@ def test_sweep_matches_all_pairs_count():
     # collinear fans, and on hand-built layouts, it must give the all-pairs
     # count, and min(count, limit) under every limit
     layouts = list(_stress_layouts())
-    assert [all_pairs_crossings(*pe) for pe in layouts[:5]] == [0, 0, 1, 0, 1]
+    assert [all_pairs_crossings(*pe) for pe in layouts[:6]] == [0, 0, 1, 0, 1, 2]
     for seed in range(12):
         _, emb = _embedding(seeded_context(7, 7, 0.5, seed))
         for spread in (45.0, 10.0, 80.0, 1e-6):
@@ -569,11 +576,91 @@ def test_repair_failure_lists_offenders():
     assert err.value.offenders == [(node, (238, 239))]
 
 
+def _repair_outcome(repair, layout):
+    """The repaired points, or the offenders of the RepairFailed raised."""
+    try:
+        return repair(layout).points
+    except RepairFailed as err:
+        return err.offenders
+
+
+def _x_window_layout():
+    """A unit-box layout with a node on a vertical edge at x = 0.5, and
+    nodes and edges whose x lies exactly at, one float inside and one
+    float outside that edge's x-window on each side.  The window's margin
+    equals the nudge step, so the first candidates land on its bounds too."""
+    window = 2.0 * (projection.REPAIR_EPS * math.hypot(1.0, 1.0))
+    # the largest x whose window reaches back to 0.5, and the smallest
+    # whose window reaches forward to it
+    right, left = 0.5 + window, 0.5 - window
+    while right - window > 0.5:
+        right = math.nextafter(right, 0.0)
+    while math.nextafter(right, 1.0) - window <= 0.5:
+        right = math.nextafter(right, 1.0)
+    while left + window < 0.5:
+        left = math.nextafter(left, 1.0)
+    while math.nextafter(left, 0.0) + window >= 0.5:
+        left = math.nextafter(left, 0.0)
+    points = [(0.0, 0.0), (1.0, 1.0), (0.5, 0.1), (0.5, 0.9), (0.5, 0.5)]
+    edges = [(2, 3)]
+    for bound, outward in ((right, 1.0), (left, 0.0)):
+        for x, y in ((bound, 0.3), (math.nextafter(bound, 0.5), 0.4),
+                     (math.nextafter(bound, outward), 0.6)):
+            points += [(x, y), (x, y + 0.2)]
+            edges.append((len(points) - 2, len(points) - 1))
+    return Layout(points=tuple(points), edges=tuple(edges),
+                  frame=default_frame(1), assignment=(0,))
+
+
+def _unnormalized_layout():
+    """Points near 2**53, where floats are 2 apart and the nudge step is
+    0.8, so a step of one delta rounds back onto the node's own x.  Node 3
+    lies on edge (4, 5) and node 6 on edge (2, 3); node 3 moves first,
+    which takes edge (2, 3) off node 6, whose first candidate is then its
+    own point.  That candidate is clear, because the duplicate test skips
+    the node itself."""
+    b = 2.0 ** 53
+    return Layout(points=((b, 0.0), (b + 240, 320.0), (b + 120, 100.0),
+                          (b + 120, 200.0), (b + 110, 190.0), (b + 130, 210.0),
+                          (b + 120, 160.0)),
+                  edges=((2, 3), (4, 5)), frame=default_frame(1), assignment=(0,))
+
+
+def test_repair_matches_the_reference_without_the_x_window():
+    # the x-window skips only pairs at least twice the threshold apart and
+    # the duplicate test still skips the node itself, so repair makes the
+    # reference's moves, and fails where it fails, with the same offenders
+    layouts = []
+    for size in (6, 8, 10):
+        for p in (0.3, 0.5, 0.7):
+            for seed in range(4):
+                _, emb = _embedding(seeded_context(size, size, p, seed))
+                for spread in (45.0, 10.0, 80.0, 1e-3):
+                    try:
+                        best = best_assignment(emb, default_frame(emb.dim, spread))
+                    except ValueError:
+                        continue
+                    layouts.append(normalize(best.layout))
+    assert len(layouts) > 100
+    _, emb = _embedding(seeded_context(10, 10, 0.7, 8))
+    failing = normalize(best_assignment(emb, default_frame(emb.dim, 80.0)).layout)
+    hand_built = (_x_window_layout(), _unnormalized_layout())
+    for layout in layouts + [failing, *hand_built]:
+        assert (_repair_outcome(repair_incidences, layout)
+                == _repair_outcome(reference_repair, layout))
+    assert _repair_outcome(repair_incidences, failing) == [(66, (16, 17))]
+    moved = [_repair_outcome(repair_incidences, layout) for layout in hand_built]
+    assert moved[0][4] != (0.5, 0.5)
+    assert moved[1][3] == (2.0 ** 53 + 122, 200.0)
+    assert moved[1][6] == (2.0 ** 53 + 120, 160.0)
+
+
 def test_repair_scans_each_node_edge_pair_once_per_round(monkeypatch):
     # a drawing that needs no repair takes one scan, which measures each
     # node only against the edges not incident to it whose y-range comes
-    # within twice the threshold of its y; every skipped edge is at least
-    # the threshold away, and no second scan confirms
+    # within twice the threshold of its y, and whose x-range comes within
+    # twice the threshold of its x; every skipped edge is at least the
+    # threshold away, and no second scan confirms
     _, emb = _embedding(contra_nominal(4))
     layout = normalize(best_assignment(emb, default_frame(emb.dim)).layout)
     calls = []
@@ -587,16 +674,21 @@ def test_repair_scans_each_node_edge_pair_once_per_round(monkeypatch):
     repaired = repair_incidences(layout)
     assert repaired.points == layout.points
     points = layout.points
-    threshold = projection.REPAIR_EPS * math.hypot(1.0, 1.0)
-    pairs, skipped = [], []
-    for node, (_, y) in enumerate(points):
+    window = 2 * projection.REPAIR_EPS * math.hypot(1.0, 1.0)
+    pairs, y_skipped, x_skipped = [], [], []
+    for node, (x, y) in enumerate(points):
         for u, v in layout.edges:
             if node in (u, v):
                 continue
             low, high = sorted((points[u][1], points[v][1]))
-            near = low - 2 * threshold <= y <= high + 2 * threshold
-            (pairs if near else skipped).append((node, (u, v)))
-    assert len(calls) == len(pairs) > 0 and skipped
+            left, right = sorted((points[u][0], points[v][0]))
+            if not low - window <= y <= high + window:
+                y_skipped.append((node, (u, v)))
+            elif not (x - window <= right and left <= x + window):
+                x_skipped.append((node, (u, v)))
+            else:
+                pairs.append((node, (u, v)))
+    assert len(calls) == len(pairs) > 0 and y_skipped and x_skipped
     assert calls == [(points[node], points[u], points[v]) for node, (u, v) in pairs]
     assert all(closed_form_point_segment_distance(points[node], points[u], points[v])
-               >= threshold for node, (u, v) in skipped)
+               >= window / 2 for node, (u, v) in y_skipped + x_skipped)
