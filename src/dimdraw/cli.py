@@ -24,7 +24,7 @@ from .embedding import embed
 from .errors import (ContractViolation, CycleError, DimensionUndecided,
                      LatticeTooLargeError, OracleCapExceeded, ParseError,
                      RepairFailed, SearchTimeout)
-from .lattice import ConceptLattice, concepts
+from .lattice import ConceptLattice, _bits, concepts
 from .projection import (DEFAULT_SPREAD_DEG, best_assignment, default_frame,
                          normalize, repair_incidences)
 from .render import LabeledDiagram, label, to_json, to_svg, to_tikz
@@ -178,8 +178,8 @@ def _execute(cfg: RunConfig) -> int:
     if cfg.command == "concepts":
         lines = [f"concepts: {lat.n}"]
         for i, c in enumerate(lat.concepts):
-            extent = ",".join(ctx.objects[g] for g in sorted(c.extent))
-            intent = ",".join(ctx.attributes[m] for m in sorted(c.intent))
+            extent = ",".join(ctx.objects[g] for g in _bits(c.extent_mask))
+            intent = ",".join(ctx.attributes[m] for m in _bits(c.intent_mask))
             lines.append(f"{i}\t{{{extent}}}\t{{{intent}}}")
         text = "\n".join(lines) + "\n"
     elif cfg.command == "dimension":

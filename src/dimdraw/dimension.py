@@ -641,7 +641,7 @@ def realizer_permutations(ctx: FormalContext, lattice: ConceptLattice,
                           real: Realizer) -> dict:
     """Realizer as JSON-ready permutations, by concept index and by
     intent labels (attribute names, in input order)."""
-    labels = [[ctx.attributes[m] for m in sorted(c.intent)]
+    labels = [[ctx.attributes[m] for m in _bits(c.intent_mask)]
               for c in lattice.concepts]
     return {
         "by_index": [list(ext.order) for ext in real.extensions],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .context import FormalContext
 from .errors import ContractViolation, LatticeTooLargeError
@@ -27,30 +28,55 @@ def _bits(mask: int) -> Iterable[int]:
 
 @dataclass(frozen=True)
 class Concept:
-    """A formal concept (extent, intent) with its extent as a bitmask."""
+    """Extent and intent bitmasks of a formal concept; sets derived on read."""
 
-    extent: frozenset[int]
-    intent: frozenset[int]
     extent_mask: int
+    intent_mask: int
+
+    @cached_property
+    def extent(self) -> frozenset[int]:
+        return frozenset(_bits(self.extent_mask))
+
+    @cached_property
+    def intent(self) -> frozenset[int]:
+        return frozenset(_bits(self.intent_mask))
 
 
 @dataclass(frozen=True)
 class ConceptLattice:
-    """All concepts of a context, with their order and covers.
+    """All concepts of a context; the order and covers are built on first read.
 
-    ``up_masks[i]`` is the bitmask of concept indices j with i <= j
-    (including i itself); ``covers`` is the transitive reduction of that
-    order.
+    ``up_masks[i]`` is the bitmask of the concepts j >= i, i included: the
+    AND, over the objects of i's extent, of the mask of the concepts
+    holding each.  ``covers`` is its transitive reduction.
     """
 
     concepts: tuple[Concept, ...]
-    up_masks: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
         return len(self.concepts)
 
+    @cached_property
+    def up_masks(self) -> tuple[int, ...]:
+        n = self.n
+        holders = [0] * max(c.extent_mask for c in self.concepts).bit_length()
+        for j, c in enumerate(self.concepts):
+            for g in _bits(c.extent_mask):
+                holders[g] |= 1 << j
+        up_masks = []
+        for c in self.concepts:
+            up = (1 << n) - 1
+            for g in _bits(c.extent_mask):
+                up &= holders[g]
+            up_masks.append(up)
+        if up_masks[0] != (1 << n) - 1 or up_masks[n - 1] != 1 << (n - 1):
+            raise ContractViolation("lattice lost its unique bottom or top")
+        return tuple(up_masks)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        return transitive_reduction(self.up_masks)
 
 
 def derive_objects(ctx: FormalContext, objects: Iterable[int]) -> frozenset[int]:
@@ -98,13 +124,12 @@ def transitive_reduction(leq_masks: Iterable[int]) -> tuple[tuple[int, int], ...
 
 
 def concepts(ctx: FormalContext) -> ConceptLattice:
-    """Enumerate every formal concept of ``ctx`` and build the lattice.
+    """Enumerate every formal concept of ``ctx``, sorted by extent mask.
 
     The extent family is the closure system generated by the attribute
     extents under intersection.  Raises LatticeTooLargeError as soon as
     the enumeration exceeds CONCEPT_CAP; output is never silently
-    truncated.  A concept's up-set ANDs, per object of its extent, the
-    mask of the concepts whose extent holds that object.
+    truncated.  The order is left to the lattice's first read of it.
     """
     n_g, n_m = ctx.n_objects, ctx.n_attributes
     rows = ctx.object_rows()
@@ -129,30 +154,14 @@ def concepts(ctx: FormalContext) -> ConceptLattice:
         frontier = fresh
 
     ordered = sorted(extents)
-    n = len(ordered)
-    holders = [0] * n_g
-    for j, ext in enumerate(ordered):
-        for g in _bits(ext):
-            holders[g] |= 1 << j
     concept_list = []
-    up_masks = []
+    bottom = full_g
     for ext in ordered:
-        intent, up = full_m, (1 << n) - 1
+        intent = full_m
         for g in _bits(ext):
             intent &= rows[g]
-            up &= holders[g]
-        concept_list.append(Concept(
-            extent=frozenset(_bits(ext)),
-            intent=frozenset(_bits(intent)),
-            extent_mask=ext,
-        ))
-        up_masks.append(up)
-
-    if up_masks[0] != (1 << n) - 1 or up_masks[n - 1] != 1 << (n - 1):
+        concept_list.append(Concept(ext, intent))
+        bottom &= ext
+    if bottom != ordered[0] or ordered[-1] != full_g:
         raise ContractViolation("lattice lost its unique bottom or top")
-
-    return ConceptLattice(
-        concepts=tuple(concept_list),
-        up_masks=tuple(up_masks),
-        covers=transitive_reduction(up_masks),
-    )
+    return ConceptLattice(tuple(concept_list))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .context import FormalContext, _json_text
 from .dimension import Realizer
-from .lattice import ConceptLattice
+from .lattice import ConceptLattice, _bits
 from .projection import Layout
 
 
@@ -201,8 +201,8 @@ def to_json(diagram: LabeledDiagram) -> str:
     for i, concept in enumerate(diagram.lattice.concepts):
         concepts.append({
             "index": i,
-            "extent": [ctx.objects[g] for g in sorted(concept.extent)],
-            "intent": [ctx.attributes[m] for m in sorted(concept.intent)],
+            "extent": [ctx.objects[g] for g in _bits(concept.extent_mask)],
+            "intent": [ctx.attributes[m] for m in _bits(concept.intent_mask)],
             "x": layout.points[i][0],
             "y": layout.points[i][1],
             "object_labels": list(diagram.object_labels[i]),

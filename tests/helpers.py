@@ -379,6 +379,23 @@ def brute_covers(lattice) -> set[tuple[int, int]]:
     return covers
 
 
+def reference_concept_listing(ctx: FormalContext, lattice) -> str:
+    """The ``dimdraw concepts`` text built from frozensets, in the
+    lattice's concept order: each extent decoded bit by bit, each intent
+    by the definition, and the names of both in ``sorted()`` index order.
+    The reference for the CLI listing, which walks the masks instead."""
+    lines = [f"concepts: {lattice.n}"]
+    for i, c in enumerate(lattice.concepts):
+        extent = frozenset(g for g in range(ctx.n_objects)
+                           if c.extent_mask >> g & 1)
+        intent = frozenset(m for m in range(ctx.n_attributes)
+                           if all((g, m) in ctx.incidence for g in extent))
+        objects = ",".join(ctx.objects[g] for g in sorted(extent))
+        attributes = ",".join(ctx.attributes[m] for m in sorted(intent))
+        lines.append(f"{i}\t{{{objects}}}\t{{{attributes}}}")
+    return "\n".join(lines) + "\n"
+
+
 def pairwise_up_masks(extent_masks) -> list[int]:
     """The lattice order by the O(n^2) pairwise extent test, the
     reference for the up-sets of ``lattice.concepts``: bit j of entry i

@@ -10,11 +10,21 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dimdraw.lattice
 import dimdraw.projection
 from dimdraw.cli import _build_parser, build_diagram, main, parse_poset_edges
-from dimdraw import ParseError, to_json, to_svg, to_tikz, write_cxt
-from helpers import (contra_nominal, life_context, life_csv_text,
-                     life_cxt_text, random_order_context, seeded_context)
+from dimdraw import (ParseError, concepts, to_json, to_svg, to_tikz,
+                     write_cxt)
+from helpers import (contra_nominal, crown_context, life_context,
+                     life_csv_text, life_cxt_text, random_order_context,
+                     reference_concept_listing, seeded_context)
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), "rb") as handle:
+        return handle.read()
 
 
 @pytest.fixture
@@ -313,17 +323,77 @@ def test_importing_the_cli_loads_no_xml_network_email_or_typing_module():
 
 def test_reused_parser_carries_no_option_to_the_next_call(life_file, tmp_path,
                                                           capsys):
-    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "golden", "life.svg")
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     assert main(["draw", life_file, "--spread", "30", "-o", str(a)]) == 0
     assert main(["draw", life_file, "-o", str(b)]) == 0
-    with open(golden, "rb") as handle:
-        assert b.read_bytes() == handle.read() != a.read_bytes()
+    assert b.read_bytes() == _golden("life.svg") != a.read_bytes()
     assert main(["draw"]) == 1
     assert "required: input" in capsys.readouterr().err
     assert main(["dimension", life_file]) == 0
     assert capsys.readouterr().out.startswith("dimension: 3\n")
+
+
+def _no_order(*_):
+    raise AssertionError("the lattice order was built")
+
+
+def test_concepts_builds_no_order(life_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dimdraw.lattice, "transitive_reduction", _no_order)
+    monkeypatch.setattr(dimdraw.lattice.ConceptLattice, "up_masks",
+                        property(_no_order))
+    seeded = tmp_path / "seeded.cxt"
+    seeded.write_text(write_cxt(seeded_context(20, 20, 0.5, 1)), encoding="utf-8")
+    for path, ctx in ((life_file, life_context()),
+                      (str(seeded), seeded_context(20, 20, 0.5, 1))):
+        assert main(["concepts", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == reference_concept_listing(ctx, concepts(ctx))
+
+
+def test_dimension_and_realizer_build_no_covers(life_file, tmp_path,
+                                                monkeypatch, capsys):
+    # the realizer is verified against the up-sets, never the covers;
+    # random 20x20 .5 s1 is undecided within any short budget, so crown
+    # C_12 is the second input
+    monkeypatch.setattr(dimdraw.lattice, "transitive_reduction", _no_order)
+    crown = tmp_path / "crown12.cxt"
+    crown.write_text(write_cxt(crown_context(12)), encoding="utf-8")
+    out = tmp_path / "out.json"
+    for path, command, golden in (
+            (life_file, "dimension", "life.dimension.json"),
+            (life_file, "realizer", "life.realizer.json"),
+            (str(crown), "dimension", "crown12.dimension.json")):
+        assert main([command, path, "-o", str(out)]) == 0, capsys.readouterr().err
+        assert out.read_bytes() == _golden(golden)
+    assert main(["realizer", str(crown), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_draw_builds_the_order_once(life_file, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(masks):
+        calls.append(len(masks))
+        return reduction(masks)
+
+    reduction = dimdraw.lattice.transitive_reduction
+    monkeypatch.setattr(dimdraw.lattice, "transitive_reduction", counted)
+    out = tmp_path / "life.json"
+    assert main(["draw", life_file, "--format", "json", "-o", str(out)]) == 0
+    assert out.read_bytes() == _golden("life.json")
+    assert calls == [19]
+
+
+@pytest.mark.parametrize("command", ["concepts", "dimension", "realizer", "draw"])
+def test_every_command_checks_the_bottom_and_top(life_file, command,
+                                                 monkeypatch, capsys):
+    # extents listed out of order put the top, not the bottom, at index 0
+    monkeypatch.setattr(dimdraw.lattice, "sorted",
+                        lambda masks: sorted(masks, reverse=True), raising=False)
+    assert main([command, life_file]) == 3
+    assert capsys.readouterr().err == (
+        "dimdraw: internal error: lattice lost its unique bottom or top\n")
 
 
 def _sparse_40x40(tmp_path, cells):

@@ -3,12 +3,15 @@ import random
 import pytest
 
 import dimdraw.lattice
-from dimdraw import (FormalContext, LatticeTooLargeError, concepts,
-                     derive_attributes, derive_objects, transitive_reduction)
+from dimdraw import (ContractViolation, FormalContext, LatticeTooLargeError,
+                     concepts, derive_attributes, derive_objects,
+                     transitive_reduction, write_cxt)
+from dimdraw.cli import main
+from dimdraw.lattice import ConceptLattice
 from helpers import (brute_concepts, brute_covers, chain_context,
                      contra_nominal, crown_context, down_mask_covers, leq,
                      life_context, pairwise_up_masks, random_context,
-                     seeded_context)
+                     reference_concept_listing, seeded_context)
 
 
 def _attr_idx(ctx, names):
@@ -160,11 +163,16 @@ def test_transitive_reduction_rejects_non_linear_extension():
         transitive_reduction([0b111, 0b110, 0b101])
 
 
+def _seeded_120():
+    """120 seeded contexts of 2 to 12 objects and attributes."""
+    return [seeded_context(2 + s % 11, 2 + 7 * s % 11,
+                           (0.25, 0.5, 0.75)[s % 3], s) for s in range(120)]
+
+
 def test_order_matches_pairwise_and_down_mask_references():
     # the up-sets and covers are the tuples the pairwise extent test and
     # the down-set reduction give, in the same order
-    contexts = [seeded_context(2 + s % 11, 2 + 7 * s % 11,
-                               (0.25, 0.5, 0.75)[s % 3], s) for s in range(120)]
+    contexts = _seeded_120()
     contexts += [seeded_context(20, 20, 0.5, 1), contra_nominal(6),
                  crown_context(12), chain_context(5), life_context(),
                  FormalContext(("g",), ("m",), frozenset()),
@@ -176,6 +184,29 @@ def test_order_matches_pairwise_and_down_mask_references():
         assert lat.covers == down_mask_covers(lat.up_masks)
     assert lat.n == 1 and lat.covers == ()
     assert concepts(contexts[120]).n == 600
+
+
+def test_concepts_are_mask_native(tmp_path, capsys):
+    # the sets are derived from the masks, and the CLI listing, which walks
+    # the masks in bit order, is the one sorted() over frozensets gives
+    path = tmp_path / "ctx.cxt"
+    for ctx in _seeded_120():
+        lat = concepts(ctx)
+        for c in lat.concepts:
+            assert c.extent == frozenset(g for g in range(ctx.n_objects)
+                                         if c.extent_mask >> g & 1)
+            assert c.intent == derive_objects(ctx, c.extent)
+        path.write_text(write_cxt(ctx), encoding="utf-8")
+        assert main(["concepts", str(path)]) == 0
+        assert capsys.readouterr().out == reference_concept_listing(ctx, lat)
+
+
+def test_lazy_order_checks_its_bottom_and_top_rows():
+    # a concept list out of extent order has no bottom at index 0
+    lat = concepts(life_context())
+    assert "up_masks" not in vars(lat)
+    with pytest.raises(ContractViolation, match="unique bottom or top"):
+        ConceptLattice(lat.concepts[::-1]).up_masks
 
 
 def test_incomparable_pairs():
