@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from .context import (FormalContext, PosetInput, _json_text, parse_csv,
@@ -40,59 +39,24 @@ _FORMATS = ("cxt", "csv", "poset-edges")
 _EMITTERS = {"svg": to_svg, "tikz": to_tikz, "json": to_json}
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters; built before any pipeline work.
-    Its defaults are the CLI's."""
-
-    input_path: str
-    input_format: str
-    command: str
-    output_format: str = "svg"
-    output: str | None = None
-    spread: float = DEFAULT_SPREAD_DEG
-    timeout: float = DEFAULT_TIMEOUT_S
-    max_k: int = DEFAULT_MAX_K
-    check_oracle: bool = False
-
-    def validate(self) -> None:
-        if not 0.0 < self.spread < 90.0:
-            raise ValueError("--spread must be strictly between 0 and 90")
-        if not self.timeout >= 0.0:  # also rejects NaN
-            raise ValueError("--timeout must be non-negative")
-        if self.max_k < 1:
-            raise ValueError("--max-k must be at least 1")
-
-
 def parse_poset_edges(text: str) -> PosetInput:
     """Edge-list poset format: one ``a < b`` pair per line, whitespace
     separated.  A line with a single token declares an isolated element;
     blank lines and ``#`` comments are skipped."""
-    elements: list[str] = []
-    seen: set[str] = set()
+    elements: dict[str, None] = {}  # keys in order of first appearance
     relation: set[tuple[str, str]] = set()
-
-    def note(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            elements.append(name)
-
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) == 1:
-            note(tokens[0])
-            continue
-        if len(tokens) != 3 or tokens[1] != "<":
+        if len(tokens) == 3 and tokens[1] == "<":
+            relation.add((tokens[0], tokens[2]))
+        elif len(tokens) != 1:
             raise ParseError(f"expected 'a < b' or a bare element name, got {line!r}",
                              line=lineno)
-        a, _, b = tokens
-        note(a)
-        note(b)
-        relation.add((a, b))
-
+        # a bare name is both tokens[0] and tokens[-1]; a key keeps its place
+        elements[tokens[0]] = elements[tokens[-1]] = None
     return PosetInput(tuple(elements), frozenset(relation))
 
 
@@ -131,19 +95,15 @@ def _oracle_check(lattice: ConceptLattice, dim: int) -> None:
     print(f"oracle: agreement (dimension {dim})", file=sys.stderr)
 
 
-def _front(ctx: FormalContext, *, timeout_per_k: float | None,
-           max_k: int | None, realize: bool = True, check_oracle: bool = False
-           ) -> tuple[ConceptLattice, int | None, FerrersCover | None,
-                      Realizer | None]:
-    """The shared front half: the lattice, then, if asked to realize, the
-    dimension with its cover, the optional oracle check and the realizer."""
-    lat = concepts(ctx)
-    if not realize:
-        return lat, None, None, None
+def _front(ctx: FormalContext, lat: ConceptLattice, *,
+           timeout_per_k: float | None, max_k: int | None,
+           check_oracle: bool = False) -> tuple[int, FerrersCover, Realizer]:
+    """The shared front half after the lattice: the dimension with its
+    cover, the optional oracle check and the realizer."""
     dim, cover = order_dimension(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
     if check_oracle:
         _oracle_check(lat, dim)
-    return lat, dim, cover, realizer_from_cover(ctx, lat, cover)
+    return dim, cover, realizer_from_cover(ctx, lat, cover)
 
 
 def _draw(ctx: FormalContext, lat: ConceptLattice, dim: int, real: Realizer,
@@ -165,40 +125,42 @@ def build_diagram(ctx: FormalContext, *, spread: float = DEFAULT_SPREAD_DEG,
     search was exhaustive (False means the identity-assignment fallback
     was used because the dimension exceeded the search cap).
     """
-    lat, dim, _, real = _front(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
+    lat = concepts(ctx)
+    dim, _, real = _front(ctx, lat, timeout_per_k=timeout_per_k, max_k=max_k)
     return _draw(ctx, lat, dim, real, spread)
 
 
-def _execute(cfg: RunConfig) -> int:
+def _execute(ns: argparse.Namespace) -> int:
     """Every command: load, the shared stages, then the command's format."""
-    ctx = load_context(cfg.input_path, cfg.input_format)
-    lat, dim, cover, real = _front(
-        ctx, timeout_per_k=cfg.timeout, max_k=cfg.max_k,
-        realize=cfg.command != "concepts", check_oracle=cfg.check_oracle)
-    if cfg.command == "concepts":
+    ctx = load_context(ns.input_path,
+                       ns.input_format or _infer_format(ns.input_path))
+    lat = concepts(ctx)
+    if ns.command == "concepts":
         lines = [f"concepts: {lat.n}"]
         for i, c in enumerate(lat.concepts):
             extent = ",".join(ctx.objects[g] for g in _bits(c.extent_mask))
             intent = ",".join(ctx.attributes[m] for m in _bits(c.intent_mask))
             lines.append(f"{i}\t{{{extent}}}\t{{{intent}}}")
         text = "\n".join(lines) + "\n"
-    elif cfg.command == "dimension":
-        text = certificate_json(ctx, lat, dim, cover, real)
-        print(f"dimension: {dim}")
-    elif cfg.command == "realizer":
-        doc = {"dimension": dim,
-               "realizer": realizer_permutations(ctx, lat, real)}
-        text = _json_text(doc)
     else:
-        diagram, exhaustive = _draw(ctx, lat, dim, real, cfg.spread)
-        if not exhaustive:
-            print(f"warning: dimension {dim} exceeds the assignment search "
-                  "cap; using the identity assignment", file=sys.stderr)
-        text = _EMITTERS[cfg.output_format](diagram)
-    if cfg.output is None:
+        dim, cover, real = _front(ctx, lat, timeout_per_k=ns.timeout,
+                                  max_k=ns.max_k, check_oracle=ns.check_oracle)
+        if ns.command == "dimension":
+            text = certificate_json(ctx, lat, dim, cover, real)
+            print(f"dimension: {dim}")
+        elif ns.command == "realizer":
+            text = _json_text({"dimension": dim, "realizer":
+                               realizer_permutations(ctx, lat, real)})
+        else:
+            diagram, exhaustive = _draw(ctx, lat, dim, real, ns.spread)
+            if not exhaustive:
+                print(f"warning: dimension {dim} exceeds the assignment search "
+                      "cap; using the identity assignment", file=sys.stderr)
+            text = _EMITTERS[ns.output_format](diagram)
+    if ns.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
+        with open(ns.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return EXIT_OK
 
@@ -209,6 +171,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, accepts, requirement: str):
+    """An argparse ``type=`` that converts the text, then rejects a value
+    that ``accepts`` refuses, naming the ``requirement``."""
+    def parse(text: str):
+        value = convert(text)
+        if not accepts(value):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(requirement)
+        return value
+    parse.__name__ = convert.__name__  # as in "invalid int value: '1.5'"
+    return parse
+
+
 @cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dimdraw",
@@ -217,21 +191,23 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str, search: bool) -> argparse.ArgumentParser:
-        # an absent flag stays out of the namespace, so RunConfig's
-        # defaults are the only ones
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=help)
         p.add_argument("input_path", metavar="input", help="input file")
         p.add_argument("--input-format", choices=_FORMATS,
                        help="input format (default: inferred from extension)")
         p.add_argument("--output", "-o",
                        help="output file (default: stdout)")
         if search:
-            p.add_argument("--timeout", type=float,
+            p.add_argument("--timeout", default=DEFAULT_TIMEOUT_S,
+                           type=_checked(float, lambda t: t >= 0.0,
+                                         "must be non-negative"),
                            help="search budget per k >= 3, in seconds "
-                                f"(default {DEFAULT_TIMEOUT_S:g})")
-            p.add_argument("--max-k", type=int,
+                                "(default %(default)g)")
+            p.add_argument("--max-k", default=DEFAULT_MAX_K,
+                           type=_checked(int, lambda k: k >= 1,
+                                         "must be at least 1"),
                            help="largest cover size to try "
-                                f"(default {DEFAULT_MAX_K})")
+                                "(default %(default)s)")
             p.add_argument("--check-oracle", action="store_true",
                            help="cross-check the dimension against the "
                                 "brute-force oracle on small lattices")
@@ -241,11 +217,14 @@ def _build_parser() -> _Parser:
     command("dimension", "order dimension with certificate", search=True)
     command("realizer", "minimal realizer of the lattice order", search=True)
     p = command("draw", "draw the line diagram", search=True)
-    p.add_argument("--format", dest="output_format", choices=tuple(_EMITTERS),
-                   help=f"artifact format (default {RunConfig.output_format})")
-    p.add_argument("--spread", type=float,
+    p.add_argument("--format", dest="output_format", default="svg",
+                   choices=tuple(_EMITTERS),
+                   help="artifact format (default %(default)s)")
+    p.add_argument("--spread", default=DEFAULT_SPREAD_DEG,
+                   type=_checked(float, lambda s: 0.0 < s < 90.0,
+                                 "must be strictly between 0 and 90"),
                    help="half-angle of the projection fan in degrees "
-                        f"(default {DEFAULT_SPREAD_DEG:g})")
+                        "(default %(default)g)")
 
     return parser
 
@@ -258,12 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        fields = vars(ns)
-        if "input_format" not in fields:
-            fields["input_format"] = _infer_format(ns.input_path)
-        cfg = RunConfig(**fields)
-        cfg.validate()
-        return _execute(cfg)
+        return _execute(ns)
     except (ParseError, CycleError, ValueError) as exc:
         print(f"dimdraw: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+_LISTED_OFFENDERS = 10  # the most offenders a RepairFailed message names
+
 
 class DimDrawError(Exception):
     """Base class for every error raised by this package."""
@@ -59,5 +61,9 @@ class RepairFailed(DimDrawError):
 
     def __init__(self, offenders: list[tuple[int, tuple[int, int]]]):
         self.offenders = list(offenders)
-        listing = ", ".join(f"node {n} on edge {e}" for n, e in self.offenders)
+        listing = ", ".join(f"node {n} on edge {e}"
+                            for n, e in self.offenders[:_LISTED_OFFENDERS])
+        if len(self.offenders) > _LISTED_OFFENDERS:
+            listing += (f", and {len(self.offenders) - _LISTED_OFFENDERS} more"
+                        f" ({len(self.offenders)} in all)")
         super().__init__(f"could not clear node/edge incidences: {listing}")

@@ -2,6 +2,7 @@ import codecs
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,9 +11,13 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dimdraw.cli
 import dimdraw.lattice
 import dimdraw.projection
-from dimdraw.cli import _build_parser, build_diagram, main, parse_poset_edges
+from dimdraw.cli import (DEFAULT_MAX_K, _build_parser, build_diagram, main,
+                         parse_poset_edges)
+from dimdraw.dimension import DEFAULT_TIMEOUT_S
+from dimdraw.projection import DEFAULT_SPREAD_DEG
 from dimdraw import (ParseError, concepts, to_json, to_svg, to_tikz,
                      write_cxt)
 from helpers import (contra_nominal, crown_context, life_context,
@@ -159,6 +164,24 @@ def test_invalid_spread_rejected(life_file, capsys):
     assert main(["draw", life_file, "--spread", "1e-9"]) == 0
 
 
+@pytest.mark.parametrize("command, flag, value, requirement", [
+    ("dimension", "--max-k", "0", "must be at least 1"),
+    ("realizer", "--max-k", "-1", "must be at least 1"),
+    ("draw", "--max-k", "1.5", "invalid int value: '1.5'"),
+    ("dimension", "--timeout", "-1", "must be non-negative"),
+    ("draw", "--spread", "95", "must be strictly between 0 and 90"),
+])
+@pytest.mark.parametrize("exists", [True, False], ids=["input", "no-input"])
+def test_invalid_flag_is_a_usage_error_before_the_input_is_read(
+        life_file, capsys, command, flag, value, requirement, exists):
+    path = life_file if exists else "/nonexistent/nope.cxt"
+    assert main([command, path, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dimdraw {command} ")
+    assert err.endswith(
+        f"dimdraw {command}: error: argument {flag}: {requirement}\n")
+
+
 def test_spread_that_merges_points_is_an_input_error(tmp_path, capsys):
     # at 60 degrees the three directions of a 3-axis fan satisfy
     # u(150) + u(30) = u(90), and every permutation of this fan puts two
@@ -194,6 +217,16 @@ def test_poset_edges_parser():
     assert p.relation == {("a", "b"), ("b", "c")}
     with pytest.raises(ParseError):
         parse_poset_edges("a <= b\n")
+
+
+@pytest.mark.parametrize("text, elements", [
+    ("b < a\nc\na < c\nb\n", ("b", "a", "c")),
+    ("a < b\nc < b\nb < d\n", ("a", "b", "c", "d")),  # first on the right
+    ("a < c\na < b\nb < c\n", ("a", "c", "b")),      # twice, then once more
+    ("a < b\nb\na\nc\n", ("a", "b", "c")),           # bare after an edge
+])
+def test_poset_elements_keep_the_order_of_first_appearance(text, elements):
+    assert parse_poset_edges(text).elements == elements
 
 
 def test_poset_input_pipeline(tmp_path, capsys):
@@ -301,6 +334,29 @@ def test_crossings_are_counted_at_most_once_after_the_search(
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("concepts", 0), ("dimension", 2), ("realizer", 2), ("draw", 4)])
+def test_help_shows_each_default_from_its_constant(monkeypatch, capsys,
+                                                   command, flags):
+    # --timeout, --max-k, --format and --spread, in that order
+    def defaults_shown(parser):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # unwrapped
+        return re.findall(r"\(default ([^)]*)\)", text)
+
+    assert (f"{DEFAULT_TIMEOUT_S:g}", DEFAULT_MAX_K, f"{DEFAULT_SPREAD_DEG:g}") == (
+        "60", 8, "45")
+    assert defaults_shown(_build_parser()) == ["60", "8", "svg", "45"][:flags]
+    # a parser built from other constants shows the other values
+    monkeypatch.setattr(dimdraw.cli, "DEFAULT_TIMEOUT_S", 7.5)
+    monkeypatch.setattr(dimdraw.cli, "DEFAULT_MAX_K", 3)
+    monkeypatch.setattr(dimdraw.cli, "DEFAULT_SPREAD_DEG", 30.0)
+    assert defaults_shown(_build_parser.__wrapped__()) == [
+        "7.5", "3", "svg", "30"][:flags]
 
 
 def test_one_parser_per_process():

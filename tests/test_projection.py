@@ -576,6 +576,25 @@ def test_repair_failure_lists_offenders():
     assert err.value.offenders == [(node, (238, 239))]
 
 
+@pytest.mark.parametrize("n_offenders", [1, 10, 11, 400])
+def test_repair_failure_message_lists_the_first_ten_offenders(n_offenders):
+    # every point on one vertical line leaves no candidate inside the
+    # bounding box, so round 0 fails on each node strictly inside the
+    # one long edge
+    top = n_offenders + 1
+    layout = Layout(points=tuple((0.0, float(y)) for y in range(top + 1)),
+                    edges=((0, top),), frame=default_frame(1), assignment=(0,))
+    with pytest.raises(RepairFailed) as err:
+        repair_incidences(layout)
+    offenders = [(node, (0, top)) for node in range(1, top)]
+    assert err.value.offenders == offenders
+    listed = ", ".join(f"node {n} on edge {e}" for n, e in offenders[:10])
+    more = (f", and {n_offenders - 10} more ({n_offenders} in all)"
+            if n_offenders > 10 else "")
+    assert str(err.value) == (
+        f"could not clear node/edge incidences: {listed}{more}")
+
+
 def _repair_outcome(repair, layout):
     """The repaired points, or the offenders of the RepairFailed raised."""
     try:
