@@ -11,15 +11,13 @@ the same stages as ``dimdraw draw``.
 from .context import (FormalContext, PosetInput, parse_csv, parse_cxt,
                       poset_to_context, write_cxt)
 from .dimension import (FerrersCover, LinearExtension, Realizer,
-                        brute_force_dimension, certificate_json,
-                        ferrers_cover, is_ferrers,
+                        certificate_json, ferrers_cover, is_ferrers,
                         linear_extension_from_ferrers, order_dimension,
                         realizer_from_cover, verify_realizer)
 from .embedding import DimEmbedding, embed
 from .errors import (ContractViolation, CycleError, DimDrawError,
-                     DimensionUndecided, LatticeTooLargeError,
-                     OracleCapExceeded, ParseError, RepairFailed,
-                     SearchTimeout)
+                     DimensionUndecided, LatticeTooLargeError, ParseError,
+                     RepairFailed, SearchTimeout)
 from .lattice import (Concept, ConceptLattice, concepts, derive_attributes,
                       derive_objects, transitive_reduction)
 from .projection import (AxisFrame, BestAssignment, Layout, best_assignment,
@@ -33,9 +31,8 @@ __all__ = [
     "ContractViolation", "CycleError", "DimDrawError", "DimEmbedding",
     "DimensionUndecided", "FerrersCover", "FormalContext",
     "LabeledDiagram", "LatticeTooLargeError", "Layout", "LinearExtension",
-    "OracleCapExceeded", "ParseError", "PosetInput", "Realizer",
-    "RepairFailed", "SearchTimeout", "best_assignment",
-    "brute_force_dimension", "certificate_json", "concepts",
+    "ParseError", "PosetInput", "Realizer", "RepairFailed",
+    "SearchTimeout", "best_assignment", "certificate_json", "concepts",
     "default_frame", "derive_attributes", "derive_objects",
     "embed", "ferrers_cover", "is_ferrers", "label",
     "linear_extension_from_ferrers", "normalize", "order_dimension",

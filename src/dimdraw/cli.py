@@ -1,28 +1,29 @@
 """Command-line entry point: concepts | dimension | realizer | draw.
 
 Reports go to stdout, diagnostics to stderr, artifacts to --output when
-given.  Exit codes: 0 success, 1 usage or input error, 2 timeout or
-undecided or a resource cap, 3 internal contract violation or any other
-unexpected exception, reported as one line.  Identical
-invocations on identical inputs produce byte-identical outputs.
+given.  Exit codes: 0 success, also when the reader closes stdout early,
+1 usage or input error, 2 timeout or undecided or a resource cap, 3
+internal contract violation or any other unexpected exception, reported
+as one line.  Identical invocations on identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
 from .context import (FormalContext, PosetInput, _json_text, parse_csv,
                       parse_cxt, poset_to_context)
-from .dimension import (DEFAULT_TIMEOUT_S, ORACLE_ELEMENT_CAP, FerrersCover,
-                        Realizer, brute_force_dimension, certificate_json,
-                        order_dimension, realizer_from_cover,
-                        realizer_permutations)
+from .dimension import (DEFAULT_TIMEOUT_S, FerrersCover, Realizer,
+                        certificate_json, order_dimension,
+                        realizer_from_cover, realizer_permutations)
 from .embedding import embed
 from .errors import (ContractViolation, CycleError, DimensionUndecided,
-                     LatticeTooLargeError, OracleCapExceeded, ParseError,
-                     RepairFailed, SearchTimeout)
+                     LatticeTooLargeError, ParseError, RepairFailed,
+                     SearchTimeout)
 from .lattice import ConceptLattice, _bits, concepts
 from .projection import (DEFAULT_SPREAD_DEG, best_assignment, default_frame,
                          normalize, repair_incidences)
@@ -82,27 +83,12 @@ def _infer_format(path: str) -> str:
         f"cannot infer input format from {path!r}; pass --input-format")
 
 
-def _oracle_check(lattice: ConceptLattice, dim: int) -> None:
-    if lattice.n > ORACLE_ELEMENT_CAP:
-        print(f"oracle: skipped ({lattice.n} concepts exceed the cap of "
-              f"{ORACLE_ELEMENT_CAP})", file=sys.stderr)
-        return
-    reference = brute_force_dimension(lattice)
-    if reference != dim:
-        raise ContractViolation(
-            f"oracle disagreement: cover search says {dim}, brute force "
-            f"says {reference}")
-    print(f"oracle: agreement (dimension {dim})", file=sys.stderr)
-
-
 def _front(ctx: FormalContext, lat: ConceptLattice, *,
-           timeout_per_k: float | None, max_k: int | None,
-           check_oracle: bool = False) -> tuple[int, FerrersCover, Realizer]:
+           timeout_per_k: float | None, max_k: int | None
+           ) -> tuple[int, FerrersCover, Realizer]:
     """The shared front half after the lattice: the dimension with its
-    cover, the optional oracle check and the realizer."""
+    cover and the realizer."""
     dim, cover = order_dimension(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
-    if check_oracle:
-        _oracle_check(lat, dim)
     return dim, cover, realizer_from_cover(ctx, lat, cover)
 
 
@@ -144,7 +130,7 @@ def _execute(ns: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     else:
         dim, cover, real = _front(ctx, lat, timeout_per_k=ns.timeout,
-                                  max_k=ns.max_k, check_oracle=ns.check_oracle)
+                                  max_k=ns.max_k)
         if ns.command == "dimension":
             text = certificate_json(ctx, lat, dim, cover, real)
             print(f"dimension: {dim}")
@@ -162,6 +148,7 @@ def _execute(ns: argparse.Namespace) -> int:
     else:
         with open(ns.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     return EXIT_OK
 
 
@@ -208,9 +195,6 @@ def _build_parser() -> _Parser:
                                          "must be at least 1"),
                            help="largest cover size to try "
                                 "(default %(default)s)")
-            p.add_argument("--check-oracle", action="store_true",
-                           help="cross-check the dimension against the "
-                                "brute-force oracle on small lattices")
         return p
 
     command("concepts", "enumerate the concept lattice", search=False)
@@ -241,11 +225,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, CycleError, ValueError) as exc:
         print(f"dimdraw: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader stopped reading an answer that was computed; stdout
+        # goes to devnull so that the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"dimdraw: error: cannot read or write: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DimensionUndecided, SearchTimeout, LatticeTooLargeError,
-            OracleCapExceeded) as exc:
+    except (DimensionUndecided, SearchTimeout, LatticeTooLargeError) as exc:
         print(f"dimdraw: undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except (ContractViolation, RepairFailed) as exc:

@@ -40,18 +40,14 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 from .context import FormalContext, _json_text
-from .errors import (ContractViolation, DimensionUndecided, OracleCapExceeded,
-                     SearchTimeout)
+from .errors import ContractViolation, DimensionUndecided, SearchTimeout
 from .lattice import ConceptLattice, _bits
 
 Cell = tuple[int, int]
 
 DEFAULT_TIMEOUT_S = 60.0
-ORACLE_ELEMENT_CAP = 10
-ORACLE_EXTENSION_CAP = 100_000
 
 
 def _cell_rows(n_objects: int, n_attributes: int,
@@ -564,77 +560,6 @@ def realizer_from_cover(ctx: FormalContext, lattice: ConceptLattice,
     if not verify_realizer(lattice, result):
         raise ContractViolation("cover-induced extensions do not realize the order")
     return result
-
-
-def _all_linear_extensions(up_masks: Sequence[int], cap: int) -> list[tuple[int, ...]]:
-    n = len(up_masks)
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up_masks[i] & ~(1 << i)):
-            down[j] |= 1 << i
-    out: list[tuple[int, ...]] = []
-    order: list[int] = []
-
-    def rec(placed: int) -> None:
-        if len(order) == n:
-            out.append(tuple(order))
-            if len(out) > cap:
-                raise OracleCapExceeded(
-                    f"more than {cap} linear extensions; the brute-force "
-                    "oracle refuses this order")
-            return
-        for v in range(n):
-            if placed >> v & 1 or down[v] & ~placed:
-                continue
-            order.append(v)
-            rec(placed | (1 << v))
-            order.pop()
-
-    rec(0)
-    return out
-
-
-def brute_force_dimension(order: ConceptLattice | Sequence[int]) -> int:
-    """Exact dimension by exhausting linear-extension subsets.
-
-    Independent of the Ferrers machinery by construction: enumerates all
-    linear extensions of the order and finds the smallest subset whose
-    intersection is the order.  Accepts a ConceptLattice or raw up-set
-    bitmasks, so it also serves arbitrary finite orders.  Orders beyond
-    the ORACLE_*_CAP sizes raise OracleCapExceeded.
-    """
-    up = tuple(order.up_masks) if isinstance(order, ConceptLattice) else tuple(order)
-    n = len(up)
-    if n == 0:
-        raise ValueError("order must have at least one element")
-    if n > ORACLE_ELEMENT_CAP:
-        raise OracleCapExceeded(
-            f"{n} elements exceed the oracle cap of {ORACLE_ELEMENT_CAP}")
-    extensions = _all_linear_extensions(up, ORACLE_EXTENSION_CAP)
-
-    ext_up: list[tuple[int, ...]] = []
-    for ext in extensions:
-        suffix = 0
-        masks = [0] * n
-        for rank in range(n - 1, -1, -1):
-            suffix |= 1 << ext[rank]
-            masks[ext[rank]] = suffix
-        ext_up.append(tuple(masks))
-
-    target = up
-    for size in range(1, len(extensions) + 1):
-        for combo in combinations(range(len(extensions)), size):
-            ok = True
-            for i in range(n):
-                acc = (1 << n) - 1
-                for e in combo:
-                    acc &= ext_up[e][i]
-                if acc != target[i]:
-                    ok = False
-                    break
-            if ok:
-                return size
-    raise ContractViolation("intersection of all extensions missed the order")
 
 
 def realizer_permutations(ctx: FormalContext, lattice: ConceptLattice,

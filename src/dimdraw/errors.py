@@ -48,10 +48,6 @@ class DimensionUndecided(DimDrawError):
         )
 
 
-class OracleCapExceeded(DimDrawError):
-    """The brute-force oracle refused an input beyond its configured caps."""
-
-
 class ContractViolation(DimDrawError):
     """An internal invariant did not hold; indicates a bug, not bad input."""
 

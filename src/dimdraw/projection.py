@@ -188,7 +188,7 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     stops at the best count: past that it cannot win.  A permutation
     that puts two concepts on one point is skipped; ValueError only when
     every permutation merges points.
-    Up to ASSIGNMENT_CAP (d! search space) every d, 1 included, is searched;
+    Up to ASSIGNMENT_CAP (d!/2 sweeps) every d, 1 included, is searched;
     above it the identity assignment is returned with ``exhaustive=False``.
     """
     d = e.dim

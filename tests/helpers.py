@@ -16,7 +16,8 @@ from functools import reduce
 from itertools import combinations
 from operator import add
 
-from dimdraw import FormalContext, RepairFailed, order_dimension, realizer_from_cover
+from dimdraw import (ConceptLattice, FormalContext, RepairFailed,
+                     order_dimension, realizer_from_cover)
 from dimdraw.dimension import _Cells, _CoverSearch
 from dimdraw.projection import (_REPAIR_MAX_STEPS, _REPAIR_ROUNDS, REPAIR_EPS,
                                 _segment_distance)
@@ -377,6 +378,71 @@ def brute_covers(lattice) -> set[tuple[int, int]]:
                 continue
             covers.add((x, y))
     return covers
+
+
+ORACLE_ELEMENT_CAP = 10
+ORACLE_EXTENSION_CAP = 100_000
+
+
+def _all_linear_extensions(up_masks) -> list[tuple[int, ...]]:
+    n = len(up_masks)
+    down = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if j != i and up_masks[i] >> j & 1:
+                down[j] |= 1 << i
+    out: list[tuple[int, ...]] = []
+    order: list[int] = []
+
+    def rec(placed: int) -> None:
+        if len(order) == n:
+            out.append(tuple(order))
+            if len(out) > ORACLE_EXTENSION_CAP:
+                raise ValueError(f"more than {ORACLE_EXTENSION_CAP} linear "
+                                 "extensions; the oracle refuses this order")
+            return
+        for v in range(n):
+            if placed >> v & 1 or down[v] & ~placed:
+                continue
+            order.append(v)
+            rec(placed | (1 << v))
+            order.pop()
+
+    rec(0)
+    return out
+
+
+def brute_force_dimension(order) -> int:
+    """Exact dimension by exhausting linear-extension subsets.
+
+    Independent of the Ferrers machinery by construction: enumerates all
+    linear extensions of the order and finds the smallest subset whose
+    intersection is the order.  Accepts a ConceptLattice or raw up-set
+    bitmasks, so it also serves arbitrary finite orders.  Orders beyond
+    the ORACLE_*_CAP sizes raise ValueError.
+    """
+    up = tuple(order.up_masks) if isinstance(order, ConceptLattice) else tuple(order)
+    n = len(up)
+    if not 0 < n <= ORACLE_ELEMENT_CAP:
+        raise ValueError(f"the oracle takes 1 to {ORACLE_ELEMENT_CAP} "
+                         f"elements, not {n}")
+    extensions = _all_linear_extensions(up)
+
+    ext_up: list[tuple[int, ...]] = []
+    for ext in extensions:
+        suffix = 0
+        masks = [0] * n
+        for rank in range(n - 1, -1, -1):
+            suffix |= 1 << ext[rank]
+            masks[ext[rank]] = suffix
+        ext_up.append(tuple(masks))
+
+    for size in range(1, len(extensions) + 1):
+        for combo in combinations(range(len(extensions)), size):
+            if all(reduce(int.__and__, (ext_up[e][i] for e in combo)) == up[i]
+                   for i in range(n)):
+                return size
+    raise AssertionError("intersection of all extensions missed the order")
 
 
 def reference_concept_listing(ctx: FormalContext, lattice) -> str:

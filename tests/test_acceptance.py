@@ -7,13 +7,13 @@ import time
 from contextlib import contextmanager
 
 from dimdraw import (FormalContext, LinearExtension, Realizer,
-                     brute_force_dimension, best_assignment, concepts,
-                     default_frame, embed, ferrers_cover, is_ferrers,
-                     normalize, order_dimension, parse_cxt,
-                     realizer_from_cover, repair_incidences, verify_realizer,
-                     write_cxt)
+                     best_assignment, concepts, default_frame, embed,
+                     ferrers_cover, is_ferrers, normalize, order_dimension,
+                     parse_cxt, realizer_from_cover, repair_incidences,
+                     verify_realizer, write_cxt)
 from dimdraw.cli import main
-from helpers import (closed_form_point_segment_distance, contra_nominal, leq,
+from helpers import (brute_force_dimension,
+                     closed_form_point_segment_distance, contra_nominal, leq,
                      life_context, life_cxt_text, life_letter_map,
                      quantifier_is_ferrers, random_context, s3_up_masks,
                      LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3,

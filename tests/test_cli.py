@@ -97,8 +97,9 @@ def test_realizer_command(life_file, tmp_path, capsys):
 
 
 def test_unknown_flag_is_usage_error(life_file, capsys):
-    assert main(["dimension", life_file, "--bogus"]) == 1
-    assert "error" in capsys.readouterr().err
+    for flag in ("--bogus", "--check-oracle"):  # the oracle is test code now
+        assert main(["dimension", life_file, flag]) == 1
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 def test_unreadable_file_is_usage_error(capsys):
@@ -265,20 +266,6 @@ def test_poset_cycle_reported(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
-def test_check_oracle_agreement(tmp_path, capsys):
-    path = tmp_path / "cn2.cxt"
-    path.write_text("B\n\n2\n2\n1\n2\na\nb\n.X\nX.\n", encoding="utf-8")
-    assert main(["dimension", str(path), "--check-oracle"]) == 0
-    captured = capsys.readouterr()
-    assert "dimension: 2" in captured.out
-    assert "oracle: agreement" in captured.err
-
-
-def test_check_oracle_skips_large_lattices(life_file, capsys):
-    assert main(["dimension", life_file, "--check-oracle"]) == 0
-    assert "oracle: skipped" in capsys.readouterr().err
-
-
 def test_draw_json_and_tikz(life_file, tmp_path):
     out_json = tmp_path / "d.json"
     assert main(["draw", life_file, "--format", "json", "-o", str(out_json)]) == 0
@@ -375,6 +362,27 @@ def test_importing_the_cli_loads_no_xml_network_email_or_typing_module():
     assert "dimdraw" in loaded
     assert not {"xml", "urllib", "http", "email", "ssl", "socket",
                 "typing"}.intersection(loaded)
+
+
+def test_closed_stdout_pipe_exits_0_quietly(tmp_path):
+    # the read end is closed before the command starts, so writing the
+    # answer fails with EPIPE: at once when unbuffered, else at the flush
+    path = tmp_path / "crown6.cxt"
+    path.write_text(write_cxt(crown_context(6)), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "dimdraw.cli", "dimension", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**env, **unbuffered, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b""), unbuffered
 
 
 def test_reused_parser_carries_no_option_to_the_next_call(life_file, tmp_path,

@@ -5,14 +5,13 @@ import random
 import pytest
 
 from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
-                     LinearExtension, OracleCapExceeded, Realizer,
-                     SearchTimeout, brute_force_dimension, certificate_json,
-                     concepts, ferrers_cover, is_ferrers,
+                     LinearExtension, Realizer, SearchTimeout,
+                     certificate_json, concepts, ferrers_cover, is_ferrers,
                      linear_extension_from_ferrers, order_dimension,
                      realizer_from_cover, verify_realizer)
-from dimdraw.dimension import (ORACLE_ELEMENT_CAP, _Cells, _cells,
-                               _check_cover, _CoverSearch)
-from helpers import (cell_conflicts, cell_table, chain_context,
+from dimdraw.dimension import _Cells, _cells, _check_cover, _CoverSearch
+from helpers import (ORACLE_ELEMENT_CAP, brute_force_dimension,
+                     cell_conflicts, cell_table, chain_context,
                      chain_extent_order, complement, contra_nominal,
                      cover_search, crown_context, diamond_up_masks,
                      digraph_extendable, leq, life_context, life_ferrers_parts,
@@ -422,6 +421,30 @@ def test_order_dimension_matches_plain_k_loop():
     assert small >= 5
 
 
+_TRANSPOSE_CONTEXTS = (
+    [life_context(), crown_context(8), crown_context(12), contra_nominal(4),
+     contra_nominal(5)]
+    + [seeded_context(n_g, n_m, p, s)
+       for n_g, n_m in ((6, 6), (8, 8), (8, 12), (10, 10))
+       for p in (0.3, 0.5, 0.7) for s in range(4)])
+
+
+def test_transpose_has_the_same_dimension():
+    # the transposed context has the dual lattice, which is realized by
+    # the reversed extensions; both searches return a checked cover
+    dims = set()
+    for ctx in _TRANSPOSE_CONTEXTS:
+        dual = FormalContext(ctx.attributes, ctx.objects,
+                             frozenset((m, g) for g, m in ctx.incidence))
+        d, cover = order_dimension(ctx)
+        d_dual, dual_cover = order_dimension(dual)
+        assert d == d_dual, ctx
+        _check_cover(ctx, cover)
+        _check_cover(dual, dual_cover)
+        dims.add(d)
+    assert dims == {2, 3, 4, 5}
+
+
 def test_clique_cells_pairwise_conflict():
     for ctx in [*_REFERENCE_CONTEXTS, life_context(), seeded_context(20, 12, 0.4, 5)]:
         table = cell_table(ctx)
@@ -811,13 +834,6 @@ def test_brute_force_standard_example_three():
 def test_brute_force_accepts_lattice():
     lat = concepts(contra_nominal(2))
     assert brute_force_dimension(lat) == 2
-
-
-def test_brute_force_cap():
-    masks = [(1 << 12) - 1] * 1 + [1 << i for i in range(1, 12)]
-    masks[0] = (1 << 12) - 1
-    with pytest.raises(OracleCapExceeded):
-        brute_force_dimension(masks)
 
 
 def test_oracle_agreement_sampled_4x4():
