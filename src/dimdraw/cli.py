@@ -15,8 +15,8 @@ import os
 import sys
 from functools import cache
 
-from .context import (FormalContext, PosetInput, _json_text, parse_csv,
-                      parse_cxt, poset_to_context)
+from .context import (FormalContext, _json_text, parse_csv, parse_cxt,
+                      parse_poset_edges, poset_to_context)
 from .dimension import (DEFAULT_TIMEOUT_S, FerrersCover, Realizer,
                         certificate_json, order_dimension,
                         realizer_from_cover, realizer_permutations)
@@ -38,27 +38,6 @@ DEFAULT_MAX_K = 8
 
 _FORMATS = ("cxt", "csv", "poset-edges")
 _EMITTERS = {"svg": to_svg, "tikz": to_tikz, "json": to_json}
-
-
-def parse_poset_edges(text: str) -> PosetInput:
-    """Edge-list poset format: one ``a < b`` pair per line, whitespace
-    separated.  A line with a single token declares an isolated element;
-    blank lines and ``#`` comments are skipped."""
-    elements: dict[str, None] = {}  # keys in order of first appearance
-    relation: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) == 3 and tokens[1] == "<":
-            relation.add((tokens[0], tokens[2]))
-        elif len(tokens) != 1:
-            raise ParseError(f"expected 'a < b' or a bare element name, got {line!r}",
-                             line=lineno)
-        # a bare name is both tokens[0] and tokens[-1]; a key keeps its place
-        elements[tokens[0]] = elements[tokens[-1]] = None
-    return PosetInput(tuple(elements), frozenset(relation))
 
 
 def load_context(path: str, input_format: str) -> FormalContext:

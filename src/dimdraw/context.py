@@ -1,6 +1,6 @@
-"""Formal-context input and output.
+"""Formal-context input and output: every text reader of the package.
 
-Two text formats are supported.  The Burmeister ``.cxt`` dialect accepted
+Three text formats are read.  The Burmeister ``.cxt`` dialect accepted
 here is, line by line::
 
     B
@@ -17,11 +17,12 @@ attributes (its first cell is ignored); every other row starts with the
 object name.  ``X``, ``x`` and ``1`` mark an incident cell; an empty
 cell, ``0`` or ``.`` a non-incident one.
 
-Arbitrary finite posets enter the pipeline through ``poset_to_context``,
-which encodes an order (X, <=) as the context (X, X, <=).  The concept
-lattice of that context is the Dedekind-MacNeille completion of the
-poset, and completion preserves the order dimension, so the rest of the
-pipeline applies unchanged.
+Arbitrary finite posets are read by ``parse_poset_edges``, one ``a < b``
+pair per line, and enter the pipeline through ``poset_to_context``, which
+encodes an order (X, <=) as the context (X, X, <=).  The concept lattice
+of that context is the Dedekind-MacNeille completion of the poset, and
+completion preserves the order dimension, so the rest of the pipeline
+applies unchanged.
 """
 
 from __future__ import annotations
@@ -115,8 +116,42 @@ class PosetInput:
                 raise ValueError(f"relation pair ({x!r}, {y!r}) names unknown element")
 
 
+def parse_poset_edges(text: str) -> PosetInput:
+    """Edge-list poset format: one ``a < b`` pair per line, whitespace
+    separated.  A line with a single token declares an isolated element;
+    blank lines and ``#`` comments are skipped."""
+    elements: dict[str, None] = {}  # keys in order of first appearance
+    relation: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) == 3 and tokens[1] == "<":
+            relation.add((tokens[0], tokens[2]))
+        elif len(tokens) != 1:
+            raise ParseError(f"expected 'a < b' or a bare element name, got {line!r}",
+                             line=lineno)
+        # a bare name is both tokens[0] and tokens[-1]; a key keeps its place
+        elements[tokens[0]] = elements[tokens[-1]] = None
+    return PosetInput(tuple(elements), frozenset(relation))
+
+
 def _strip_cr(lines: list[str]) -> list[str]:
     return [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
+
+
+def _unique_names(kind: str):
+    """A pass-through for names read one at a time that raises ParseError,
+    at the given line, on the first name it has seen before."""
+    seen: set[str] = set()
+
+    def unique(name: str, line: int) -> str:
+        if name in seen:
+            raise ParseError(f"duplicate {kind} name {name!r}", line=line)
+        seen.add(name)
+        return name
+    return unique
 
 
 def _parse_count(raw: str, line: int, what: str) -> int:
@@ -151,27 +186,14 @@ def parse_cxt(text: str) -> FormalContext:
     n_objects = _parse_count(need(2, "object count"), 3, "object count")
     n_attributes = _parse_count(need(3, "attribute count"), 4, "attribute count")
 
-    base = 4
-    objects: list[str] = []
-    seen: dict[str, int] = {}
-    for i in range(n_objects):
-        name = need(base + i, "object name")
-        if name in seen:
-            raise ParseError(f"duplicate object name {name!r}", line=base + i + 1)
-        seen[name] = i
-        objects.append(name)
+    def names(kind: str, start: int, count: int) -> tuple[str, ...]:
+        unique = _unique_names(kind)
+        return tuple(unique(need(i, f"{kind} name"), i + 1)
+                     for i in range(start, start + count))
 
-    base += n_objects
-    attributes: list[str] = []
-    seen = {}
-    for i in range(n_attributes):
-        name = need(base + i, "attribute name")
-        if name in seen:
-            raise ParseError(f"duplicate attribute name {name!r}", line=base + i + 1)
-        seen[name] = i
-        attributes.append(name)
-
-    base += n_attributes
+    objects = names("object", 4, n_objects)
+    attributes = names("attribute", 4 + n_objects, n_attributes)
+    base = 4 + n_objects + n_attributes
     incidence: set[tuple[int, int]] = set()
     for g in range(n_objects):
         row = need(base + g, "incidence row")
@@ -190,7 +212,7 @@ def parse_cxt(text: str) -> FormalContext:
         if lines[extra].strip():
             raise ParseError("unexpected trailing content", line=extra + 1)
 
-    return FormalContext(tuple(objects), tuple(attributes), frozenset(incidence))
+    return FormalContext(objects, attributes, frozenset(incidence))
 
 
 def write_cxt(ctx: FormalContext) -> str:
@@ -255,28 +277,20 @@ def parse_csv(text: str) -> FormalContext:
         raise ParseError("empty CSV input", line=1)
 
     header = [cell.strip() for cell in lines[0].split(",")]
-    attributes = header[1:]
-    seen: set[str] = set()
-    for name in attributes:
-        if name in seen:
-            raise ParseError(f"duplicate attribute name {name!r}", line=1)
-        seen.add(name)
+    unique = _unique_names("attribute")
+    attributes = [unique(name, 1) for name in header[1:]]
 
     n_cols = len(header)
     objects: list[str] = []
     incidence: set[tuple[int, int]] = set()
-    seen = set()
+    unique = _unique_names("object")
     for lineno, raw in enumerate(lines[1:], start=2):
         cells = [cell.strip() for cell in raw.split(",")]
         if len(cells) != n_cols:
             raise ParseError(
                 f"ragged row: expected {n_cols} cells, got {len(cells)}", line=lineno)
-        name = cells[0]
-        if name in seen:
-            raise ParseError(f"duplicate object name {name!r}", line=lineno)
-        seen.add(name)
         g = len(objects)
-        objects.append(name)
+        objects.append(unique(cells[0], lineno))
         for m, cell in enumerate(cells[1:]):
             if cell in _CSV_INCIDENT:
                 incidence.add((g, m))
@@ -286,62 +300,43 @@ def parse_csv(text: str) -> FormalContext:
     return FormalContext(tuple(objects), tuple(attributes), frozenset(incidence))
 
 
-def _closure_masks(n: int, direct: list[int]) -> list[int]:
-    """Reflexive-transitive closure of a successor-mask adjacency."""
-    reach = [direct[i] | (1 << i) for i in range(n)]
-    for k in range(n):
-        kbit = 1 << k
-        for i in range(n):
-            if reach[i] & kbit:
-                reach[i] |= reach[k]
-    return reach
-
-
-def _cycle_path(p: PosetInput, idx: dict[str, int], a: int, b: int) -> list[str]:
-    """A closed witness path a -> ... -> b -> ... -> a along direct pairs."""
-    succ: dict[int, list[int]] = {i: [] for i in range(len(p.elements))}
-    for x, y in sorted(p.relation):
-        succ[idx[x]].append(idx[y])
-
-    def bfs(src: int, dst: int) -> list[int]:
-        parent = {src: -1}
-        queue = [src]
-        while queue:
-            cur = queue.pop(0)
-            if cur == dst:
-                path = [cur]
-                while parent[path[-1]] != -1:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            for nxt in succ[cur]:
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        raise AssertionError("witness path must exist")
-
-    forward = bfs(a, b)
-    back = bfs(b, a)
-    names = [p.elements[i] for i in forward + back[1:]]
-    return names
-
-
 def poset_to_context(p: PosetInput) -> FormalContext:
     """Encode a poset as the context (X, X, <=) of its completion.
 
-    Raises CycleError, naming a closed witness path, when the
-    reflexive-transitive closure of the input pairs is not antisymmetric.
+    One iterative depth-first search, roots and successors in index order,
+    closes the order: leaving an element v sets its up-set to v together
+    with the up-sets of its direct successors.  A pair x < x is skipped.
+    An edge back into the open path raises CycleError, naming that path
+    from the edge's target, closed: a cycle of input pairs.
     """
     n = len(p.elements)
     idx = {name: i for i, name in enumerate(p.elements)}
-    direct = [0] * n
-    for x, y in p.relation:
-        direct[idx[x]] |= 1 << idx[y]
-    reach = _closure_masks(n, direct)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if reach[i] >> j & 1 and reach[j] >> i & 1:
-                raise CycleError(_cycle_path(p, idx, i, j))
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j in sorted((idx[x], idx[y]) for x, y in p.relation if x != y):
+        succ[i].append(j)
+    reach = [0] * n  # 0 until the element is left
+    for root in range(n):
+        if reach[root]:
+            continue
+        path, open_mask, todo = [root], 1 << root, [iter(succ[root])]
+        while todo:
+            for w in todo[-1]:
+                if open_mask >> w & 1:
+                    cycle = path[path.index(w):] + [w]
+                    raise CycleError([p.elements[i] for i in cycle])
+                if not reach[w]:
+                    path.append(w)
+                    open_mask |= 1 << w
+                    todo.append(iter(succ[w]))
+                    break
+            else:
+                v = path.pop()
+                open_mask ^= 1 << v
+                todo.pop()
+                up = 1 << v
+                for w in succ[v]:
+                    up |= reach[w]
+                reach[v] = up
 
     incidence = {(i, j) for i in range(n) for j in range(n) if reach[i] >> j & 1}
     return FormalContext(p.elements, p.elements, frozenset(incidence))

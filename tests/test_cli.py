@@ -14,15 +14,16 @@ from hypothesis import given, settings, strategies as st
 import dimdraw.cli
 import dimdraw.lattice
 import dimdraw.projection
-from dimdraw.cli import (DEFAULT_MAX_K, _build_parser, build_diagram, main,
-                         parse_poset_edges)
+from dimdraw.cli import DEFAULT_MAX_K, _build_parser, build_diagram, main
+from dimdraw.context import parse_poset_edges
 from dimdraw.dimension import DEFAULT_TIMEOUT_S
 from dimdraw.projection import DEFAULT_SPREAD_DEG
 from dimdraw import (ParseError, concepts, to_json, to_svg, to_tikz,
                      write_cxt)
 from helpers import (contra_nominal, crown_context, life_context,
-                     life_csv_text, life_cxt_text, random_order_context,
-                     reference_concept_listing, seeded_context)
+                     life_csv_text, life_cxt_text, oracle_crossings,
+                     random_order_context, reference_concept_listing,
+                     seeded_context)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -263,7 +264,7 @@ def test_poset_cycle_reported(tmp_path, capsys):
     path = tmp_path / "cyc.poset"
     path.write_text("a < b\nb < a\n", encoding="utf-8")
     assert main(["dimension", str(path), "--input-format", "poset-edges"]) == 1
-    assert "cycle" in capsys.readouterr().err
+    assert capsys.readouterr().err == "dimdraw: error: cycle detected: a < b < a\n"
 
 
 def test_draw_json_and_tikz(life_file, tmp_path):
@@ -316,6 +317,21 @@ def test_crossings_are_counted_at_most_once_after_the_search(
     assert main(["draw", life_file, "--format", fmt, "-o", str(out)]) == 0
     assert searched
     assert calls == [float("inf")] * full_counts
+
+
+def test_assignment_cap_draws_the_identity_with_a_warning(
+        life_file, tmp_path, monkeypatch, capsys):
+    # life has dimension 3; a cap of 2 sends it to the identity assignment
+    monkeypatch.setattr(dimdraw.projection, "ASSIGNMENT_CAP", 2)
+    out = tmp_path / "life.json"
+    assert main(["draw", life_file, "--format", "json", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: dimension 3 exceeds the assignment search cap; "
+        "using the identity assignment\n")
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    points = [(c["x"], c["y"]) for c in doc["concepts"]]
+    assert doc["crossings"] == oracle_crossings(points, doc["edges"])
+    assert build_diagram(life_context())[1] is False
 
 
 def test_help_exits_zero(capsys):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from dimdraw import (ContractViolation, DimensionUndecided, FormalContext,
-                     LinearExtension, Realizer, SearchTimeout,
+from dimdraw import (ContractViolation, DimensionUndecided, FerrersCover,
+                     FormalContext, LinearExtension, Realizer, SearchTimeout,
                      certificate_json, concepts, ferrers_cover, is_ferrers,
                      linear_extension_from_ferrers, order_dimension,
                      realizer_from_cover, verify_realizer)
@@ -810,6 +810,69 @@ def test_duplicated_extension_fails_on_antichain_completion():
 def test_extension_validation():
     with pytest.raises(ValueError):
         LinearExtension.from_order((0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Certification failures: one mutation of a valid cover or realizer of life
+
+def _life_cover():
+    ctx = life_context()
+    cover = FerrersCover(life_ferrers_parts())
+    _check_cover(ctx, cover)
+    return ctx, cover
+
+
+def _with_part(cover, i, part):
+    return FerrersCover(cover.parts[:i] + (frozenset(part),) + cover.parts[i + 1:])
+
+
+def test_check_cover_rejects_an_incident_cell_in_a_part():
+    ctx, cover = _life_cover()
+    bad = _with_part(cover, 0, cover.parts[0] | {min(ctx.incidence)})
+    with pytest.raises(ContractViolation, match="overlaps the incidence"):
+        _check_cover(ctx, bad)
+
+
+def test_check_cover_rejects_two_conflicting_cells_in_a_part():
+    ctx, cover = _life_cover()
+    n_g, n_m = ctx.n_objects, ctx.n_attributes
+    # a non-incident cell of another part that conflicts with part 0
+    cell = min(c for part in cover.parts[1:] for c in part
+               if not is_ferrers(n_g, n_m, cover.parts[0] | {c}))
+    bad = _with_part(cover, 0, cover.parts[0] | {cell})
+    with pytest.raises(ContractViolation, match="not a Ferrers relation"):
+        _check_cover(ctx, bad)
+
+
+def test_check_cover_rejects_a_dropped_cell():
+    ctx, cover = _life_cover()
+    n_g, n_m = ctx.n_objects, ctx.n_attributes
+    others = cover.parts[1].union(*cover.parts[2:])
+    # a cell only part 0 covers, whose removal leaves part 0 Ferrers
+    cell = min(c for c in cover.parts[0] - others
+               if is_ferrers(n_g, n_m, cover.parts[0] - {c}))
+    bad = _with_part(cover, 0, cover.parts[0] - {cell})
+    with pytest.raises(ContractViolation, match="union differs"):
+        _check_cover(ctx, bad)
+
+
+def test_realizer_from_cover_rejects_a_dropped_part():
+    ctx, cover = _life_cover()
+    lat = concepts(ctx)
+    assert realizer_from_cover(ctx, lat, cover).dim == 3
+    with pytest.raises(ContractViolation, match="do not realize"):
+        realizer_from_cover(ctx, lat, FerrersCover(cover.parts[1:]))
+
+
+def test_verify_realizer_rejects_empty_and_short_extensions():
+    ctx, cover = _life_cover()
+    lat = concepts(ctx)
+    real = realizer_from_cover(ctx, lat, cover)
+    assert verify_realizer(lat, real)
+    assert not verify_realizer(lat, Realizer(()))
+    short = LinearExtension.from_order(
+        [c for c in real.extensions[0].order if c != lat.n - 1])
+    assert not verify_realizer(lat, Realizer((short,) + real.extensions[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from dimdraw import (FormalContext, PosetInput, concepts, derive_attributes,
-                     derive_objects, is_ferrers, order_dimension, parse_csv,
-                     parse_cxt, poset_to_context, realizer_from_cover,
-                     write_cxt)
+from dimdraw import (CycleError, FormalContext, PosetInput, concepts,
+                     derive_attributes, derive_objects, is_ferrers,
+                     order_dimension, parse_csv, parse_cxt, poset_to_context,
+                     realizer_from_cover, write_cxt)
 from helpers import complement, leq, quantifier_is_ferrers
 
 _SAFE = string.ascii_letters + string.digits + "_-"
@@ -103,6 +103,37 @@ def test_realizer_extensions_preserve_order(ctx):
                 if leq(lat, i, j):
                     assert ext.pos[i] <= ext.pos[j]
                     assert (ext.pos[i] < ext.pos[j]) == (i != j)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=16))))
+def test_poset_cycle_iff_rejected_else_closure(case):
+    # self-pairs x < x are allowed in the input and must stay harmless
+    n, pairs = case
+    names = tuple(f"e{i}" for i in range(n))
+    relation = frozenset((names[a], names[b]) for a, b in pairs)
+    reach = []  # plain reachability over the pairs other than x < x
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            v = todo.pop()
+            for a, b in pairs:
+                if a == v != b and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        reach.append(seen)
+    cyclic = any(i in reach[j] for i in range(n) for j in reach[i] if j != i)
+    try:
+        ctx = poset_to_context(PosetInput(names, relation))
+    except CycleError as err:
+        assert cyclic
+        witness = err.witness
+        assert len(witness) >= 3 and witness[0] == witness[-1]
+        assert all(step in relation for step in zip(witness, witness[1:]))
+        return
+    assert not cyclic
+    assert ctx.incidence == {(i, j) for i in range(n) for j in reach[i]}
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12))
