@@ -12,8 +12,7 @@ from .context import (FormalContext, PosetInput, parse_csv, parse_cxt,
                       poset_to_context, write_cxt)
 from .dimension import (FerrersCover, LinearExtension, Realizer,
                         certificate_json, ferrers_cover, is_ferrers,
-                        linear_extension_from_ferrers, order_dimension,
-                        realizer_from_cover, verify_realizer)
+                        order_dimension, realizer_from_cover, verify_realizer)
 from .embedding import DimEmbedding, embed
 from .errors import (ContractViolation, CycleError, DimDrawError,
                      DimensionUndecided, LatticeTooLargeError, ParseError,
@@ -34,9 +33,8 @@ __all__ = [
     "ParseError", "PosetInput", "Realizer", "RepairFailed",
     "SearchTimeout", "best_assignment", "certificate_json", "concepts",
     "default_frame", "derive_attributes", "derive_objects",
-    "embed", "ferrers_cover", "is_ferrers", "label",
-    "linear_extension_from_ferrers", "normalize", "order_dimension",
-    "parse_csv", "parse_cxt", "poset_to_context", "project",
+    "embed", "ferrers_cover", "is_ferrers", "label", "normalize",
+    "order_dimension", "parse_csv", "parse_cxt", "poset_to_context", "project",
     "realizer_from_cover", "repair_incidences",
     "to_json", "to_svg", "to_tikz", "transitive_reduction", "verify_realizer",
     "write_cxt",

@@ -116,13 +116,19 @@ class PosetInput:
                 raise ValueError(f"relation pair ({x!r}, {y!r}) names unknown element")
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of the text as a file read in text mode has them:
+    ``\\r\\n``, ``\\r`` and ``\\n`` each end a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_poset_edges(text: str) -> PosetInput:
     """Edge-list poset format: one ``a < b`` pair per line, whitespace
     separated.  A line with a single token declares an isolated element;
     blank lines and ``#`` comments are skipped."""
     elements: dict[str, None] = {}  # keys in order of first appearance
     relation: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,10 +141,6 @@ def parse_poset_edges(text: str) -> PosetInput:
         # a bare name is both tokens[0] and tokens[-1]; a key keeps its place
         elements[tokens[0]] = elements[tokens[-1]] = None
     return PosetInput(tuple(elements), frozenset(relation))
-
-
-def _strip_cr(lines: list[str]) -> list[str]:
-    return [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
 
 
 def _unique_names(kind: str):
@@ -171,7 +173,7 @@ def parse_cxt(text: str) -> FormalContext:
     a count mismatch, a row length mismatch, an illegal row character, or
     a duplicate name.
     """
-    lines = _strip_cr(text.split("\n"))
+    lines = _lines(text)
 
     def need(i: int, what: str) -> str:
         if i >= len(lines):
@@ -270,7 +272,7 @@ def _json_value(o, nl: str) -> str:
 
 def parse_csv(text: str) -> FormalContext:
     """Parse a CSV cross table (see module docstring for the dialect)."""
-    lines = _strip_cr(text.split("\n"))
+    lines = _lines(text)
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:

@@ -60,6 +60,12 @@ def _cell_rows(n_objects: int, n_attributes: int,
     return rows
 
 
+def _is_staircase(rows: Iterable[int]) -> bool:
+    """Whether the rows, read as attribute sets, form a chain under inclusion."""
+    distinct = sorted(set(rows), key=int.bit_count)  # equal sizes: not a chain
+    return not any(small & ~big for small, big in zip(distinct, distinct[1:]))
+
+
 def is_ferrers(n_objects: int, n_attributes: int, cells: Iterable[Cell]) -> bool:
     """Whether the cell set is a Ferrers relation.
 
@@ -67,23 +73,25 @@ def is_ferrers(n_objects: int, n_attributes: int, cells: Iterable[Cell]) -> bool
     form a chain under inclusion.  (Equivalently: (g,m) and (h,n) present
     imply (g,n) or (h,m) present; the test suite cross-checks the two.)
     """
-    rows = _cell_rows(n_objects, n_attributes, cells)
-    distinct = sorted(set(rows), key=lambda r: (bin(r).count("1"), r))
-    for small, big in zip(distinct, distinct[1:]):
-        if small & ~big:
-            return False
-    return True
+    return _is_staircase(_cell_rows(n_objects, n_attributes, cells))
 
 
 @dataclass(frozen=True)
 class FerrersCover:
-    """Ferrers relations whose union is the non-incidence cell set."""
+    """Ferrers relations whose union is the non-incidence cell set, as the
+    search builds them: ``rows[j][g]`` is the attribute mask of object g
+    in part j.  ``parts``, their (g, m) cell sets, are derived on read."""
 
-    parts: tuple[frozenset[Cell], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def k(self) -> int:
-        return len(self.parts)
+        return len(self.rows)
+
+    @cached_property
+    def parts(self) -> tuple[frozenset[Cell], ...]:
+        return tuple(frozenset((g, m) for g, r in enumerate(p) for m in _bits(r))
+                     for p in self.rows)
 
 
 @dataclass(frozen=True)
@@ -400,27 +408,28 @@ class _CoverSearch:
         return self.part_rows
 
 
-def _check_cover(ctx: FormalContext, cover: FerrersCover) -> None:
-    """Invariants asserted on every successful search exit."""
-    n_g, n_m = ctx.n_objects, ctx.n_attributes
-    union: set[Cell] = set()
-    for part in cover.parts:
-        if part & ctx.incidence:
-            raise ContractViolation("cover part overlaps the incidence relation")
-        if not is_ferrers(n_g, n_m, part):
-            raise ContractViolation("cover part is not a Ferrers relation")
-        union |= part
-    non_incidence = {(g, m) for g in range(n_g) for m in range(n_m)
-                     if (g, m) not in ctx.incidence}
-    if union != non_incidence:
-        raise ContractViolation("cover union differs from the non-incidence cells")
-
-
 def _rows(ctx: FormalContext) -> tuple[list[int], list[int]]:
     """The non-incidence and the incidence of each object, as row masks."""
     inc_rows = ctx.object_rows()
     full = (1 << ctx.n_attributes) - 1
     return [full & ~r for r in inc_rows], inc_rows
+
+
+def _check_cover(ctx: FormalContext, cover: FerrersCover) -> None:
+    """The one check of a cover, on each witness that ``ferrers_cover``
+    returns and each cover that ``realizer_from_cover`` reads."""
+    non_rows, inc_rows = _rows(ctx)
+    union = [0] * len(non_rows)
+    for rows in cover.rows:
+        if len(rows) != len(union):
+            raise ContractViolation(f"cover part has {len(rows)} rows, not {len(union)}")
+        if any(map(int.__and__, rows, inc_rows)):
+            raise ContractViolation("cover part overlaps the incidence relation")
+        if not _is_staircase(rows):
+            raise ContractViolation("cover part is not a Ferrers relation")
+        union = list(map(int.__or__, union, rows))
+    if union != non_rows:
+        raise ContractViolation("cover union differs from the non-incidence cells")
 
 
 @lru_cache(maxsize=1)
@@ -449,9 +458,10 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     if k == 1:
         # The only 1-part cover is the whole non-incidence set, and the
         # complement of a staircase is a staircase.
-        if not is_ferrers(ctx.n_objects, ctx.n_attributes, ctx.incidence):
+        non_rows, inc_rows = _rows(ctx)
+        if not _is_staircase(inc_rows):
             return None
-        result = [_rows(ctx)[0]]
+        result = [non_rows]
     elif k == 2:
         table = _cells(ctx)
         classes = table.two_colouring()
@@ -467,10 +477,7 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
         if search.run() is None:
             return None
         result = [search.maximalize(j) for j in range(k)]
-    parts = tuple(
-        frozenset((g, m) for g in range(ctx.n_objects) for m in _bits(rows[g]))
-        for rows in result)
-    cover = FerrersCover(parts)
+    cover = FerrersCover(tuple(map(tuple, result)))
     _check_cover(ctx, cover)
     return cover
 
@@ -503,9 +510,8 @@ def order_dimension(ctx: FormalContext, *,
                              f"max-k {limit} exhausted")
 
 
-def linear_extension_from_ferrers(ctx: FormalContext, part: Iterable[Cell],
-                                  lattice: ConceptLattice) -> LinearExtension:
-    """Linear extension induced by one Ferrers part of a cover.
+def _extension(rows: Sequence[int], lattice: ConceptLattice) -> LinearExtension:
+    """Linear extension induced by one Ferrers part, given by its rows.
 
     The complement J = (G x M) \\ F is a Ferrers relation containing the
     incidence, so its concept lattice is a chain, and each concept maps
@@ -517,15 +523,7 @@ def linear_extension_from_ferrers(ctx: FormalContext, part: Iterable[Cell],
     is a linear extension, so the ranking is a linear extension of the
     lattice order for any part, cover or not.
     """
-    n_g, n_m = ctx.n_objects, ctx.n_attributes
-    part = frozenset(part)
-    sizes = [row.bit_count() for row in _cell_rows(n_g, n_m, part)]
-    if part & ctx.incidence:
-        raise ContractViolation(
-            "part overlaps the incidence relation; its complement cannot "
-            "contain the incidence")
-    if not is_ferrers(n_g, n_m, part):
-        raise ContractViolation("part is not a Ferrers relation")
+    sizes = [row.bit_count() for row in rows]
     level = [max((sizes[g] for g in _bits(c.extent_mask)), default=0)
              for c in lattice.concepts]
     return LinearExtension.from_order(
@@ -553,10 +551,9 @@ def verify_realizer(lattice: ConceptLattice, r: Realizer) -> bool:
 
 def realizer_from_cover(ctx: FormalContext, lattice: ConceptLattice,
                         cover: FerrersCover) -> Realizer:
-    """One linear extension per cover part, verified before returning."""
-    exts = tuple(linear_extension_from_ferrers(ctx, part, lattice)
-                 for part in cover.parts)
-    result = Realizer(exts)
+    """One linear extension per part of a checked cover, verified."""
+    _check_cover(ctx, cover)
+    result = Realizer(tuple(_extension(rows, lattice) for rows in cover.rows))
     if not verify_realizer(lattice, result):
         raise ContractViolation("cover-induced extensions do not realize the order")
     return result
@@ -576,12 +573,13 @@ def realizer_permutations(ctx: FormalContext, lattice: ConceptLattice,
 
 def certificate_json(ctx: FormalContext, lattice: ConceptLattice,
                      dim: int, cover: FerrersCover, real: Realizer) -> str:
-    """Dimension certificate: d, the cells of each part, and the realizer
-    permutations both by concept index and by intent labels."""
+    """Dimension certificate: d, each part's cells row-major, and the
+    realizer permutations both by concept index and by intent labels."""
     doc = {
         "dimension": dim,
         "ferrers_parts": [
-            [[g, m] for g, m in sorted(part)] for part in cover.parts
+            [[g, m] for g, row in enumerate(rows) for m in _bits(row)]
+            for rows in cover.rows
         ],
         "realizer": realizer_permutations(ctx, lattice, real),
     }

@@ -517,6 +517,12 @@ def quantifier_is_ferrers(cells) -> bool:
     return True
 
 
+def cell_rows(n_objects: int, cells) -> tuple[int, ...]:
+    """The rows of a set of (g, m) cells, as a cover part holds them:
+    row g is the mask of the attributes m with (g, m) in the set."""
+    return tuple(sum(1 << m for h, m in cells if h == g) for g in range(n_objects))
+
+
 def _solve(p, q, r, s):
     """Determinant and the numerators of t and u in p + t(q-p) = r + u(s-r)."""
     det = (q[0] - p[0]) * (r[1] - s[1]) - (q[1] - p[1]) * (r[0] - s[0])

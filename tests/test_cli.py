@@ -18,8 +18,8 @@ from dimdraw.cli import DEFAULT_MAX_K, _build_parser, build_diagram, main
 from dimdraw.context import parse_poset_edges
 from dimdraw.dimension import DEFAULT_TIMEOUT_S
 from dimdraw.projection import DEFAULT_SPREAD_DEG
-from dimdraw import (ParseError, concepts, to_json, to_svg, to_tikz,
-                     write_cxt)
+from dimdraw import (CycleError, ParseError, concepts, parse_csv, parse_cxt,
+                     poset_to_context, to_json, to_svg, to_tikz, write_cxt)
 from helpers import (contra_nominal, crown_context, life_context,
                      life_csv_text, life_cxt_text, oracle_crossings,
                      random_order_context, reference_concept_listing,
@@ -525,6 +525,8 @@ def _documents(alphabet: str, heads=((),)):
 
 
 _STRANGE = "\t\r\x0b\x85 <,#"
+_READERS = {".cxt": parse_cxt, ".csv": parse_csv,
+            ".poset": lambda text: poset_to_context(parse_poset_edges(text))}
 
 
 @pytest.mark.parametrize("suffix, documents", [
@@ -551,3 +553,11 @@ def test_arbitrary_input_is_read_or_rejected_in_one_line(suffix, documents, data
         assert code == 1, err.getvalue()
         assert err.getvalue().startswith("dimdraw: error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    # the library reader, given the text, ends its lines where main, which
+    # reads the file in text mode, does: the same context or the same error
+    try:
+        ctx = _READERS[suffix](text)
+    except (ParseError, CycleError, ValueError) as exc:
+        assert (code, err.getvalue()) == (1, f"dimdraw: error: {exc}\n")
+    else:
+        assert out.getvalue() == reference_concept_listing(ctx, concepts(ctx))

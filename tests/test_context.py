@@ -9,7 +9,7 @@ import dimdraw.dimension
 import dimdraw.render
 from dimdraw import (CycleError, FormalContext, ParseError, PosetInput,
                      parse_csv, parse_cxt, poset_to_context, write_cxt)
-from dimdraw.context import _json_text
+from dimdraw.context import _json_text, parse_poset_edges
 from helpers import (crown_context, life_context, life_csv_text, life_cxt_text,
                      LIFE_ROWS, seeded_context)
 
@@ -196,6 +196,26 @@ def test_context_rejects_a_line_break_in_a_name(name):
         FormalContext((name,), ("m",), frozenset())
     with pytest.raises(ValueError, match="contains a line break"):
         FormalContext(("g",), (name,), frozenset())
+
+
+@pytest.mark.parametrize("suffix, data, message", [
+    (".cxt", b"B\n\n1\n1\ng\rh\nm\nX\n", "line 7: illegal character 'm' in row"),
+    (".csv", b"name,a\rb\ng,X\n", "line 2: ragged row: expected 2 cells, got 1"),
+    (".poset", b"a\r< b\n",
+     "line 2: expected 'a < b' or a bare element name, got '< b'"),
+], ids=["cxt", "csv", "poset-edges"])
+def test_lone_carriage_return_ends_a_line_for_the_library_and_the_cli(
+        suffix, data, message, tmp_path, capsys):
+    # the library reads the text, and main the file in text mode
+    read = {".cxt": parse_cxt, ".csv": parse_csv,
+            ".poset": lambda text: poset_to_context(parse_poset_edges(text))}
+    with pytest.raises(ParseError) as err:
+        read[suffix](data.decode())
+    assert str(err.value) == message
+    path = tmp_path / f"input{suffix}"
+    path.write_bytes(data)
+    assert dimdraw.cli.main(["concepts", str(path)]) == 1
+    assert capsys.readouterr().err == f"dimdraw: error: {message}\n"
 
 
 def _dumps(doc) -> str:

@@ -7,11 +7,11 @@ import pytest
 from dimdraw import (ContractViolation, DimensionUndecided, FerrersCover,
                      FormalContext, LinearExtension, Realizer, SearchTimeout,
                      certificate_json, concepts, ferrers_cover, is_ferrers,
-                     linear_extension_from_ferrers, order_dimension,
-                     realizer_from_cover, verify_realizer)
-from dimdraw.dimension import _Cells, _cells, _check_cover, _CoverSearch
+                     order_dimension, realizer_from_cover, verify_realizer)
+from dimdraw.dimension import (_Cells, _cells, _check_cover, _CoverSearch,
+                               _extension)
 from helpers import (ORACLE_ELEMENT_CAP, brute_force_dimension,
-                     cell_conflicts, cell_table, chain_context,
+                     cell_conflicts, cell_rows, cell_table, chain_context,
                      chain_extent_order, complement, contra_nominal,
                      cover_search, crown_context, diamond_up_masks,
                      digraph_extendable, leq, life_context, life_ferrers_parts,
@@ -713,7 +713,7 @@ def test_k_must_be_positive():
 def test_extension_from_empty_part_on_chain_is_the_chain():
     ctx = chain_context(3)
     lat = concepts(ctx)
-    ext = linear_extension_from_ferrers(ctx, frozenset(), lat)
+    ext = _extension((0,) * ctx.n_objects, lat)
     assert ext.order == tuple(range(lat.n))
 
 
@@ -737,7 +737,7 @@ def test_extension_ranks_match_chain_closures():
         unfinished += len(found)
         singles = [frozenset([cell]) for cell in cells]
         for part in (*cover.parts, frozenset(), *singles, *found):
-            ext = linear_extension_from_ferrers(ctx, part, lat)
+            ext = _extension(cell_rows(ctx.n_objects, part), lat)
             assert ext.order == chain_extent_order(ctx, part, lat), (ctx, part)
     assert unfinished >= 100
 
@@ -745,29 +745,29 @@ def test_extension_ranks_match_chain_closures():
 def test_extensions_from_known_parts_are_linear_extensions():
     ctx = life_context()
     lat = concepts(ctx)
-    for part in life_ferrers_parts():
-        ext = linear_extension_from_ferrers(ctx, part, lat)
+    rows = [cell_rows(ctx.n_objects, part) for part in life_ferrers_parts()]
+    for part in rows:
+        ext = _extension(part, lat)
         assert _is_linear_extension(lat, ext)
         assert ext.pos[0] == 0                  # the bottom concept
         assert ext.pos[lat.n - 1] == lat.n - 1  # the top concept
-    real = Realizer(tuple(linear_extension_from_ferrers(ctx, p, lat)
-                          for p in life_ferrers_parts()))
+    real = Realizer(tuple(_extension(part, lat) for part in rows))
     assert verify_realizer(lat, real)
 
 
 def test_part_overlapping_incidence_is_rejected():
-    ctx = life_context()
-    lat = concepts(ctx)
-    bad = frozenset({next(iter(ctx.incidence))})
-    with pytest.raises(ContractViolation):
-        linear_extension_from_ferrers(ctx, bad, lat)
+    ctx, cover = _life_cover()
+    bad = _with_part(cover, 0, cover.parts[0] | {min(ctx.incidence)})
+    with pytest.raises(ContractViolation, match="overlaps the incidence"):
+        realizer_from_cover(ctx, concepts(ctx), bad)
 
 
 def test_non_ferrers_part_is_rejected():
+    # contranominal 2 has the empty cells (0, 0) and (1, 1); they conflict
     ctx = contra_nominal(2)
-    lat = concepts(ctx)
-    with pytest.raises(ContractViolation):
-        linear_extension_from_ferrers(ctx, frozenset({(0, 0), (1, 1)}), lat)
+    bad = FerrersCover(((0b01, 0b10),))
+    with pytest.raises(ContractViolation, match="not a Ferrers relation"):
+        realizer_from_cover(ctx, concepts(ctx), bad)
 
 
 def test_realizer_sizes():
@@ -817,13 +817,16 @@ def test_extension_validation():
 
 def _life_cover():
     ctx = life_context()
-    cover = FerrersCover(life_ferrers_parts())
+    cover = FerrersCover(tuple(cell_rows(ctx.n_objects, part)
+                               for part in life_ferrers_parts()))
     _check_cover(ctx, cover)
     return ctx, cover
 
 
 def _with_part(cover, i, part):
-    return FerrersCover(cover.parts[:i] + (frozenset(part),) + cover.parts[i + 1:])
+    """The cover with part i replaced by the rows of the given cells."""
+    rows = cell_rows(len(cover.rows[i]), part)
+    return FerrersCover(cover.rows[:i] + (rows,) + cover.rows[i + 1:])
 
 
 def test_check_cover_rejects_an_incident_cell_in_a_part():
@@ -860,8 +863,27 @@ def test_realizer_from_cover_rejects_a_dropped_part():
     ctx, cover = _life_cover()
     lat = concepts(ctx)
     assert realizer_from_cover(ctx, lat, cover).dim == 3
+    with pytest.raises(ContractViolation, match="union differs"):
+        realizer_from_cover(ctx, lat, FerrersCover(cover.rows[1:]))
+
+
+def test_realizer_from_cover_rejects_a_part_with_the_wrong_row_count():
+    ctx, cover = _life_cover()
+    bad = FerrersCover(cover.rows[:2] + (cover.rows[2][:-1],))
+    with pytest.raises(ContractViolation, match="has 7 rows, not 8"):
+        realizer_from_cover(ctx, concepts(ctx), bad)
+
+
+def test_realizer_from_cover_verifies_what_the_extensions_give(monkeypatch):
+    # the cover passes its check, but extensions that all give one order
+    # intersect to a chain, which life's lattice is not
+    ctx, cover = _life_cover()
+    lat = concepts(ctx)
+    monkeypatch.setattr("dimdraw.dimension._extension",
+                        lambda rows, lattice: LinearExtension.from_order(
+                            range(lattice.n)))
     with pytest.raises(ContractViolation, match="do not realize"):
-        realizer_from_cover(ctx, lat, FerrersCover(cover.parts[1:]))
+        realizer_from_cover(ctx, lat, cover)
 
 
 def test_verify_realizer_rejects_empty_and_short_extensions():

@@ -1,13 +1,15 @@
 """Property suites over randomly generated inputs."""
 
+import json
 import string
 
 from hypothesis import given, settings, strategies as st
 
-from dimdraw import (CycleError, FormalContext, PosetInput, concepts,
-                     derive_attributes, derive_objects, is_ferrers,
-                     order_dimension, parse_csv, parse_cxt, poset_to_context,
-                     realizer_from_cover, write_cxt)
+from dimdraw import (CycleError, FormalContext, PosetInput, certificate_json,
+                     concepts, derive_attributes, derive_objects,
+                     ferrers_cover, is_ferrers, order_dimension, parse_csv,
+                     parse_cxt, poset_to_context, realizer_from_cover,
+                     write_cxt)
 from helpers import complement, leq, quantifier_is_ferrers
 
 _SAFE = string.ascii_letters + string.digits + "_-"
@@ -103,6 +105,30 @@ def test_realizer_extensions_preserve_order(ctx):
                 if leq(lat, i, j):
                     assert ext.pos[i] <= ext.pos[j]
                     assert (ext.pos[i] < ext.pos[j]) == (i != j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contexts(max_objects=6, max_attributes=6, safe_names=True))
+def test_cover_cells_are_read_off_its_rows(ctx):
+    # every witness up to one part past the dimension: the cells derived
+    # on read, and the certificate's row-major cells, are the sorted cells
+    # of the rows the search built
+    lat = concepts(ctx)
+    d, _ = order_dimension(ctx)
+    for k in range(1, d + 2):
+        cover = ferrers_cover(ctx, k)
+        if cover is None:
+            continue
+        assert cover.k == k and all(len(rows) == ctx.n_objects
+                                    for rows in cover.rows)
+        assert cover.parts == tuple(
+            frozenset((g, m) for g in range(ctx.n_objects)
+                      for m in range(ctx.n_attributes) if rows[g] >> m & 1)
+            for rows in cover.rows)
+        real = realizer_from_cover(ctx, lat, cover)
+        doc = json.loads(certificate_json(ctx, lat, k, cover, real))
+        assert doc["ferrers_parts"] == [[list(c) for c in sorted(part)]
+                                        for part in cover.parts]
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
