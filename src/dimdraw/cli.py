@@ -41,7 +41,7 @@ _EMITTERS = {"svg": to_svg, "tikz": to_tikz, "json": to_json}
 
 
 def load_context(path: str, input_format: str) -> FormalContext:
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if input_format == "cxt":
         return parse_cxt(text)
@@ -71,11 +71,11 @@ def _front(ctx: FormalContext, lat: ConceptLattice, *,
     return dim, cover, realizer_from_cover(ctx, lat, cover)
 
 
-def _draw(ctx: FormalContext, lat: ConceptLattice, dim: int, real: Realizer,
+def _draw(ctx: FormalContext, lat: ConceptLattice, real: Realizer,
           spread: float) -> tuple[LabeledDiagram, bool]:
     """The drawing tail: frame, embedding, assignment search, normalization,
     repair and labels.  Also says whether the search was exhaustive."""
-    search = best_assignment(embed(lat, real), default_frame(dim, spread))
+    search = best_assignment(embed(lat, real), default_frame(real.dim, spread))
     layout = repair_incidences(normalize(search.layout))
     return label(ctx, lat, layout, real), search.exhaustive
 
@@ -91,8 +91,8 @@ def build_diagram(ctx: FormalContext, *, spread: float = DEFAULT_SPREAD_DEG,
     was used because the dimension exceeded the search cap).
     """
     lat = concepts(ctx)
-    dim, _, real = _front(ctx, lat, timeout_per_k=timeout_per_k, max_k=max_k)
-    return _draw(ctx, lat, dim, real, spread)
+    _, _, real = _front(ctx, lat, timeout_per_k=timeout_per_k, max_k=max_k)
+    return _draw(ctx, lat, real, spread)
 
 
 def _execute(ns: argparse.Namespace) -> int:
@@ -117,7 +117,7 @@ def _execute(ns: argparse.Namespace) -> int:
             text = _json_text({"dimension": dim, "realizer":
                                realizer_permutations(ctx, lat, real)})
         else:
-            diagram, exhaustive = _draw(ctx, lat, dim, real, ns.spread)
+            diagram, exhaustive = _draw(ctx, lat, real, ns.spread)
             if not exhaustive:
                 print(f"warning: dimension {dim} exceeds the assignment search "
                       "cap; using the identity assignment", file=sys.stderr)

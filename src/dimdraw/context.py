@@ -69,6 +69,8 @@ class FormalContext:
         _check_names(self.objects, "object")
         _check_names(self.attributes, "attribute")
         for g, m in self.incidence:
+            if not (isinstance(g, int) and isinstance(m, int)):
+                raise ValueError(f"incidence cell ({g!r}, {m!r}) is not a pair of ints")
             if not (0 <= g < len(self.objects) and 0 <= m < len(self.attributes)):
                 raise ValueError(f"incidence cell ({g}, {m}) out of range")
 
@@ -117,8 +119,10 @@ class PosetInput:
 
 
 def _lines(text: str) -> list[str]:
-    """The lines of the text as a file read in text mode has them:
-    ``\\r\\n``, ``\\r`` and ``\\n`` each end a line."""
+    """The lines of the text as Python reads a ``utf-8-sig`` file in text
+    mode: one leading U+FEFF is dropped, and ``\\r\\n``, ``\\r`` and
+    ``\\n`` each end a line."""
+    text = text.removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 

@@ -99,22 +99,16 @@ class LinearExtension:
     """A total order on concept indices; ``order[rank]`` lists bottom first."""
 
     order: tuple[int, ...]
-    pos: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.order)
-        if sorted(self.order) != list(range(n)):
+        object.__setattr__(self, "order", tuple(self.order))
+        if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("extension is not a permutation of 0..n-1")
-        if any(self.pos[c] != r for r, c in enumerate(self.order)):
-            raise ValueError("pos is inconsistent with order")
 
-    @classmethod
-    def from_order(cls, order: Sequence[int]) -> "LinearExtension":
-        order = tuple(order)
-        pos = [0] * len(order)
-        for rank, c in enumerate(order):
-            pos[c] = rank
-        return cls(order=order, pos=tuple(pos))
+    @cached_property
+    def pos(self) -> tuple[int, ...]:
+        """``pos[c]``: the rank of concept c, derived on first read."""
+        return tuple(sorted(range(len(self.order)), key=self.order.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -526,8 +520,7 @@ def _extension(rows: Sequence[int], lattice: ConceptLattice) -> LinearExtension:
     sizes = [row.bit_count() for row in rows]
     level = [max((sizes[g] for g in _bits(c.extent_mask)), default=0)
              for c in lattice.concepts]
-    return LinearExtension.from_order(
-        sorted(range(lattice.n), key=lambda c: (level[c], c)))
+    return LinearExtension(sorted(range(lattice.n), key=lambda c: (level[c], c)))
 
 
 def verify_realizer(lattice: ConceptLattice, r: Realizer) -> bool:

@@ -21,9 +21,12 @@ from .lattice import ConceptLattice
 class DimEmbedding:
     """Per-concept integer vectors plus the cover edges they will be drawn with."""
 
-    dim: int
     coords: tuple[tuple[int, ...], ...]
     covers: tuple[tuple[int, int], ...]
+
+    @property
+    def dim(self) -> int:  # the width of the vectors
+        return len(self.coords[0]) if self.coords else 0
 
 
 def embed(lattice: ConceptLattice, r: Realizer) -> DimEmbedding:
@@ -37,6 +40,5 @@ def embed(lattice: ConceptLattice, r: Realizer) -> DimEmbedding:
     """
     if not verify_realizer(lattice, r):
         raise ContractViolation("realizer does not realize the lattice order")
-    coords = tuple(
-        tuple(ext.pos[c] for ext in r.extensions) for c in range(lattice.n))
-    return DimEmbedding(dim=r.dim, coords=coords, covers=lattice.covers)
+    coords = tuple(zip(*(ext.pos for ext in r.extensions)))
+    return DimEmbedding(coords=coords, covers=lattice.covers)

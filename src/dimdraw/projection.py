@@ -38,6 +38,10 @@ class AxisFrame:
 
     directions: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        if not all(y > 0.0 for _, y in self.directions):  # NaN fails too
+            raise ValueError("a frame direction does not point upward")
+
 
 @dataclass(frozen=True)
 class Layout:
@@ -45,8 +49,6 @@ class Layout:
 
     points: tuple[tuple[float, float], ...]
     edges: tuple[tuple[int, int], ...]
-    frame: AxisFrame
-    assignment: tuple[int, ...]
 
     @cached_property
     def crossings(self) -> int:
@@ -134,7 +136,9 @@ def _count_crossings(points, edges, limit: float = math.inf) -> int:
 
 def _columns(e: DimEmbedding, frame: AxisFrame):
     """``columns[i][j]``: the x and y contributions of realizer axis i,
-    one per concept, when it is drawn along direction j."""
+    one per concept, along direction j of a frame with one per axis."""
+    if len(frame.directions) != e.dim:
+        raise ValueError("assignment must permute the frame directions")
     return [[([c[i] * dx for c in e.coords], [c[i] * dy for c in e.coords])
              for dx, dy in frame.directions] for i in range(e.dim)]
 
@@ -163,13 +167,12 @@ def project(e: DimEmbedding, frame: AxisFrame,
     Upwardness along every cover edge is guaranteed by construction and
     asserted; points that the spread merges raise ValueError.
     """
-    assignment = tuple(assignment)
-    if sorted(assignment) != list(range(e.dim)) or len(frame.directions) != e.dim:
+    if sorted(assignment) != list(range(e.dim)):
         raise ValueError("assignment must permute the frame directions")
     points = _points(e, _columns(e, frame), assignment)
     if points is None:
         raise ValueError("the spread puts two concepts on one point")
-    return Layout(points=points, edges=e.covers, frame=frame, assignment=assignment)
+    return Layout(points=points, edges=e.covers)
 
 
 def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
@@ -210,15 +213,15 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     if best is None:
         raise ValueError("the spread puts two concepts on one point under "
                          "every axis assignment")
-    return BestAssignment(best, Layout(points=best_points, edges=e.covers,
-                                       frame=frame, assignment=best), True)
+    return BestAssignment(best, Layout(points=best_points, edges=e.covers), True)
 
 
 def normalize(layout: Layout) -> Layout:
     """Scale and translate so the bounding box is the unit square.
 
     Each axis maps onto [0, 1] independently; a degenerate span collapses
-    to 0.  Crossings are unaffected (positive affine map).
+    to 0.  Rounding may move a point that lies on an edge off it, and so
+    change the crossing count (ROADMAP item 8).
     """
     xs = [p[0] for p in layout.points]
     ys = [p[1] for p in layout.points]

@@ -35,11 +35,11 @@ class LabeledDiagram:
     layout: Layout
     object_labels: tuple[tuple[str, ...], ...]
     attribute_labels: tuple[tuple[str, ...], ...]
-    realizer: Realizer | None = None
+    realizer: Realizer
 
 
 def label(ctx: FormalContext, lattice: ConceptLattice, layout: Layout,
-          realizer: Realizer | None = None) -> LabeledDiagram:
+          realizer: Realizer) -> LabeledDiagram:
     """Attach reduced object/attribute labels to the layout."""
     by_extent = {c.extent_mask: i for i, c in enumerate(lattice.concepts)}
     rows = ctx.object_rows()
@@ -93,10 +93,6 @@ def _fit(points, width: float, height: float, pad_fraction: float,
     return fitted
 
 
-def _join(names: tuple[str, ...]) -> str:
-    return ", ".join(names)
-
-
 def to_svg(diagram: LabeledDiagram) -> str:
     """Standalone SVG 1.1 document, 800 x 600; edges beneath nodes, top
     of the lattice at the top of the image."""
@@ -126,10 +122,10 @@ def to_svg(diagram: LabeledDiagram) -> str:
         objs = diagram.object_labels[i]
         if attrs:
             out.append(f'<text x="{x - r - 2:.2f}" y="{y - r - 2:.2f}" '
-                       f'text-anchor="end">{_xml_escape(_join(attrs))}</text>')
+                       f'text-anchor="end">{_xml_escape(", ".join(attrs))}</text>')
         if objs:
             out.append(f'<text x="{x + r + 2:.2f}" y="{y + r + 2 + 0.8 * fs:.2f}" '
-                       f'text-anchor="start">{_xml_escape(_join(objs))}</text>')
+                       f'text-anchor="start">{_xml_escape(", ".join(objs))}</text>')
     out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
@@ -184,10 +180,10 @@ def to_tikz(diagram: LabeledDiagram) -> str:
         objs = diagram.object_labels[i]
         if attrs:
             out.append(f"  \\node[above left,font=\\scriptsize] at "
-                       f"({x:.4f},{y:.4f}) {{{_tex_escape(_join(attrs))}}};")
+                       f"({x:.4f},{y:.4f}) {{{_tex_escape(', '.join(attrs))}}};")
         if objs:
             out.append(f"  \\node[below right,font=\\scriptsize] at "
-                       f"({x:.4f},{y:.4f}) {{{_tex_escape(_join(objs))}}};")
+                       f"({x:.4f},{y:.4f}) {{{_tex_escape(', '.join(objs))}}};")
     out.append(r"\end{tikzpicture}")
     out.append(r"\end{document}")
     return "\n".join(out) + "\n"
@@ -211,9 +207,8 @@ def to_json(diagram: LabeledDiagram) -> str:
     doc = {
         "concepts": concepts,
         "edges": [[u, v] for u, v in layout.edges],
-        "dimension": len(layout.frame.directions),
-        "realizer": ([list(ext.order) for ext in diagram.realizer.extensions]
-                     if diagram.realizer is not None else None),
+        "dimension": diagram.realizer.dim,
+        "realizer": [list(ext.order) for ext in diagram.realizer.extensions],
         "crossings": layout.crossings,
     }
     return _json_text(doc)

@@ -67,7 +67,7 @@ def test_criterion_3_coordinate_fixture():
         lat = concepts(life_context())
         iso = life_letter_map(lat)
         real = Realizer(tuple(
-            LinearExtension.from_order([iso[c] for c in chain])
+            LinearExtension([iso[c] for c in chain])
             for chain in (LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3)))
         assert verify_realizer(lat, real)
         emb = embed(lat, real)

@@ -185,6 +185,11 @@ def test_context_rejects_out_of_range_cells():
         FormalContext(("g",), ("m",), frozenset({(0, 1)}))
 
 
+def test_context_rejects_cells_that_are_not_ints():
+    with pytest.raises(ValueError, match=r"cell \(0\.0, 0\) is not a pair of ints"):
+        FormalContext(("g",), ("m",), frozenset({(0.0, 0)}))
+
+
 def test_context_rejects_duplicate_names():
     with pytest.raises(ValueError):
         FormalContext(("g", "g"), ("m",), frozenset())

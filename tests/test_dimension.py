@@ -790,26 +790,38 @@ def test_verify_reference_chains_on_life():
     lat = concepts(life_context())
     iso = life_letter_map(lat)
     exts = tuple(
-        LinearExtension.from_order([iso[c] for c in chain])
+        LinearExtension([iso[c] for c in chain])
         for chain in (LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3))
     assert verify_realizer(lat, Realizer(exts))
 
 
 def test_single_extension_fails_on_non_chain():
     lat = concepts(contra_nominal(2))
-    ext = LinearExtension.from_order(range(lat.n))
+    ext = LinearExtension(range(lat.n))
     assert not verify_realizer(lat, Realizer((ext,)))
 
 
 def test_duplicated_extension_fails_on_antichain_completion():
     lat = concepts(contra_nominal(2))
-    ext = LinearExtension.from_order((0, 1, 2, 3))
+    ext = LinearExtension((0, 1, 2, 3))
     assert not verify_realizer(lat, Realizer((ext, ext)))
 
 
 def test_extension_validation():
-    with pytest.raises(ValueError):
-        LinearExtension.from_order((0, 0, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        LinearExtension((0, 0, 1))
+
+
+def test_extension_is_its_order():
+    # one field: the ranks are derived from it, and a list is stored as a
+    # tuple, so the value hashes like any other frozen one
+    ext = LinearExtension([2, 0, 1])
+    assert ext.order == (2, 0, 1)
+    assert ext.pos == (1, 2, 0)
+    assert ext == LinearExtension((2, 0, 1))
+    assert hash(ext) == hash(LinearExtension((2, 0, 1)))
+    with pytest.raises(TypeError):
+        LinearExtension(order=(0, 1), pos=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +892,7 @@ def test_realizer_from_cover_verifies_what_the_extensions_give(monkeypatch):
     ctx, cover = _life_cover()
     lat = concepts(ctx)
     monkeypatch.setattr("dimdraw.dimension._extension",
-                        lambda rows, lattice: LinearExtension.from_order(
-                            range(lattice.n)))
+                        lambda rows, lattice: LinearExtension(range(lattice.n)))
     with pytest.raises(ContractViolation, match="do not realize"):
         realizer_from_cover(ctx, lat, cover)
 
@@ -892,8 +903,7 @@ def test_verify_realizer_rejects_empty_and_short_extensions():
     real = realizer_from_cover(ctx, lat, cover)
     assert verify_realizer(lat, real)
     assert not verify_realizer(lat, Realizer(()))
-    short = LinearExtension.from_order(
-        [c for c in real.extensions[0].order if c != lat.n - 1])
+    short = LinearExtension([c for c in real.extensions[0].order if c != lat.n - 1])
     assert not verify_realizer(lat, Realizer((short,) + real.extensions[1:]))
 
 

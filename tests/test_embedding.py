@@ -13,7 +13,7 @@ LETTERS = sorted(LIFE_LETTER_COORDS)
 
 
 def _letter_extension(chain):
-    return LinearExtension.from_order([LETTERS.index(c) for c in chain])
+    return LinearExtension([LETTERS.index(c) for c in chain])
 
 
 def test_positions_on_first_reference_chain():
@@ -24,14 +24,14 @@ def test_positions_on_first_reference_chain():
 
 
 def test_positions_singleton():
-    assert LinearExtension.from_order((0,)).pos == (0,)
+    assert LinearExtension((0,)).pos == (0,)
 
 
 def test_embed_reproduces_reference_coordinates():
     lat = concepts(life_context())
     iso = life_letter_map(lat)
     real = Realizer(tuple(
-        LinearExtension.from_order([iso[c] for c in chain])
+        LinearExtension([iso[c] for c in chain])
         for chain in (LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3)))
     emb = embed(lat, real)
     assert emb.dim == 3
@@ -49,7 +49,7 @@ def test_embed_two_chain():
 
 def test_embed_rejects_invalid_realizer():
     lat = concepts(life_context())
-    ext = LinearExtension.from_order(range(lat.n))
+    ext = LinearExtension(range(lat.n))
     with pytest.raises(ContractViolation):
         embed(lat, Realizer((ext,)))
 

@@ -72,6 +72,28 @@ def test_default_frame_validation():
         default_frame(2, 90.0)
 
 
+@pytest.mark.parametrize("direction", [(0.5, -0.5), (1.0, 0.0), (0.0, -0.0),
+                                       (0.0, math.nan)])
+def test_frame_rejects_a_direction_that_does_not_point_up(direction):
+    # a caller's frame is an input error, not a broken upward invariant
+    with pytest.raises(ValueError, match="does not point upward"):
+        AxisFrame(((-0.6, 0.8), direction))
+
+
+def test_best_assignment_rejects_a_frame_with_too_few_directions():
+    _, emb = _embedding(life_context())  # d = 3
+    with pytest.raises(ValueError, match="permute the frame directions"):
+        best_assignment(emb, default_frame(2))
+
+
+def test_best_assignment_rejects_a_frame_with_too_many_directions():
+    # a 4-direction fan on d = 3 would draw with 3 of them, and skip
+    # complements by the wrong mirror
+    _, emb = _embedding(life_context())
+    with pytest.raises(ValueError, match="permute the frame directions"):
+        best_assignment(emb, default_frame(4))
+
+
 # ---------------------------------------------------------------------------
 # project
 
@@ -83,7 +105,7 @@ def test_origin_projects_to_origin():
 
 
 def test_single_axis_contribution():
-    emb = DimEmbedding(dim=2, coords=((0, 0), (1, 0)), covers=((0, 1),))
+    emb = DimEmbedding(coords=((0, 0), (1, 0)), covers=((0, 1),))
     layout = project(emb, default_frame(2), (0, 1))
     x, y = layout.points[1]
     assert abs(x + SQ2) < 1e-12 and abs(y - SQ2) < 1e-12
@@ -136,8 +158,7 @@ def test_diamond_has_no_crossings():
 
 def test_explicit_x_crossing():
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)),
-                    edges=((0, 1), (2, 3)),
-                    frame=default_frame(1), assignment=(0,))
+                    edges=((0, 1), (2, 3)))
     assert layout.crossings == 1
     assert oracle_crossings(layout.points, layout.edges) == 1
 
@@ -171,8 +192,7 @@ def test_crossings_invariant_under_translation_and_scaling():
     layout = project(emb, default_frame(3), (0, 1, 2))
     moved = Layout(points=tuple((3.5 + 2.0 * x, -1.25 + 2.0 * y)
                                 for x, y in layout.points),
-                   edges=layout.edges, frame=layout.frame,
-                   assignment=layout.assignment)
+                   edges=layout.edges)
     assert moved.crossings == layout.crossings
     # negating x negates every orientation product exactly, which is why
     # the assignment search sweeps one member of each complement pair
@@ -182,8 +202,7 @@ def test_crossings_invariant_under_translation_and_scaling():
         for perm in permutations(range(emb.dim)):
             layout = project(emb, frame, perm)
             mirrored = Layout(points=tuple((-x, y) for x, y in layout.points),
-                              edges=layout.edges, frame=frame,
-                              assignment=perm)
+                              edges=layout.edges)
             assert mirrored.crossings == layout.crossings
 
 
@@ -382,7 +401,6 @@ def test_best_assignment_layout_is_the_projection_of_its_assignment():
             frame = default_frame(emb.dim, spread)
             result = best_assignment(emb, frame)
             assert result.layout == project(emb, frame, result.assignment)
-            assert result.layout.assignment == result.assignment
 
 
 def test_best_assignment_is_pinned_at_dimension_four_and_five():
@@ -450,7 +468,7 @@ def test_best_assignment_cap_falls_back_to_identity():
     from helpers import chain_context
     ctx = chain_context(1)
     lat = concepts(ctx)
-    ext = LinearExtension.from_order((0, 1))
+    ext = LinearExtension((0, 1))
     emb = embed(lat, Realizer((ext,) * 9))
     result = best_assignment(emb, default_frame(9))
     assert not result.exhaustive
@@ -497,8 +515,7 @@ def test_repair_three_chain_covers_only():
 def test_repair_moves_node_off_foreign_edge():
     eps = projection.REPAIR_EPS
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (1.0, 0.0)),
-                    edges=((0, 1), (3, 2)),
-                    frame=default_frame(1), assignment=(0,))
+                    edges=((0, 1), (3, 2)))
     repaired = repair_incidences(layout)
     diag = math.sqrt(2.0)
     delta = 2.0 * eps * diag
@@ -518,8 +535,7 @@ def test_repair_moves_node_just_beyond_a_foreign_edge_end():
     threshold = projection.REPAIR_EPS * math.sqrt(2.0)
     layout = Layout(points=((0.0, 0.0), (0.5, 0.5), (0.5, 0.5 + 0.7 * threshold),
                             (1.0, 1.0)),
-                    edges=((0, 1), (2, 3)),
-                    frame=default_frame(1), assignment=(0,))
+                    edges=((0, 1), (2, 3)))
     repaired = repair_incidences(layout).points
     assert repaired != layout.points
     for node, p in enumerate(repaired):
@@ -531,8 +547,7 @@ def test_repair_moves_node_just_beyond_a_foreign_edge_end():
 
 def test_repair_is_idempotent_after_moving():
     layout = Layout(points=((0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (1.0, 0.0)),
-                    edges=((0, 1), (3, 2)),
-                    frame=default_frame(1), assignment=(0,))
+                    edges=((0, 1), (3, 2)))
     once = repair_incidences(layout)
     twice = repair_incidences(once)
     assert once.points == twice.points
@@ -566,8 +581,7 @@ def test_repair_failure_lists_offenders():
         x += 0.9 * delta
     node = len(points)
     points.append((0.5, 0.5))
-    layout = Layout(points=tuple(points), edges=tuple(edges),
-                    frame=default_frame(1), assignment=(0,))
+    layout = Layout(points=tuple(points), edges=tuple(edges))
     with pytest.raises(RepairFailed) as err:
         repair_incidences(layout)
     # the middle node sits on the comb's edge 118 alone; every other node
@@ -583,7 +597,7 @@ def test_repair_failure_message_lists_the_first_ten_offenders(n_offenders):
     # one long edge
     top = n_offenders + 1
     layout = Layout(points=tuple((0.0, float(y)) for y in range(top + 1)),
-                    edges=((0, top),), frame=default_frame(1), assignment=(0,))
+                    edges=((0, top),))
     with pytest.raises(RepairFailed) as err:
         repair_incidences(layout)
     offenders = [(node, (0, top)) for node in range(1, top)]
@@ -627,8 +641,7 @@ def _x_window_layout():
                      (math.nextafter(bound, outward), 0.6)):
             points += [(x, y), (x, y + 0.2)]
             edges.append((len(points) - 2, len(points) - 1))
-    return Layout(points=tuple(points), edges=tuple(edges),
-                  frame=default_frame(1), assignment=(0,))
+    return Layout(points=tuple(points), edges=tuple(edges))
 
 
 def _unnormalized_layout():
@@ -642,7 +655,7 @@ def _unnormalized_layout():
     return Layout(points=((b, 0.0), (b + 240, 320.0), (b + 120, 100.0),
                           (b + 120, 200.0), (b + 110, 190.0), (b + 130, 210.0),
                           (b + 120, 160.0)),
-                  edges=((2, 3), (4, 5)), frame=default_frame(1), assignment=(0,))
+                  edges=((2, 3), (4, 5)))
 
 
 def test_repair_matches_the_reference_without_the_x_window():

@@ -215,13 +215,3 @@ def test_emitters_agree_on_coordinates_up_to_the_documented_mapping():
         assert abs(float(got_x) - exp_x) < 0.001
         assert abs(float(got_y) - exp_y) < 0.001
 
-
-def test_json_realizer_none_without_realizer():
-    ctx = contra_nominal(2)
-    lat = concepts(ctx)
-    d, cover = order_dimension(ctx)
-    real = realizer_from_cover(ctx, lat, cover)
-    layout = normalize(best_assignment(embed(lat, real), default_frame(d)).layout)
-    diagram = label(ctx, lat, layout)
-    doc = json.loads(to_json(diagram))
-    assert doc["realizer"] is None
