@@ -42,6 +42,8 @@ _CSV_EMPTY = frozenset({"", "0", "."})
 def _check_names(names: tuple[str, ...], kind: str) -> None:
     seen = set()
     for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{kind} name {name!r} is not a string")
         if "\n" in name or "\r" in name:
             raise ValueError(f"{kind} name {name!r} contains a line break")
         if name in seen:

@@ -9,13 +9,19 @@ which fan direction) is chosen by exhaustive search to minimize edge
 crossings.  The fan is mirror symmetric to the bit, so a permutation and
 its complement draw exact x-mirrors with equal counts, and one sweep
 over the edges by low y, testing only pairs with overlapping bounding
-boxes, counts each complement pair.  A final repair pass nudges nodes
-horizontally off any non-incident edge they touch.
+boxes, counts each complement pair.  When the sweeps outweigh a fork,
+they are split across the CPUs the process may use: short-lived forked
+children sweep interleaved shares, and the parent takes the least
+(count, permutation), so the winner and its points are the serial ones
+bit for bit.  A final repair pass nudges nodes horizontally off any
+non-incident edge they touch.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -30,6 +36,9 @@ ASSIGNMENT_CAP = 8
 REPAIR_EPS = 1e-3
 _REPAIR_ROUNDS = 100
 _REPAIR_MAX_STEPS = 64
+# swept permutations x covers^2 per forked share: about 2 ms of sweeping,
+# twice what a fork and its reap cost on a 21 MB process
+_SHARE_WORK = 100_000
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,10 @@ class AxisFrame:
     directions: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        # stored as a tuple of float pairs, so the mirror test in
+        # best_assignment also recognises a frame built from lists
+        object.__setattr__(self, "directions",
+                           tuple((float(x), float(y)) for x, y in self.directions))
         if not all(y > 0.0 for _, y in self.directions):  # NaN fails too
             raise ValueError("a frame direction does not point upward")
 
@@ -175,6 +188,77 @@ def project(e: DimEmbedding, frame: AxisFrame,
     return Layout(points=points, edges=e.covers)
 
 
+def _search(e: DimEmbedding, columns, perms):
+    """(count, perm, points) of the lex-first minimum over ``perms``, which
+    are in lex order; (inf, None, None) when every one merges points."""
+    best, best_points, best_count = None, None, math.inf
+    for perm in perms:
+        points = _points(e, columns, perm)
+        if points is None:
+            continue
+        count = _count_crossings(points, e.covers, best_count)
+        if count < best_count:
+            best, best_points, best_count = perm, points, count
+    return best_count, best, best_points
+
+
+def _n_shares(perms, n_edges: int) -> int:
+    """How many processes sweep ``perms``: one per CPU the process may use,
+    but no more than gives each share _SHARE_WORK, and one where fork is
+    missing or another Python thread is alive, since a forked child
+    would inherit the locks that thread holds."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, len(perms) * n_edges ** 2 // _SHARE_WORK))
+
+
+def _split_search(e: DimEmbedding, columns, perms, n: int) -> list:
+    """``_search`` on n interleaved shares of ``perms``, each in lex order.
+
+    The parent sweeps the first share; each other share goes to a forked
+    child that writes its (count, perm) to a pipe as one line of ints,
+    or an empty line when its share has no winner, and ends with
+    os._exit, so it neither returns nor flushes stdio.  Every child is
+    read to EOF and reaped, also when the parent's share raises.  A share
+    whose child delivered nothing, or that could not be forked, is swept
+    again here, so its error is raised in the parent."""
+    shares = [perms[i::n] for i in range(n)]
+    children = []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: EOF at once, swept here
+                pid = None
+            if pid == 0:
+                try:
+                    count, perm, _ = _search(e, columns, share)
+                    ints = () if perm is None else (count, *perm)
+                    os.write(write, f"{' '.join(map(str, ints))}\n".encode())
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read, share))
+        results = [_search(e, columns, shares[0])]
+    finally:
+        lines = []
+        for pid, read, _ in children:
+            with os.fdopen(read, "rb") as pipe:
+                lines.append(pipe.read())
+            if pid:
+                os.waitpid(pid, 0)
+    for line, (_, _, share) in zip(lines, children):
+        if not line:
+            results.append(_search(e, columns, share))
+        elif ints := [int(value) for value in line.split()]:
+            results.append((ints[0], tuple(ints[1:]), None))
+    return results
+
+
 def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     """Exhaust axis permutations, minimizing crossings.
 
@@ -193,6 +277,16 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     every permutation merges points.
     Up to ASSIGNMENT_CAP (d!/2 sweeps) every d, 1 included, is searched;
     above it the identity assignment is returned with ``exhaustive=False``.
+
+    The sweeps split across processes, so ``dimdraw draw`` may fork
+    short-lived children, when fork exists, no other Python thread is
+    alive, the process may run on more than one CPU and the swept
+    permutations times the squared cover count reach 2 * _SHARE_WORK.
+    There is one interleaved share per CPU, and none under _SHARE_WORK.
+    Each share keeps lex order and yields its lex-first minimum, so the
+    least (count, perm) over the shares is the serial winner, and a
+    child's winner has its points rebuilt by the same column sums: the
+    result is the serial one bit for bit.
     """
     d = e.dim
     if d > ASSIGNMENT_CAP:
@@ -200,20 +294,17 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
         return BestAssignment(identity, project(e, frame, identity), False)
     columns = _columns(e, frame)
     symmetric = frame.directions == tuple((-x, y) for x, y in reversed(frame.directions))
-    best, best_points, best_count = None, None, math.inf
-    for perm in permutations(range(d)):
-        if symmetric and tuple(d - 1 - j for j in perm) < perm:
-            continue
-        points = _points(e, columns, perm)
-        if points is None:
-            continue
-        count = _count_crossings(points, e.covers, best_count)
-        if count < best_count:
-            best, best_points, best_count = perm, points, count
-    if best is None:
+    perms = [perm for perm in permutations(range(d))
+             if not (symmetric and tuple(d - 1 - j for j in perm) < perm)]
+    results = _split_search(e, columns, perms, _n_shares(perms, len(e.covers)))
+    found = [result for result in results if result[1] is not None]
+    if not found:
         raise ValueError("the spread puts two concepts on one point under "
                          "every axis assignment")
-    return BestAssignment(best, Layout(points=best_points, edges=e.covers), True)
+    _, best, points = min(found, key=itemgetter(0, 1))
+    if points is None:
+        points = _points(e, columns, best)
+    return BestAssignment(best, Layout(points=points, edges=e.covers), True)
 
 
 def normalize(layout: Layout) -> Layout:

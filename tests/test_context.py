@@ -190,6 +190,15 @@ def test_context_rejects_cells_that_are_not_ints():
         FormalContext(("g",), ("m",), frozenset({(0.0, 0)}))
 
 
+def test_names_that_are_not_strings_are_rejected():
+    with pytest.raises(ValueError, match=r"object name \('a', 'b'\) is not a string"):
+        FormalContext((("a", "b"),), ("m",), frozenset({(0, 0)}))
+    with pytest.raises(ValueError, match="attribute name 7 is not a string"):
+        FormalContext(("g",), (7,), frozenset())
+    with pytest.raises(ValueError, match="element name None is not a string"):
+        PosetInput(("a", None), frozenset())
+
+
 def test_context_rejects_duplicate_names():
     with pytest.raises(ValueError):
         FormalContext(("g", "g"), ("m",), frozenset())

@@ -1,11 +1,13 @@
 import math
+import os
 import random
+import threading
 from itertools import permutations
 
 import pytest
 
 import dimdraw.projection as projection
-from dimdraw import (AxisFrame, DimEmbedding, FormalContext, Layout,
+from dimdraw import (AxisFrame, ContractViolation, DimEmbedding, FormalContext, Layout,
                      LinearExtension, Realizer, RepairFailed,
                      best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
@@ -388,6 +390,12 @@ def test_best_assignment_sweeps_one_member_of_each_complement_pair(monkeypatch):
                        if perm < tuple(3 - j for j in perm)]
     assert len(visited) == 12
     visited.clear()
+    # a frame built from lists is stored as float pairs and still
+    # recognised as mirror symmetric
+    best_assignment(emb, AxisFrame([list(xy) for xy in default_frame(4).directions]))
+    assert visited == [perm for perm in permutations(range(4))
+                       if perm < tuple(3 - j for j in perm)]
+    visited.clear()
     best_assignment(emb, AxisFrame(((-0.8, 0.6), (-0.3, 0.95), (0.2, 0.98),
                                     (0.8, 0.6))))
     assert visited == list(permutations(range(4)))
@@ -473,6 +481,122 @@ def test_best_assignment_cap_falls_back_to_identity():
     result = best_assignment(emb, default_frame(9))
     assert not result.exhaustive
     assert result.assignment == tuple(range(9))
+
+
+# ---------------------------------------------------------------------------
+# the search split across forked children
+
+def _split(monkeypatch, cpus: int) -> list[int]:
+    """Let the search see ``cpus`` CPUs and split any input; returns the
+    pids that os.fork gives the parent."""
+    forked = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(projection, "_SHARE_WORK", 1)
+    monkeypatch.setattr(os, "fork", recording)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bits(result):
+    return (result.assignment, [(x.hex(), y.hex()) for x, y in result.layout.points],
+            result.layout.crossings)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("ctx, want", [
+    (contra_nominal(5), ((1, 3, 0, 4, 2), 132)),
+    (seeded_context(12, 12, 0.5, 0), ((2, 1, 3, 4, 0), 415)),
+    (seeded_context(7, 7, 0.5, 18), ((0, 2, 1), 7)),
+], ids=["contra5", "random12-s0", "random7-s18-tied"])
+def test_split_search_gives_the_serial_winner_bit_for_bit(monkeypatch, ctx, want, cpus):
+    # random 7x7 .5 s18 sweeps three permutations; the second and third
+    # tie at 7 crossings, so with two shares the child's (0, 2, 1) must
+    # beat the parent's (1, 0, 2)
+    _, emb = _embedding(ctx)
+    frame = default_frame(emb.dim)
+    serial = best_assignment(emb, frame)
+    assert (serial.assignment, serial.layout.crossings) == want
+    forked = _split(monkeypatch, cpus)
+    assert _bits(best_assignment(emb, frame)) == _bits(serial)
+    assert len(forked) == cpus - 1
+    _assert_no_child_left()
+
+
+def test_split_search_sweeps_a_share_again_when_its_child_delivers_nothing(
+        monkeypatch):
+    _, emb = _embedding(contra_nominal(5))
+    frame = default_frame(5)
+    serial = best_assignment(emb, frame)
+    parent, search, swept = os.getpid(), projection._search, []
+
+    def child_dies(e, columns, perms):
+        if os.getpid() != parent:
+            os._exit(0)
+        swept.append(perms)
+        return search(e, columns, perms)
+
+    forked = _split(monkeypatch, 2)
+    monkeypatch.setattr(projection, "_search", child_dies)
+    assert _bits(best_assignment(emb, frame)) == _bits(serial)
+    assert len(forked) == 1 and len(swept) == 2
+    _assert_no_child_left()
+
+
+def test_split_search_reaps_its_child_when_the_parent_share_raises(monkeypatch):
+    _, emb = _embedding(contra_nominal(5))
+    parent, search = os.getpid(), projection._search
+
+    def parent_fails(e, columns, perms):
+        if os.getpid() == parent:
+            raise ContractViolation("the parent's share failed")
+        return search(e, columns, perms)
+
+    forked = _split(monkeypatch, 2)
+    monkeypatch.setattr(projection, "_search", parent_fails)
+    with pytest.raises(ContractViolation, match="parent's share"):
+        best_assignment(emb, default_frame(5))
+    assert len(forked) == 1
+    _assert_no_child_left()
+
+
+def test_search_splits_only_where_a_share_outweighs_a_fork(monkeypatch):
+    # swept permutations x covers^2: contranominal 5 (60 x 80^2) and
+    # random 12x12 .5 s3 (12 x 139^2) split in two, contranominal 4 and
+    # life do not; one CPU, a live thread or a missing fork keeps it serial
+    def shares(ctx):
+        _, emb = _embedding(ctx)
+        return projection._n_shares([None] * (math.factorial(emb.dim) // 2),
+                                    len(emb.covers))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [shares(ctx) for ctx in (contra_nominal(5), seeded_context(12, 12, 0.5, 3),
+                                    contra_nominal(4), life_context())] == [2, 2, 1, 1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert shares(contra_nominal(5)) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert shares(contra_nominal(5)) == 1
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert shares(contra_nominal(5)) == 1
 
 
 # ---------------------------------------------------------------------------
