@@ -378,27 +378,8 @@ def test_importing_the_cli_loads_no_xml_network_email_or_typing_module():
     assert "dimdraw" in loaded
     assert not {"xml", "urllib", "http", "email", "ssl", "socket",
                 "typing"}.intersection(loaded)
-
-
-def test_closed_stdout_pipe_exits_0_quietly(tmp_path):
-    # the read end is closed before the command starts, so writing the
-    # answer fails with EPIPE: at once when unbuffered, else at the flush
-    path = tmp_path / "crown6.cxt"
-    path.write_text(write_cxt(crown_context(6)), encoding="utf-8")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "dimdraw.cli", "dimension", str(path)],
-                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-                env={**env, **unbuffered, "PYTHONPATH": src})
-        finally:
-            os.close(write_end)
-        assert (done.returncode, done.stderr) == (0, b""), unbuffered
+    # the runtime is the standard library alone
+    assert set(loaded) - set(sys.stdlib_module_names) == {"dimdraw"}
 
 
 def test_reused_parser_carries_no_option_to_the_next_call(life_file, tmp_path,
