@@ -72,24 +72,19 @@ def _front(ctx: FormalContext, lat: ConceptLattice, *,
 
 
 def _draw(ctx: FormalContext, lat: ConceptLattice, real: Realizer,
-          spread: float) -> tuple[LabeledDiagram, bool]:
+          spread: float) -> LabeledDiagram:
     """The drawing tail: frame, embedding, assignment search, normalization,
-    repair and labels.  Also says whether the search was exhaustive."""
+    repair and labels."""
     search = best_assignment(embed(lat, real), default_frame(real.dim, spread))
-    layout = repair_incidences(normalize(search.layout))
-    return label(ctx, lat, layout, real), search.exhaustive
+    return label(ctx, lat, repair_incidences(normalize(search.layout)), real)
 
 
 def build_diagram(ctx: FormalContext, *, spread: float = DEFAULT_SPREAD_DEG,
                   timeout_per_k: float | None = DEFAULT_TIMEOUT_S,
                   max_k: int | None = DEFAULT_MAX_K
-                  ) -> tuple[LabeledDiagram, bool]:
-    """Full drawing pipeline for library use, the stages of ``dimdraw draw``.
-
-    Returns the labeled diagram and whether the crossing-minimization
-    search was exhaustive (False means the identity-assignment fallback
-    was used because the dimension exceeded the search cap).
-    """
+                  ) -> LabeledDiagram:
+    """Full drawing pipeline for library use, the stages of ``dimdraw draw``;
+    a dimension above ASSIGNMENT_CAP raises LatticeTooLargeError."""
     lat = concepts(ctx)
     _, _, real = _front(ctx, lat, timeout_per_k=timeout_per_k, max_k=max_k)
     return _draw(ctx, lat, real, spread)
@@ -117,11 +112,7 @@ def _execute(ns: argparse.Namespace) -> int:
             text = _json_text({"dimension": dim, "realizer":
                                realizer_permutations(ctx, lat, real)})
         else:
-            diagram, exhaustive = _draw(ctx, lat, real, ns.spread)
-            if not exhaustive:
-                print(f"warning: dimension {dim} exceeds the assignment search "
-                      "cap; using the identity assignment", file=sys.stderr)
-            text = _EMITTERS[ns.output_format](diagram)
+            text = _EMITTERS[ns.output_format](_draw(ctx, lat, real, ns.spread))
     if ns.output is None:
         sys.stdout.write(text)
     else:

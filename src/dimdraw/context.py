@@ -130,8 +130,9 @@ def _lines(text: str) -> list[str]:
 
 def parse_poset_edges(text: str) -> PosetInput:
     """Edge-list poset format: one ``a < b`` pair per line, whitespace
-    separated.  A line with a single token declares an isolated element;
-    blank lines and ``#`` comments are skipped."""
+    separated; no name contains ``<``, so ``a<b`` is an error.  A line
+    with a single token declares an isolated element; blank lines and
+    ``#`` comments are skipped."""
     elements: dict[str, None] = {}  # keys in order of first appearance
     relation: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(_lines(text), start=1):
@@ -139,11 +140,12 @@ def parse_poset_edges(text: str) -> PosetInput:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) == 3 and tokens[1] == "<":
-            relation.add((tokens[0], tokens[2]))
-        elif len(tokens) != 1:
+        if (not (len(tokens) == 1 or len(tokens) == 3 and tokens[1] == "<")
+                or any("<" in name for name in tokens[::2])):
             raise ParseError(f"expected 'a < b' or a bare element name, got {line!r}",
                              line=lineno)
+        if len(tokens) == 3:
+            relation.add((tokens[0], tokens[2]))
         # a bare name is both tokens[0] and tokens[-1]; a key keeps its place
         elements[tokens[0]] = elements[tokens[-1]] = None
     return PosetInput(tuple(elements), frozenset(relation))

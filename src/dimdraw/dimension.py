@@ -445,10 +445,13 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     conflict graph, whose odd cycle refutes it.  For k >= 3 the search
     starts from a conflict clique, one cell per part, and a clique of more
     than k cells refutes k unsearched; it raises SearchTimeout when the
-    budget runs out before either outcome.
+    budget runs out before either outcome.  A negative or NaN budget
+    raises ValueError for every k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if timeout is not None and not timeout >= 0.0:  # NaN fails too
+        raise ValueError("the search budget must be at least 0 seconds")
     if k == 1:
         # The only 1-part cover is the whole non-incidence set, and the
         # complement of a staircase is a staircase.
@@ -487,8 +490,11 @@ def order_dimension(ctx: FormalContext, *,
     the conflict graph is bipartite.  The witness is that function's
     first cover.  An exhausted budget raises DimensionUndecided carrying
     the proven lower bound, which a conflict clique can raise past
-    ``max_k``; it is never misreported as an answer.
+    ``max_k``; it is never misreported as an answer.  A ``max_k`` below 1,
+    or a negative or NaN budget, raises ValueError.
     """
+    if max_k is not None and max_k < 1:
+        raise ValueError("max_k must be at least 1")
     n_non = ctx.n_objects * ctx.n_attributes - len(ctx.incidence)
     hard_cap = max(1, n_non)
     limit = hard_cap if max_k is None else min(max_k, hard_cap)

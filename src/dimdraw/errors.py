@@ -28,7 +28,7 @@ class CycleError(DimDrawError):
 
 
 class LatticeTooLargeError(DimDrawError):
-    """Concept enumeration hit the configured concept-count cap."""
+    """A fixed cap was passed: more than CONCEPT_CAP concepts or ASSIGNMENT_CAP axes."""
 
 
 class SearchTimeout(DimDrawError):

@@ -5,7 +5,7 @@ around vertical, equally spaced within +-spread degrees.  Every
 direction has a strictly positive y component and all coordinates
 strictly increase along comparable pairs, so any axis assignment yields
 an upward drawing for free.  The assignment (which realizer axis goes to
-which fan direction) is chosen by exhaustive search to minimize edge
+which fan direction) is chosen among all permutations to minimize edge
 crossings.  The fan is mirror symmetric to the bit, so a permutation and
 its complement draw exact x-mirrors with equal counts, and one sweep
 over the edges by low y, testing only pairs with overlapping bounding
@@ -29,7 +29,7 @@ from itertools import permutations
 from operator import add, itemgetter
 
 from .embedding import DimEmbedding
-from .errors import ContractViolation, RepairFailed
+from .errors import ContractViolation, LatticeTooLargeError, RepairFailed
 
 DEFAULT_SPREAD_DEG = 45.0
 ASSIGNMENT_CAP = 8
@@ -72,12 +72,11 @@ class Layout:
 
 @dataclass(frozen=True)
 class BestAssignment:
-    """Result of the crossing-minimizing search; ``exhaustive`` is False
-    when the dimension exceeded the cap and the identity fallback was used."""
+    """Result of the crossing-minimizing search: the winning axis
+    permutation and its layout."""
 
     assignment: tuple[int, ...]
     layout: Layout
-    exhaustive: bool
 
 
 def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
@@ -260,7 +259,7 @@ def _split_search(e: DimEmbedding, columns, perms, n: int) -> list:
 
 
 def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
-    """Exhaust axis permutations, minimizing crossings.
+    """Search the axis permutations, minimizing crossings.
 
     Ties break to the lexicographically smallest permutation.  The
     complement p' of a permutation p (p'[i] = d-1-p[i]) draws exactly
@@ -276,7 +275,7 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     that puts two concepts on one point is skipped; ValueError only when
     every permutation merges points.
     Up to ASSIGNMENT_CAP (d!/2 sweeps) every d, 1 included, is searched;
-    above it the identity assignment is returned with ``exhaustive=False``.
+    above it LatticeTooLargeError is raised before any sweep.
 
     The sweeps split across processes, so ``dimdraw draw`` may fork
     short-lived children, when fork exists, no other Python thread is
@@ -290,8 +289,8 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     """
     d = e.dim
     if d > ASSIGNMENT_CAP:
-        identity = tuple(range(d))
-        return BestAssignment(identity, project(e, frame, identity), False)
+        raise LatticeTooLargeError(f"dimension {d} is above the assignment "
+                                   f"search cap of {ASSIGNMENT_CAP}")
     columns = _columns(e, frame)
     symmetric = frame.directions == tuple((-x, y) for x, y in reversed(frame.directions))
     perms = [perm for perm in permutations(range(d))
@@ -304,7 +303,7 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     _, best, points = min(found, key=itemgetter(0, 1))
     if points is None:
         points = _points(e, columns, best)
-    return BestAssignment(best, Layout(points=points, edges=e.covers), True)
+    return BestAssignment(best, Layout(points=points, edges=e.covers))
 
 
 def normalize(layout: Layout) -> Layout:

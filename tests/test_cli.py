@@ -18,10 +18,11 @@ from dimdraw.cli import DEFAULT_MAX_K, _build_parser, build_diagram, main
 from dimdraw.context import parse_poset_edges
 from dimdraw.dimension import DEFAULT_TIMEOUT_S
 from dimdraw.projection import DEFAULT_SPREAD_DEG
-from dimdraw import (CycleError, ParseError, concepts, parse_csv, parse_cxt,
-                     poset_to_context, to_json, to_svg, to_tikz, write_cxt)
+from dimdraw import (CycleError, LatticeTooLargeError, ParseError, concepts,
+                     parse_csv, parse_cxt, poset_to_context, to_json, to_svg,
+                     to_tikz, write_cxt)
 from helpers import (contra_nominal, crown_context, life_context,
-                     life_csv_text, life_cxt_text, oracle_crossings,
+                     life_csv_text, life_cxt_text,
                      random_order_context, reference_concept_listing,
                      seeded_context)
 
@@ -280,8 +281,7 @@ def test_draw_json_and_tikz(life_file, tmp_path):
 
 def test_draw_deterministic_bytes(life_file, tmp_path):
     # the library pipeline runs the same stages as the command
-    diagram, exhaustive = build_diagram(life_context())
-    assert exhaustive
+    diagram = build_diagram(life_context())
     for fmt, name, emit in (("svg", "a.svg", to_svg), ("tikz", "a.tex", to_tikz),
                             ("json", "a.json", to_json)):
         first = tmp_path / ("1" + name)
@@ -319,19 +319,42 @@ def test_crossings_are_counted_at_most_once_after_the_search(
     assert calls == [float("inf")] * full_counts
 
 
-def test_assignment_cap_draws_the_identity_with_a_warning(
+def test_a_dimension_above_the_assignment_cap_is_a_resource_cap(
         life_file, tmp_path, monkeypatch, capsys):
-    # life has dimension 3; a cap of 2 sends it to the identity assignment
+    # life has dimension 3; a cap of 2 stops it before any sweep
     monkeypatch.setattr(dimdraw.projection, "ASSIGNMENT_CAP", 2)
     out = tmp_path / "life.json"
-    assert main(["draw", life_file, "--format", "json", "-o", str(out)]) == 0
+    assert main(["draw", life_file, "--format", "json", "-o", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "warning: dimension 3 exceeds the assignment search cap; "
-        "using the identity assignment\n")
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    points = [(c["x"], c["y"]) for c in doc["concepts"]]
-    assert doc["crossings"] == oracle_crossings(points, doc["edges"])
-    assert build_diagram(life_context())[1] is False
+        "dimdraw: undecided: dimension 3 is above the assignment search cap of 2\n")
+    assert not out.exists()
+    with pytest.raises(LatticeTooLargeError, match="dimension 3 .* cap of 2"):
+        build_diagram(life_context())
+
+
+@pytest.mark.parametrize("name, text", [
+    ("contranominal9.cxt", write_cxt(contra_nominal(9))),
+    ("standard9.poset", "".join(f"a{i} < b{j}\n" for i in range(9)
+                                for j in range(9) if i != j)),
+], ids=["contranominal-9", "standard-example-9"])
+def test_dimension_nine_exits_2_before_the_assignment_search(
+        tmp_path, monkeypatch, capsys, name, text):
+    # both have 512 concepts; the cap stops draw before any sweep or repair
+    def unreached(*args):
+        raise AssertionError("a stage after the cap ran")
+
+    monkeypatch.setattr(dimdraw.projection, "_search", unreached)
+    monkeypatch.setattr(dimdraw.cli, "repair_incidences", unreached)
+    path, out = tmp_path / name, tmp_path / "out.svg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["draw", str(path), "--max-k", "9", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "dimdraw: undecided: dimension 9 is above the assignment search cap of 8\n")
+    assert not out.exists()
+    ctx = dimdraw.cli.load_context(str(path), dimdraw.cli._infer_format(str(path)))
+    with pytest.raises(LatticeTooLargeError, match="dimension 9 .* cap of 8"):
+        build_diagram(ctx, max_k=9)
 
 
 def test_help_exits_zero(capsys):

@@ -175,6 +175,21 @@ def test_poset_transitive_closure_is_reflexive_and_transitive():
     assert (0, 2) in inc and (0, 3) not in inc
 
 
+@pytest.mark.parametrize("text, line, bad", [
+    ("a<b\nb < c\n", 1, "a<b"),
+    ("a < b\nb < c<d\n", 2, "b < c<d"),
+    ("a\nb<c\n", 2, "b<c"),
+    ("a < <\n", 1, "a < <"),
+    ("a <b\n", 1, "a <b"),     # two tokens: neither a pair nor a name
+])
+def test_poset_names_may_not_contain_the_pair_sign(text, line, bad):
+    # written without spaces, 'a<b' would be one element and drop the pair
+    with pytest.raises(ParseError) as err:
+        parse_poset_edges(text)
+    assert str(err.value) == (
+        f"line {line}: expected 'a < b' or a bare element name, got {bad!r}")
+
+
 def test_poset_unknown_element_in_pair():
     with pytest.raises(ValueError):
         PosetInput(("a",), frozenset({("a", "zz")}))

@@ -707,6 +707,30 @@ def test_k_must_be_positive():
         ferrers_cover(life_context(), 0)
 
 
+@pytest.mark.parametrize("max_k", [0, -3])
+def test_max_k_must_be_positive(max_k):
+    with pytest.raises(ValueError, match="max_k must be at least 1"):
+        order_dimension(life_context(), max_k=max_k)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -0.001])
+def test_a_negative_or_nan_budget_is_rejected(budget):
+    # a NaN deadline is never passed, so it would turn the budget off;
+    # k = 1 and k = 2 need no budget and still reject it
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="budget must be at least 0"):
+            ferrers_cover(life_context(), k, timeout=budget)
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        order_dimension(life_context(), timeout_per_k=budget)
+
+
+@pytest.mark.parametrize("budget", [0.0, float("inf"), None])
+def test_a_zero_infinite_or_absent_budget_is_accepted(budget):
+    assert ferrers_cover(life_context(), 2, timeout=budget) is None
+    if budget != 0.0:  # a zero budget runs out at k = 3
+        assert order_dimension(life_context(), timeout_per_k=budget)[0] == 3
+
+
 # ---------------------------------------------------------------------------
 # linear extensions and realizers
 

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import random
@@ -7,9 +8,9 @@ from itertools import permutations
 import pytest
 
 import dimdraw.projection as projection
-from dimdraw import (AxisFrame, ContractViolation, DimEmbedding, FormalContext, Layout,
-                     LinearExtension, Realizer, RepairFailed,
-                     best_assignment, concepts,
+from dimdraw import (AxisFrame, ContractViolation, DimEmbedding, FormalContext,
+                     LatticeTooLargeError, Layout, LinearExtension, Realizer,
+                     RepairFailed, best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
                      project, realizer_from_cover, repair_incidences)
 from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
@@ -316,7 +317,6 @@ def test_best_assignment_single_axis_identity():
     assert emb.dim == 1
     result = best_assignment(emb, default_frame(1))
     assert result.assignment == (0,)
-    assert result.exhaustive
 
 
 def test_grid_lattice_reaches_zero_crossings():
@@ -459,7 +459,7 @@ def test_best_assignment_rejects_a_spread_that_merges_points_everywhere():
     _, emb = _embedding(random_order_context(24, 3, 3924))
     with pytest.raises(ValueError, match="every axis assignment"):
         best_assignment(emb, default_frame(3, 60.0))
-    assert best_assignment(emb, default_frame(3, 59.0)).exhaustive
+    assert sorted(best_assignment(emb, default_frame(3, 59.0)).assignment) == [0, 1, 2]
 
 
 def test_best_assignment_is_pinned_on_contranominal_six():
@@ -470,7 +470,7 @@ def test_best_assignment_is_pinned_on_contranominal_six():
     assert (result.assignment, result.layout.crossings) == ((2, 3, 0, 1, 4, 5), 812)
 
 
-def test_best_assignment_cap_falls_back_to_identity():
+def test_best_assignment_above_the_cap_raises_before_any_sweep(monkeypatch):
     # a realizer may repeat extensions, so a valid 9-axis embedding of a
     # 2-chain is easy to build
     from helpers import chain_context
@@ -478,9 +478,10 @@ def test_best_assignment_cap_falls_back_to_identity():
     lat = concepts(ctx)
     ext = LinearExtension((0, 1))
     emb = embed(lat, Realizer((ext,) * 9))
-    result = best_assignment(emb, default_frame(9))
-    assert not result.exhaustive
-    assert result.assignment == tuple(range(9))
+    monkeypatch.setattr(projection, "_points", None)  # no projection either
+    with pytest.raises(LatticeTooLargeError,
+                       match="^dimension 9 is above the assignment search cap of 8$"):
+        best_assignment(emb, default_frame(9))
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +552,36 @@ def test_split_search_sweeps_a_share_again_when_its_child_delivers_nothing(
     monkeypatch.setattr(projection, "_search", child_dies)
     assert _bits(best_assignment(emb, frame)) == _bits(serial)
     assert len(forked) == 1 and len(swept) == 2
+    _assert_no_child_left()
+
+
+def test_split_search_sweeps_a_share_in_the_parent_when_its_fork_fails(monkeypatch):
+    # three shares: the first fork gives a child, the second raises
+    _, emb = _embedding(contra_nominal(5))
+    frame = default_frame(5)
+    serial = best_assignment(emb, frame)
+    perms = [perm for perm in permutations(range(5))
+             if perm < tuple(4 - j for j in perm)]
+    parent, search, swept = os.getpid(), projection._search, []
+
+    def recording(e, columns, share):
+        if os.getpid() == parent:
+            swept.append(share)
+        return search(e, columns, share)
+
+    forked = _split(monkeypatch, 3)
+    fork = os.fork
+
+    def second_fails():
+        if forked:
+            raise OSError(errno.EAGAIN, "no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    monkeypatch.setattr(projection, "_search", recording)
+    assert _bits(best_assignment(emb, frame)) == _bits(serial)
+    assert len(forked) == 1
+    assert swept == [perms[0::3], perms[2::3]]
     _assert_no_child_left()
 
 
