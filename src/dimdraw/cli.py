@@ -204,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"dimdraw: error: cannot read or write: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DimensionUndecided, SearchTimeout, LatticeTooLargeError) as exc:
-        print(f"dimdraw: undecided: {exc}", file=sys.stderr)
+        word = "too large" if isinstance(exc, LatticeTooLargeError) else "undecided"
+        print(f"dimdraw: {word}: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except (ContractViolation, RepairFailed) as exc:
         print(f"dimdraw: internal error: {exc}", file=sys.stderr)

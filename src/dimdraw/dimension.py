@@ -168,18 +168,26 @@ class _Cells:
         """A clique of the conflict graph: the largest of the greedy
         cliques grown from each cell, in order of falling degree, adding
         the candidate of highest degree (lowest index on ties) until none
-        is left."""
+        is left.  The cells are grouped into one mask per degree, highest
+        first, so that candidate is the lowest cell of the first group
+        that meets the candidates."""
         adjacent = self.adjacent
         degree = [a.bit_count() for a in adjacent]
         order = sorted(range(len(self.cells)), key=lambda c: -degree[c])
-        rank = {c: r for r, c in enumerate(order)}
+        groups: dict[int, int] = {}
+        for c in order:
+            groups[degree[c]] = groups.get(degree[c], 0) | 1 << c
         best: list[int] = []
         for start in order:
             if degree[start] < len(best):
                 break  # no clique through start can be larger
             clique, candidates = [start], adjacent[start]
             while candidates:
-                c = min(_bits(candidates), key=rank.__getitem__)
+                for group in groups.values():
+                    hit = group & candidates
+                    if hit:
+                        break
+                c = (hit & -hit).bit_length() - 1
                 clique.append(c)
                 candidates &= adjacent[c]
             if len(clique) > len(best):
@@ -466,11 +474,12 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
             return None
         result = [table.staircase(cells) for cells in classes]
     else:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        search = _CoverSearch(_cells(ctx), k, deadline)
-        if len(search.table.clique) > k:
+        table = _cells(ctx)
+        if len(table.clique) > k:
             return None
-        search.seed(search.table.clique)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        search = _CoverSearch(table, k, deadline)
+        search.seed(table.clique)
         if search.run() is None:
             return None
         result = [search.maximalize(j) for j in range(k)]
@@ -521,12 +530,21 @@ def _extension(rows: Sequence[int], lattice: ConceptLattice) -> LinearExtension:
     are ranked by that count, ties broken by canonical concept index.
     Both keys grow along the order, since extents do and the index order
     is a linear extension, so the ranking is a linear extension of the
-    lattice order for any part, cover or not.
+    lattice order for any part, cover or not.  The objects are visited
+    by falling count, and each gives its count to the concepts holding
+    it that have none yet; the order is read off one concept mask per
+    count, counts ascending.
     """
     sizes = [row.bit_count() for row in rows]
-    level = [max((sizes[g] for g in _bits(c.extent_mask)), default=0)
-             for c in lattice.concepts]
-    return LinearExtension(sorted(range(lattice.n), key=lambda c: (level[c], c)))
+    unranked, levels = (1 << lattice.n) - 1, {}
+    for g in sorted(range(len(sizes)), key=lambda g: -sizes[g]):
+        got = lattice.object_masks[g] & unranked
+        if got:
+            levels[sizes[g]] = levels.get(sizes[g], 0) | got
+            unranked ^= got
+    levels[0] = levels.get(0, 0) | unranked
+    return LinearExtension([c for level in reversed(levels.values())
+                            for c in _bits(level)])
 
 
 def verify_realizer(lattice: ConceptLattice, r: Realizer) -> bool:

@@ -46,9 +46,10 @@ class Concept:
 class ConceptLattice:
     """All concepts of a context; the order and covers are built on first read.
 
-    ``up_masks[i]`` is the bitmask of the concepts j >= i, i included: the
-    AND, over the objects of i's extent, of the mask of the concepts
-    holding each.  ``covers`` is its transitive reduction.
+    ``object_masks[g]`` is the bitmask of the concepts whose extent holds
+    object g.  ``up_masks[i]`` is the bitmask of the concepts j >= i, i
+    included: the AND of ``object_masks`` over the objects of i's extent.
+    ``covers`` is its transitive reduction.
     """
 
     concepts: tuple[Concept, ...]
@@ -58,12 +59,16 @@ class ConceptLattice:
         return len(self.concepts)
 
     @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        n = self.n
+    def object_masks(self) -> tuple[int, ...]:
         holders = [0] * max(c.extent_mask for c in self.concepts).bit_length()
         for j, c in enumerate(self.concepts):
             for g in _bits(c.extent_mask):
                 holders[g] |= 1 << j
+        return tuple(holders)
+
+    @cached_property
+    def up_masks(self) -> tuple[int, ...]:
+        n, holders = self.n, self.object_masks
         up_masks = []
         for c in self.concepts:
             up = (1 << n) - 1

@@ -16,9 +16,10 @@ from functools import reduce
 from itertools import combinations
 from operator import add
 
-from dimdraw import (ConceptLattice, FormalContext, RepairFailed,
-                     order_dimension, realizer_from_cover)
+from dimdraw import (ConceptLattice, FormalContext, LinearExtension,
+                     RepairFailed, order_dimension, realizer_from_cover)
 from dimdraw.dimension import _Cells, _CoverSearch
+from dimdraw.lattice import _bits
 from dimdraw.projection import (_REPAIR_MAX_STEPS, _REPAIR_ROUNDS, REPAIR_EPS,
                                 _segment_distance)
 
@@ -223,6 +224,30 @@ def cell_conflicts(table):
             for g, m in table.cells]
 
 
+def reference_clique(table) -> tuple[int, ...]:
+    """``_Cells.clique`` with the next cell picked one candidate at a
+    time: the largest of the greedy cliques grown from each cell, in
+    order of falling degree, adding the candidate of highest degree
+    (lowest index on ties) until none is left.  The reference for the
+    clique's cells and their order."""
+    adjacent = table.adjacent
+    degree = [a.bit_count() for a in adjacent]
+    order = sorted(range(len(table.cells)), key=lambda c: -degree[c])
+    rank = {c: r for r, c in enumerate(order)}
+    best: list[int] = []
+    for start in order:
+        if degree[start] < len(best):
+            break  # no clique through start can be larger
+        clique, candidates = [start], adjacent[start]
+        while candidates:
+            c = min(_bits(candidates), key=rank.__getitem__)
+            clique.append(c)
+            candidates &= adjacent[c]
+        if len(clique) > len(best):
+            best = clique
+    return tuple(best)
+
+
 def scan_branch(search):
     """The cover search's branching choice by a scan over every uncovered
     cell: the cell with the fewest admissible parts, lowest index on
@@ -304,6 +329,17 @@ def chain_extent_order(ctx: FormalContext, part, lattice) -> tuple[int, ...]:
         assert not small & ~big, "chain closure produced incomparable levels"
     rank = {ext: r for r, ext in enumerate(levels)}
     return tuple(sorted(range(lattice.n), key=lambda c: (rank[mapped[c]], c)))
+
+
+def reference_extension(rows, lattice) -> LinearExtension:
+    """``dimension._extension`` one concept at a time: each concept's
+    level is the largest part-row size over the objects of its extent (0
+    for an empty extent), and the concepts are sorted by level, then by
+    index.  The reference for the extension's order."""
+    sizes = [row.bit_count() for row in rows]
+    level = [max((sizes[g] for g in _bits(c.extent_mask)), default=0)
+             for c in lattice.concepts]
+    return LinearExtension(sorted(range(lattice.n), key=lambda c: (level[c], c)))
 
 
 def minimal_realizer(ctx: FormalContext, lattice):

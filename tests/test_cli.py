@@ -326,10 +326,24 @@ def test_a_dimension_above_the_assignment_cap_is_a_resource_cap(
     out = tmp_path / "life.json"
     assert main(["draw", life_file, "--format", "json", "-o", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "dimdraw: undecided: dimension 3 is above the assignment search cap of 2\n")
+        "dimdraw: too large: dimension 3 is above the assignment search cap of 2\n")
     assert not out.exists()
     with pytest.raises(LatticeTooLargeError, match="dimension 3 .* cap of 2"):
         build_diagram(life_context())
+
+
+@pytest.mark.parametrize("command", ["concepts", "dimension", "realizer", "draw"])
+def test_the_concept_cap_is_a_resource_cap(tmp_path, monkeypatch, capsys, command):
+    # contranominal 4 has 16 concepts, 6 more than the cap
+    monkeypatch.setattr(dimdraw.lattice, "CONCEPT_CAP", 10)
+    path, out = tmp_path / "contranominal4.cxt", tmp_path / "out"
+    path.write_text(write_cxt(contra_nominal(4)), encoding="utf-8")
+    assert main([command, str(path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "dimdraw: too large: more than 10 concepts, the fixed cap on the "
+        "lattice size\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, text", [
@@ -350,7 +364,7 @@ def test_dimension_nine_exits_2_before_the_assignment_search(
     assert main(["draw", str(path), "--max-k", "9", "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", "dimdraw: undecided: dimension 9 is above the assignment search cap of 8\n")
+        "", "dimdraw: too large: dimension 9 is above the assignment search cap of 8\n")
     assert not out.exists()
     ctx = dimdraw.cli.load_context(str(path), dimdraw.cli._infer_format(str(path)))
     with pytest.raises(LatticeTooLargeError, match="dimension 9 .* cap of 8"):

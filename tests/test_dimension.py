@@ -17,7 +17,8 @@ from helpers import (ORACLE_ELEMENT_CAP, brute_force_dimension,
                      digraph_extendable, leq, life_context, life_ferrers_parts,
                      life_letter_map, minimal_realizer, plain_order_dimension,
                      quantifier_is_ferrers, random_context,
-                     random_order_context, s3_up_masks, scan_branch,
+                     random_order_context, reference_clique,
+                     reference_extension, s3_up_masks, scan_branch,
                      search_closure, search_extendable, seeded_context,
                      LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3)
 
@@ -458,6 +459,28 @@ def test_clique_cells_pairwise_conflict():
     assert len(cell_table(seeded_context(20, 12, 0.4, 5)).clique) == 5
 
 
+_DENSITIES = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+
+
+def test_clique_matches_the_per_candidate_reference():
+    # the degree groups pick the cells one candidate at a time would:
+    # crowns and contranominal scales tie every degree, and the random
+    # contexts include the two largest of the cover-search frontier
+    contexts = ([crown_context(n) for n in range(3, 25)]
+                + [contra_nominal(n) for n in range(1, 10)]
+                + [seeded_context(n_g, n_m, p, s) for n_g, n_m in
+                   ((6, 6), (10, 8), (12, 12), (14, 14), (20, 12))
+                   for p in _DENSITIES for s in range(3)]
+                + [seeded_context(25, 25, 0.3, 0), seeded_context(40, 40, 0.2, 0),
+                   *_REFERENCE_CONTEXTS, life_context(),
+                   FormalContext((), ("m",), frozenset()),
+                   FormalContext(("g",), ("m",), frozenset({(0, 0)}))])
+    for ctx in contexts:
+        table = cell_table(ctx)
+        assert table.clique == reference_clique(table), ctx
+    assert reference_clique(cell_table(contexts[-1])) == ()
+
+
 def test_seeded_search_refutes_exactly_when_no_cover_exists():
     # ferrers_cover starts each k >= 3 from the conflict clique and
     # refutes the k below it unsearched; it finds a cover iff the search
@@ -764,6 +787,31 @@ def test_extension_ranks_match_chain_closures():
             ext = _extension(cell_rows(ctx.n_objects, part), lat)
             assert ext.order == chain_extent_order(ctx, part, lat), (ctx, part)
     assert unfinished >= 100
+
+
+def test_extension_matches_the_per_concept_reference():
+    # every part of every witness on the seeded contexts, random rows that
+    # form no part, and the corners: a bottom concept with an empty
+    # extent, a context with no objects, and a part with every row empty
+    checked = 0
+    for ctx in _REFERENCE_CONTEXTS:
+        lat = concepts(ctx)
+        for rows in order_dimension(ctx)[1].rows:
+            assert _extension(rows, lat) == reference_extension(rows, lat), ctx
+            checked += 1
+    rng = random.Random(0)
+    contexts = [seeded_context(n_g, n_m, p, s) for n_g, n_m in ((5, 7), (12, 10))
+                for p in _DENSITIES for s in range(3)]
+    contexts += [contra_nominal(5), FormalContext((), ("m", "n"), frozenset())]
+    for ctx in contexts:
+        lat = concepts(ctx)
+        parts = [[rng.getrandbits(ctx.n_attributes) for _ in range(ctx.n_objects)]
+                 for _ in range(4)]
+        for rows in [*parts, [0] * ctx.n_objects]:
+            assert _extension(rows, lat) == reference_extension(rows, lat), ctx
+    assert checked > 100
+    assert concepts(contra_nominal(5)).concepts[0].extent_mask == 0
+    assert _extension((), concepts(contexts[-1])).order == (0,)
 
 
 def test_extensions_from_known_parts_are_linear_extensions():

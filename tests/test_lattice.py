@@ -186,6 +186,22 @@ def test_order_matches_pairwise_and_down_mask_references():
     assert concepts(contexts[120]).n == 600
 
 
+def test_object_masks_are_the_up_sets_of_the_object_concepts():
+    # the concepts holding g are those above g's object concept, which
+    # is what verify_realizer checks the extensions against
+    contexts = _seeded_120() + [crown_context(12), contra_nominal(5),
+                                FormalContext((), ("m",), frozenset())]
+    for ctx in contexts:
+        lat = concepts(ctx)
+        extents = [c.extent_mask for c in lat.concepts]
+        assert len(lat.object_masks) == ctx.n_objects
+        for g in range(ctx.n_objects):
+            closure = derive_attributes(ctx, derive_objects(ctx, {g}))
+            object_concept = extents.index(sum(1 << h for h in closure))
+            assert lat.object_masks[g] == lat.up_masks[object_concept], (ctx, g)
+    assert "object_masks" in vars(lat)
+
+
 def test_concepts_are_mask_native(tmp_path, capsys):
     # the sets are derived from the masks, and the CLI listing, which walks
     # the masks in bit order, is the one sorted() over frozensets gives
