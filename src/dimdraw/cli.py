@@ -22,8 +22,7 @@ from .dimension import (DEFAULT_TIMEOUT_S, FerrersCover, Realizer,
                         realizer_from_cover, realizer_permutations)
 from .embedding import embed
 from .errors import (ContractViolation, CycleError, DimensionUndecided,
-                     LatticeTooLargeError, ParseError, RepairFailed,
-                     SearchTimeout)
+                     LatticeTooLargeError, ParseError, RepairFailed)
 from .lattice import ConceptLattice, _bits, concepts
 from .projection import (DEFAULT_SPREAD_DEG, best_assignment, default_frame,
                          normalize, repair_incidences)
@@ -203,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dimdraw: error: cannot read or write: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DimensionUndecided, SearchTimeout, LatticeTooLargeError) as exc:
+    except (DimensionUndecided, LatticeTooLargeError) as exc:
         word = "too large" if isinstance(exc, LatticeTooLargeError) else "undecided"
         print(f"dimdraw: {word}: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -203,15 +203,15 @@ def _search(e: DimEmbedding, columns, perms):
 
 def _n_shares(perms, n_edges: int) -> int:
     """How many processes sweep ``perms``: one per CPU the process may use,
-    but no more than gives each share _SHARE_WORK, and one where fork is
-    missing or another Python thread is alive, since a forked child
-    would inherit the locks that thread holds."""
+    but no more than one per permutation or than gives each share
+    _SHARE_WORK, and one where fork is missing or another Python thread
+    is alive, since a forked child would inherit that thread's locks."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, min(cpus, len(perms) * n_edges ** 2 // _SHARE_WORK))
+    return max(1, min(cpus, len(perms), len(perms) * n_edges ** 2 // _SHARE_WORK))
 
 
 def _split_search(e: DimEmbedding, columns, perms, n: int) -> list:
@@ -281,11 +281,11 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     short-lived children, when fork exists, no other Python thread is
     alive, the process may run on more than one CPU and the swept
     permutations times the squared cover count reach 2 * _SHARE_WORK.
-    There is one interleaved share per CPU, and none under _SHARE_WORK.
-    Each share keeps lex order and yields its lex-first minimum, so the
-    least (count, perm) over the shares is the serial winner, and a
-    child's winner has its points rebuilt by the same column sums: the
-    result is the serial one bit for bit.
+    There is one interleaved share per CPU, none under _SHARE_WORK and
+    none without a permutation.  Each share keeps lex order and yields
+    its lex-first minimum, so the least (count, perm) over the shares is
+    the serial winner, and a child's winner has its points rebuilt by
+    the same column sums: the result is the serial one bit for bit.
     """
     d = e.dim
     if d > ASSIGNMENT_CAP:

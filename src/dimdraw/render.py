@@ -40,24 +40,21 @@ class LabeledDiagram:
 
 def label(ctx: FormalContext, lattice: ConceptLattice, layout: Layout,
           realizer: Realizer) -> LabeledDiagram:
-    """Attach reduced object/attribute labels to the layout."""
-    by_extent = {c.extent_mask: i for i, c in enumerate(lattice.concepts)}
-    rows = ctx.object_rows()
-    cols = ctx.attribute_cols()
-    full_g = (1 << ctx.n_objects) - 1
-
+    """Attach reduced object/attribute labels to the layout.  The index
+    order is a linear extension, so object g's concept is the lowest bit
+    of ``lattice.object_masks[g]``, and attribute m's is the highest
+    index whose intent holds m."""
     obj_labels: list[list[str]] = [[] for _ in range(lattice.n)]
-    for g, name in enumerate(ctx.objects):
-        intent = rows[g]
-        extent = full_g
-        for m in range(ctx.n_attributes):
-            if intent >> m & 1:
-                extent &= cols[m]
-        obj_labels[by_extent[extent]].append(name)
+    for name, holders in zip(ctx.objects, lattice.object_masks):
+        obj_labels[(holders & -holders).bit_length() - 1].append(name)
 
     attr_labels: list[list[str]] = [[] for _ in range(lattice.n)]
-    for m, name in enumerate(ctx.attributes):
-        attr_labels[by_extent[cols[m]]].append(name)
+    unplaced, i = (1 << ctx.n_attributes) - 1, lattice.n
+    while unplaced:  # the bottom concept's intent holds every attribute
+        i -= 1
+        if held := lattice.concepts[i].intent_mask & unplaced:
+            attr_labels[i].extend(ctx.attributes[m] for m in _bits(held))
+            unplaced ^= held
 
     return LabeledDiagram(
         context=ctx, lattice=lattice, layout=layout,

@@ -498,6 +498,32 @@ def reference_concept_listing(ctx: FormalContext, lattice) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_labels(ctx: FormalContext, lattice):
+    """(object_labels, attribute_labels) found by closure: object g on
+    the concept whose extent is {g}'' and attribute m on the one whose
+    extent is {m}', each looked up by its extent.  The reference for
+    ``render.label``, which reads the concepts off the lattice's masks."""
+    by_extent = {c.extent_mask: i for i, c in enumerate(lattice.concepts)}
+    rows = ctx.object_rows()
+    cols = ctx.attribute_cols()
+    full_g = (1 << ctx.n_objects) - 1
+
+    obj_labels: list[list[str]] = [[] for _ in range(lattice.n)]
+    for g, name in enumerate(ctx.objects):
+        intent = rows[g]
+        extent = full_g
+        for m in range(ctx.n_attributes):
+            if intent >> m & 1:
+                extent &= cols[m]
+        obj_labels[by_extent[extent]].append(name)
+
+    attr_labels: list[list[str]] = [[] for _ in range(lattice.n)]
+    for m, name in enumerate(ctx.attributes):
+        attr_labels[by_extent[cols[m]]].append(name)
+    return (tuple(tuple(ls) for ls in obj_labels),
+            tuple(tuple(ls) for ls in attr_labels))
+
+
 def pairwise_up_masks(extent_masks) -> list[int]:
     """The lattice order by the O(n^2) pairwise extent test, the
     reference for the up-sets of ``lattice.concepts``: bit j of entry i

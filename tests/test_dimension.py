@@ -50,6 +50,12 @@ def test_diagonal_violates_ferrers():
     assert not quantifier_is_ferrers({(0, 0), (1, 1)})
 
 
+@pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_is_ferrers_rejects_a_cell_out_of_range(cell):
+    with pytest.raises(ValueError, match=rf"cell \({cell[0]}, {cell[1]}\) out of range"):
+        is_ferrers(2, 3, {(0, 0), cell})
+
+
 def test_characterizations_agree_on_random_relations():
     rng = random.Random(5)
     for _ in range(300):

@@ -20,12 +20,52 @@ from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
                      seeded_context)
 
 SQ2 = math.sqrt(2.0) / 2.0
+_FORK = os.fork
 
 
 def _embedding(ctx):
     lat = concepts(ctx)
     d, cover = order_dimension(ctx)
     return lat, embed(lat, realizer_from_cover(ctx, lat, cover))
+
+
+def _on_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Let the search see ``cpus`` CPUs, whatever the machine has; returns
+    the pids that os.fork gives the parent from now on.  A later call
+    replaces the patches of an earlier one."""
+    forked = []
+
+    def recording():
+        pid = _FORK()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", recording)
+    return forked
+
+
+def _bits(result):
+    return (result.assignment, [(x.hex(), y.hex()) for x, y in result.layout.points],
+            result.layout.crossings)
+
+
+def _serial(monkeypatch, emb, frame):
+    """The search on one CPU: the serial path, which forks no child."""
+    forked = _on_cpus(monkeypatch, 1)
+    result = best_assignment(emb, frame)
+    assert forked == []
+    return result
+
+
+def _serial_and_split(monkeypatch, emb, frame):
+    """The search on one CPU and on two, which must agree bit for bit;
+    the result and how many children the two-CPU search forked."""
+    serial = _serial(monkeypatch, emb, frame)
+    forked = _on_cpus(monkeypatch, 2)
+    assert _bits(best_assignment(emb, frame)) == _bits(serial)
+    return serial, len(forked)
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +374,22 @@ def test_best_not_worse_than_identity_on_life():
     assert result.layout.crossings <= identity.crossings
 
 
-def test_best_assignment_matches_exhaustive_reevaluation():
+def test_best_assignment_matches_exhaustive_reevaluation(monkeypatch):
     # the search visits one permutation of each complement pair and stops
     # counting a candidate once it cannot win; the answer must still be
     # the lex-first permutation of minimum count, recounted here by the
-    # independent oracle.  Contranominal 5 has near-collinear edge pairs,
-    # which the last bits of the fan's directions decide
+    # independent oracle, on one CPU and on two.  Contranominal 5 has
+    # near-collinear edge pairs, which the last bits of the fan's
+    # directions decide
     pinned = {"contra4": ((1, 2, 0, 3), 20), "contra5": ((1, 3, 0, 4, 2), 132)}
+    forked = 0
     for name, ctx in (("contra3", contra_nominal(3)), ("contra4", contra_nominal(4)),
                       ("contra5", contra_nominal(5)), ("life", life_context()),
                       ("grid3", grid_context(3))):
         _, emb = _embedding(ctx)
         frame = default_frame(emb.dim)
-        result = best_assignment(emb, frame)
+        result, n_forked = _serial_and_split(monkeypatch, emb, frame)
+        forked += n_forked
         counts = {}
         for perm in permutations(range(emb.dim)):
             layout = project(emb, frame, perm)
@@ -357,6 +400,7 @@ def test_best_assignment_matches_exhaustive_reevaluation():
         assert result.layout == project(emb, frame, first)
         if name in pinned:
             assert (result.assignment, result.layout.crossings) == pinned[name]
+    assert forked  # contranominal 5 splits on two CPUs
 
 
 def test_best_assignment_is_the_lex_first_minimum_on_random_contexts():
@@ -401,25 +445,29 @@ def test_best_assignment_sweeps_one_member_of_each_complement_pair(monkeypatch):
     assert visited == list(permutations(range(4)))
 
 
-def test_best_assignment_layout_is_the_projection_of_its_assignment():
+def test_best_assignment_layout_is_the_projection_of_its_assignment(monkeypatch):
     # the winner's layout is built from the points the search counted;
-    # it must be what project draws for the winning assignment
+    # it must be what project draws for the winning assignment, on one
+    # CPU and on two
+    forked = 0
     for emb in _corpus_embeddings():
         for spread in (45.0, 10.0, 80.0):
             frame = default_frame(emb.dim, spread)
-            result = best_assignment(emb, frame)
+            result, n_forked = _serial_and_split(monkeypatch, emb, frame)
+            forked += n_forked
             assert result.layout == project(emb, frame, result.assignment)
+    assert forked
 
 
-def test_best_assignment_is_pinned_at_dimension_four_and_five():
+def test_best_assignment_is_pinned_at_dimension_four_and_five(monkeypatch):
     # the draw-highdim inputs random 12x12 .5 s0 (d = 5) and s3 (d = 4),
     # drawn from the realizer of the cover search that starts from a
     # conflict clique; the all-pairs counter over every permutation gives
-    # the same minimum
+    # the same minimum.  Both split on two CPUs
     for seed, want in ((0, ((2, 1, 3, 4, 0), 415)), (3, ((1, 2, 3, 0), 296))):
         _, emb = _embedding(seeded_context(12, 12, 0.5, seed))
-        result = best_assignment(emb, default_frame(emb.dim))
-        assert (result.assignment, result.layout.crossings) == want
+        result, forked = _serial_and_split(monkeypatch, emb, default_frame(emb.dim))
+        assert (result.assignment, result.layout.crossings, forked) == (*want, 1)
 
 
 def test_best_assignment_skips_permutations_that_merge_points():
@@ -462,12 +510,13 @@ def test_best_assignment_rejects_a_spread_that_merges_points_everywhere():
     assert sorted(best_assignment(emb, default_frame(3, 59.0)).assignment) == [0, 1, 2]
 
 
-def test_best_assignment_is_pinned_on_contranominal_six():
+def test_best_assignment_is_pinned_on_contranominal_six(monkeypatch):
     # the Boolean lattice 2^6, recorded before the search paired each
-    # permutation with its complement
+    # permutation with its complement; it splits on two CPUs
     _, emb = _embedding(contra_nominal(6))
-    result = best_assignment(emb, default_frame(6))
-    assert (result.assignment, result.layout.crossings) == ((2, 3, 0, 1, 4, 5), 812)
+    result, forked = _serial_and_split(monkeypatch, emb, default_frame(6))
+    assert (result.assignment, result.layout.crossings, forked) == (
+        (2, 3, 0, 1, 4, 5), 812, 1)
 
 
 def test_best_assignment_above_the_cap_raises_before_any_sweep(monkeypatch):
@@ -488,31 +537,14 @@ def test_best_assignment_above_the_cap_raises_before_any_sweep(monkeypatch):
 # the search split across forked children
 
 def _split(monkeypatch, cpus: int) -> list[int]:
-    """Let the search see ``cpus`` CPUs and split any input; returns the
-    pids that os.fork gives the parent."""
-    forked = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    """``_on_cpus``, and every input split as far as its permutations go."""
     monkeypatch.setattr(projection, "_SHARE_WORK", 1)
-    monkeypatch.setattr(os, "fork", recording)
-    return forked
+    return _on_cpus(monkeypatch, cpus)
 
 
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def _bits(result):
-    return (result.assignment, [(x.hex(), y.hex()) for x, y in result.layout.points],
-            result.layout.crossings)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -527,7 +559,7 @@ def test_split_search_gives_the_serial_winner_bit_for_bit(monkeypatch, ctx, want
     # beat the parent's (1, 0, 2)
     _, emb = _embedding(ctx)
     frame = default_frame(emb.dim)
-    serial = best_assignment(emb, frame)
+    serial = _serial(monkeypatch, emb, frame)
     assert (serial.assignment, serial.layout.crossings) == want
     forked = _split(monkeypatch, cpus)
     assert _bits(best_assignment(emb, frame)) == _bits(serial)
@@ -539,7 +571,7 @@ def test_split_search_sweeps_a_share_again_when_its_child_delivers_nothing(
         monkeypatch):
     _, emb = _embedding(contra_nominal(5))
     frame = default_frame(5)
-    serial = best_assignment(emb, frame)
+    serial = _serial(monkeypatch, emb, frame)
     parent, search, swept = os.getpid(), projection._search, []
 
     def child_dies(e, columns, perms):
@@ -559,7 +591,7 @@ def test_split_search_sweeps_a_share_in_the_parent_when_its_fork_fails(monkeypat
     # three shares: the first fork gives a child, the second raises
     _, emb = _embedding(contra_nominal(5))
     frame = default_frame(5)
-    serial = best_assignment(emb, frame)
+    serial = _serial(monkeypatch, emb, frame)
     perms = [perm for perm in permutations(range(5))
              if perm < tuple(4 - j for j in perm)]
     parent, search, swept = os.getpid(), projection._search, []
@@ -600,6 +632,21 @@ def test_split_search_reaps_its_child_when_the_parent_share_raises(monkeypatch):
         best_assignment(emb, default_frame(5))
     assert len(forked) == 1
     _assert_no_child_left()
+
+
+def test_split_search_forks_no_child_without_a_permutation(monkeypatch):
+    # with three CPUs and any work worth a share, a d = 2 order sweeps one
+    # permutation and forks no child, and a d = 3 lattice sweeps three in
+    # three shares
+    for ctx, dim, n_forked in ((random_order_context(12, 2, 0), 2, 0),
+                               (life_context(), 3, 2)):
+        _, emb = _embedding(ctx)
+        frame = default_frame(emb.dim)
+        serial = _serial(monkeypatch, emb, frame)
+        forked = _split(monkeypatch, 3)
+        assert _bits(best_assignment(emb, frame)) == _bits(serial)
+        assert (emb.dim, len(forked)) == (dim, n_forked)
+        _assert_no_child_left()
 
 
 def test_search_splits_only_where_a_share_outweighs_a_fork(monkeypatch):
@@ -813,24 +860,28 @@ def _unnormalized_layout():
                   edges=((2, 3), (4, 5)))
 
 
-def test_repair_matches_the_reference_without_the_x_window():
+def test_repair_matches_the_reference_without_the_x_window(monkeypatch):
     # the x-window skips only pairs at least twice the threshold apart and
     # the duplicate test still skips the node itself, so repair makes the
-    # reference's moves, and fails where it fails, with the same offenders
-    layouts = []
+    # reference's moves, and fails where it fails, with the same offenders;
+    # the layouts are searched on one CPU and on two
+    layouts, forked = [], 0
     for size in (6, 8, 10):
         for p in (0.3, 0.5, 0.7):
             for seed in range(4):
                 _, emb = _embedding(seeded_context(size, size, p, seed))
                 for spread in (45.0, 10.0, 80.0, 1e-3):
                     try:
-                        best = best_assignment(emb, default_frame(emb.dim, spread))
+                        frame = default_frame(emb.dim, spread)
+                        best, n_forked = _serial_and_split(monkeypatch, emb, frame)
                     except ValueError:
                         continue
                     layouts.append(normalize(best.layout))
-    assert len(layouts) > 100
+                    forked += n_forked
+    assert len(layouts) > 100 and forked
     _, emb = _embedding(seeded_context(10, 10, 0.7, 8))
-    failing = normalize(best_assignment(emb, default_frame(emb.dim, 80.0)).layout)
+    best, _ = _serial_and_split(monkeypatch, emb, default_frame(emb.dim, 80.0))
+    failing = normalize(best.layout)
     hand_built = (_x_window_layout(), _unnormalized_layout())
     for layout in layouts + [failing, *hand_built]:
         assert (_repair_outcome(repair_incidences, layout)

@@ -1,4 +1,5 @@
 import json
+import random
 import xml.etree.ElementTree as ET
 from xml.sax import saxutils
 
@@ -9,7 +10,8 @@ from dimdraw import (FormalContext, best_assignment, concepts, default_frame,
                      realizer_from_cover, repair_incidences, to_json, to_svg,
                      to_tikz)
 from dimdraw.render import _xml_escape
-from helpers import contra_nominal, life_context
+from helpers import (contra_nominal, life_context, random_context,
+                     reference_labels)
 
 
 def _diagram(ctx):
@@ -54,6 +56,33 @@ def test_labels_partition_objects_and_attributes():
     attrs = [name for labels in diagram.attribute_labels for name in labels]
     assert sorted(objs) == sorted(ctx.objects)
     assert sorted(attrs) == sorted(ctx.attributes)
+
+
+def test_labels_match_the_closure_reference():
+    # the label concepts read off the lattice's masks against the ones
+    # found by closing each object and attribute, on seeded contexts and
+    # on the degenerate ones: no objects, no attributes or neither, empty
+    # and full incidence, an object with every attribute and an
+    # attribute no object has
+    rng = random.Random(29)
+    contexts = [random_context(rng, 6, 6) for _ in range(400)]
+    contexts += [
+        FormalContext((), ("a", "b"), frozenset()),
+        FormalContext(("g", "h"), (), frozenset()),
+        FormalContext((), (), frozenset()),
+        FormalContext(("g", "h"), ("a", "b"), frozenset()),
+        FormalContext(("g", "h"), ("a", "b"),
+                      frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})),
+        FormalContext(("g", "h", "i"), ("a", "b", "c"),
+                      frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 1)})),
+        FormalContext(("g", "h", "i"), ("a", "b", "c"),
+                      frozenset({(0, 0), (1, 1), (2, 0), (2, 1)})),
+        life_context(), contra_nominal(4),
+    ]
+    for ctx in contexts:
+        lat, diagram = _diagram(ctx)
+        assert ((diagram.object_labels, diagram.attribute_labels)
+                == reference_labels(ctx, lat))
 
 
 def test_svg_node_and_edge_counts():
