@@ -28,7 +28,9 @@ applies unchanged.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
@@ -37,6 +39,13 @@ from .errors import CycleError, ParseError
 
 _CSV_INCIDENT = frozenset({"X", "x", "1"})
 _CSV_EMPTY = frozenset({"", "0", "."})
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_names(names: tuple[str, ...], kind: str) -> None:
@@ -53,28 +62,29 @@ def _check_names(names: tuple[str, ...], kind: str) -> None:
 
 @dataclass(frozen=True)
 class FormalContext:
-    """A cross table: objects, attributes, and their incidence pairs.
+    """A cross table: objects, attributes, and one attribute mask per object.
 
-    Incidence cells are (object-index, attribute-index) pairs.  Names are
+    ``rows[g]`` has bit m set when object g has attribute m.  Names are
     opaque strings; all computation downstream runs on the dense indices,
-    in input order.
+    in input order.  Equality and hashing go by the names and the rows.
     """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
-    incidence: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "incidence", frozenset(self.incidence))
+        object.__setattr__(self, "rows", tuple(self.rows))
         _check_names(self.objects, "object")
         _check_names(self.attributes, "attribute")
-        for g, m in self.incidence:
-            if not (isinstance(g, int) and isinstance(m, int)):
-                raise ValueError(f"incidence cell ({g!r}, {m!r}) is not a pair of ints")
-            if not (0 <= g < len(self.objects) and 0 <= m < len(self.attributes)):
-                raise ValueError(f"incidence cell ({g}, {m}) out of range")
+        if len(self.rows) != len(self.objects):
+            raise ValueError(f"{len(self.rows)} rows for {len(self.objects)} objects")
+        for g, row in enumerate(self.rows):
+            if not isinstance(row, int) or row < 0 or row >> len(self.attributes):
+                raise ValueError(f"row {g} ({row!r}) is not a mask over "
+                                 f"{len(self.attributes)} attributes")
 
     @property
     def n_objects(self) -> int:
@@ -84,18 +94,17 @@ class FormalContext:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def object_rows(self) -> tuple[int, ...]:
-        """Per-object bitmask over attribute indices."""
-        rows = [0] * len(self.objects)
-        for g, m in self.incidence:
-            rows[g] |= 1 << m
-        return tuple(rows)
+    @cached_property
+    def incidence(self) -> frozenset[tuple[int, int]]:
+        """The incident (object, attribute) index pairs, derived on first read."""
+        return frozenset((g, m) for g, row in enumerate(self.rows) for m in _bits(row))
 
     def attribute_cols(self) -> tuple[int, ...]:
         """Per-attribute bitmask over object indices."""
         cols = [0] * len(self.attributes)
-        for g, m in self.incidence:
-            cols[m] |= 1 << g
+        for g, row in enumerate(self.rows):
+            for m in _bits(row):
+                cols[m] |= 1 << g
         return tuple(cols)
 
 
@@ -115,7 +124,9 @@ class PosetInput:
         object.__setattr__(self, "relation", frozenset(self.relation))
         _check_names(self.elements, "element")
         known = set(self.elements)
-        for x, y in self.relation:
+        # sorted, so the pair named does not follow the hash seed; by repr,
+        # since a pair may hold names that are not strings
+        for x, y in sorted(self.relation, key=repr):
             if x not in known or y not in known:
                 raise ValueError(f"relation pair ({x!r}, {y!r}) names unknown element")
 
@@ -204,7 +215,7 @@ def parse_cxt(text: str) -> FormalContext:
     objects = names("object", 4, n_objects)
     attributes = names("attribute", 4 + n_objects, n_attributes)
     base = 4 + n_objects + n_attributes
-    incidence: set[tuple[int, int]] = set()
+    rows = [0] * n_objects
     for g in range(n_objects):
         row = need(base + g, "incidence row")
         lineno = base + g + 1
@@ -214,7 +225,7 @@ def parse_cxt(text: str) -> FormalContext:
                 line=lineno)
         for m, ch in enumerate(row):
             if ch == "X":
-                incidence.add((g, m))
+                rows[g] |= 1 << m
             elif ch != ".":
                 raise ParseError(f"illegal character {ch!r} in row", line=lineno)
 
@@ -222,7 +233,7 @@ def parse_cxt(text: str) -> FormalContext:
         if lines[extra].strip():
             raise ParseError("unexpected trailing content", line=extra + 1)
 
-    return FormalContext(objects, attributes, frozenset(incidence))
+    return FormalContext(objects, attributes, rows)
 
 
 def write_cxt(ctx: FormalContext) -> str:
@@ -230,10 +241,9 @@ def write_cxt(ctx: FormalContext) -> str:
     out = ["B", "", str(ctx.n_objects), str(ctx.n_attributes)]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
-    rows = ctx.object_rows()
-    for g in range(ctx.n_objects):
+    for row in ctx.rows:
         out.append("".join(
-            "X" if rows[g] >> m & 1 else "." for m in range(ctx.n_attributes)))
+            "X" if row >> m & 1 else "." for m in range(ctx.n_attributes)))
     return "\n".join(out) + "\n"
 
 
@@ -292,22 +302,23 @@ def parse_csv(text: str) -> FormalContext:
 
     n_cols = len(header)
     objects: list[str] = []
-    incidence: set[tuple[int, int]] = set()
+    rows: list[int] = []
     unique = _unique_names("object")
     for lineno, raw in enumerate(lines[1:], start=2):
         cells = [cell.strip() for cell in raw.split(",")]
         if len(cells) != n_cols:
             raise ParseError(
                 f"ragged row: expected {n_cols} cells, got {len(cells)}", line=lineno)
-        g = len(objects)
         objects.append(unique(cells[0], lineno))
+        row = 0
         for m, cell in enumerate(cells[1:]):
             if cell in _CSV_INCIDENT:
-                incidence.add((g, m))
+                row |= 1 << m
             elif cell not in _CSV_EMPTY:
                 raise ParseError(f"unrecognized cell value {cell!r}", line=lineno)
+        rows.append(row)
 
-    return FormalContext(tuple(objects), tuple(attributes), frozenset(incidence))
+    return FormalContext(tuple(objects), tuple(attributes), rows)
 
 
 def poset_to_context(p: PosetInput) -> FormalContext:
@@ -315,7 +326,8 @@ def poset_to_context(p: PosetInput) -> FormalContext:
 
     One iterative depth-first search, roots and successors in index order,
     closes the order: leaving an element v sets its up-set to v together
-    with the up-sets of its direct successors.  A pair x < x is skipped.
+    with the up-sets of its direct successors, and the up-sets are the
+    rows of the context.  A pair x < x is skipped.
     An edge back into the open path raises CycleError, naming that path
     from the edge's target, closed: a cycle of input pairs.
     """
@@ -348,5 +360,4 @@ def poset_to_context(p: PosetInput) -> FormalContext:
                     up |= reach[w]
                 reach[v] = up
 
-    incidence = {(i, j) for i in range(n) for j in range(n) if reach[i] >> j & 1}
-    return FormalContext(p.elements, p.elements, frozenset(incidence))
+    return FormalContext(p.elements, p.elements, reach)

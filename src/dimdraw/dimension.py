@@ -287,10 +287,6 @@ class _CoverSearch:
         self.n_used = 0
         self.nodes = 0
 
-    def _fits(self, above: Sequence[int], g: int, m: int) -> bool:
-        """Whether cell (g, m) keeps the part with this closure feasible."""
-        return not above[g] & self.table.col_inc[m]
-
     def _grow(self, above: Sequence[int], g: int, m: int) -> tuple[list[int], int]:
         """The closure after adding the fitting cell (g, m), and the cells
         of the rows whose closure took in the gain."""
@@ -394,14 +390,12 @@ class _CoverSearch:
             self._assign(c, j)
 
     def maximalize(self, j: int) -> list[int]:
-        """Grow part j from its kept closure into a maximal staircase,
-        scanning cells in row-major order; return its rows."""
-        rows, above = self.part_rows[j], self.above[j]
-        for g, m in self.table.cells:
-            if not rows[g] >> m & 1 and self._fits(above, g, m):
-                rows[g] |= 1 << m
-                above = self._grow(above, g, m)[0]
-        self.above[j] = above
+        """Grow part j into a maximal staircase: commit each cell that
+        fits it and that it lacks, in row-major order; return its rows."""
+        rows = self.part_rows[j]
+        for c, (g, m) in enumerate(self.table.cells):
+            if self.fits[j] >> c & 1 and not rows[g] >> m & 1:
+                self._assign(c, j)
         return rows
 
     def run(self) -> list[list[int]] | None:
@@ -410,11 +404,10 @@ class _CoverSearch:
         return self.part_rows
 
 
-def _rows(ctx: FormalContext) -> tuple[list[int], list[int]]:
+def _rows(ctx: FormalContext) -> tuple[list[int], tuple[int, ...]]:
     """The non-incidence and the incidence of each object, as row masks."""
-    inc_rows = ctx.object_rows()
     full = (1 << ctx.n_attributes) - 1
-    return [full & ~r for r in inc_rows], inc_rows
+    return [full & ~r for r in ctx.rows], ctx.rows
 
 
 def _check_cover(ctx: FormalContext, cover: FerrersCover) -> None:
@@ -504,7 +497,7 @@ def order_dimension(ctx: FormalContext, *,
     """
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be at least 1")
-    n_non = ctx.n_objects * ctx.n_attributes - len(ctx.incidence)
+    n_non = ctx.n_objects * ctx.n_attributes - sum(map(int.bit_count, ctx.rows))
     hard_cap = max(1, n_non)
     limit = hard_cap if max_k is None else min(max_k, hard_cap)
     for k in range(1, limit + 1):

@@ -13,17 +13,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import FormalContext
+from .context import FormalContext, _bits
 from .errors import ContractViolation, LatticeTooLargeError
 
 CONCEPT_CAP = 100_000
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -86,12 +79,11 @@ class ConceptLattice:
 
 def derive_objects(ctx: FormalContext, objects: Iterable[int]) -> frozenset[int]:
     """Attributes shared by every object in the set (all of M for the empty set)."""
-    rows = ctx.object_rows()
     mask = (1 << ctx.n_attributes) - 1
     for g in objects:
         if not 0 <= g < ctx.n_objects:
             raise IndexError(f"object index {g} out of range")
-        mask &= rows[g]
+        mask &= ctx.rows[g]
     return frozenset(_bits(mask))
 
 
@@ -132,31 +124,25 @@ def concepts(ctx: FormalContext) -> ConceptLattice:
     """Enumerate every formal concept of ``ctx``, sorted by extent mask.
 
     The extent family is the closure system generated by the attribute
-    extents under intersection.  Raises LatticeTooLargeError as soon as
-    the enumeration exceeds CONCEPT_CAP; output is never silently
-    truncated.  The order is left to the lattice's first read of it.
+    extents under intersection, built one attribute at a time: after the
+    step for attribute i the set holds the intersection of each subset of
+    the first i attribute extents, G for the empty one.  Raises
+    LatticeTooLargeError after the step that takes the set past
+    CONCEPT_CAP; a step at most doubles the set, so no more than twice
+    the cap is ever held, and output is never silently truncated.  The
+    order is left to the lattice's first read of it.
     """
-    n_g, n_m = ctx.n_objects, ctx.n_attributes
-    rows = ctx.object_rows()
-    cols = ctx.attribute_cols()
-    full_g = (1 << n_g) - 1
-    full_m = (1 << n_m) - 1
+    rows = ctx.rows
+    full_g = (1 << ctx.n_objects) - 1
+    full_m = (1 << ctx.n_attributes) - 1
 
     extents = {full_g}
-    frontier = [full_g]
-    while frontier:
-        fresh = []
-        for ext in frontier:
-            for col in cols:
-                cut = ext & col
-                if cut not in extents:
-                    extents.add(cut)
-                    if len(extents) > CONCEPT_CAP:
-                        raise LatticeTooLargeError(
-                            f"more than {CONCEPT_CAP} concepts, the fixed "
-                            "cap on the lattice size")
-                    fresh.append(cut)
-        frontier = fresh
+    for col in ctx.attribute_cols():
+        extents |= {ext & col for ext in extents}
+        if len(extents) > CONCEPT_CAP:
+            raise LatticeTooLargeError(
+                f"more than {CONCEPT_CAP} concepts, the fixed cap on the "
+                "lattice size")
 
     ordered = sorted(extents)
     concept_list = []

@@ -16,8 +16,10 @@ from functools import reduce
 from itertools import combinations
 from operator import add
 
-from dimdraw import (ConceptLattice, FormalContext, LinearExtension,
-                     RepairFailed, order_dimension, realizer_from_cover)
+import dimdraw.lattice
+from dimdraw import (ConceptLattice, FormalContext, LatticeTooLargeError,
+                     LinearExtension, RepairFailed, order_dimension,
+                     realizer_from_cover)
 from dimdraw.dimension import _Cells, _CoverSearch
 from dimdraw.lattice import _bits
 from dimdraw.projection import (_REPAIR_MAX_STEPS, _REPAIR_ROUNDS, REPAIR_EPS,
@@ -64,12 +66,21 @@ LIFE_LETTER_COORDS = {
 }
 
 
+def context_from_pairs(objects, attributes, pairs) -> FormalContext:
+    """The context whose incident (object, attribute) index pairs are
+    ``pairs``: the one way the tests build a context from cells."""
+    rows = [0] * len(objects)
+    for g, m in pairs:
+        rows[g] |= 1 << m
+    return FormalContext(objects, attributes, rows)
+
+
 def life_context() -> FormalContext:
     incidence = frozenset(
         (g, m)
         for g, row in enumerate(LIFE_ROWS)
         for m, ch in enumerate(row) if ch == "X")
-    return FormalContext(LIFE_OBJECTS, LIFE_ATTRIBUTES, incidence)
+    return context_from_pairs(LIFE_OBJECTS, LIFE_ATTRIBUTES, incidence)
 
 
 def life_cxt_text() -> str:
@@ -105,14 +116,14 @@ def contra_nominal(n: int) -> FormalContext:
     """([n], [n], !=): Boolean lattice 2^n, order dimension n."""
     names = tuple(str(i) for i in range(1, n + 1))
     incidence = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
-    return FormalContext(names, names, incidence)
+    return context_from_pairs(names, names, incidence)
 
 
 def chain_context(n: int) -> FormalContext:
     """Strict n x n staircase; its concept lattice is a chain of n + 1."""
     names = tuple(str(i) for i in range(1, n + 1))
     incidence = frozenset((i, j) for i in range(n) for j in range(n) if j < i)
-    return FormalContext(names, tuple("c" + x for x in names), incidence)
+    return context_from_pairs(names, tuple("c" + x for x in names), incidence)
 
 
 def grid_context(n: int) -> FormalContext:
@@ -131,14 +142,14 @@ def grid_context(n: int) -> FormalContext:
     for g in range(n, 2 * n):
         for m in range(n):
             incidence.add((g, m))
-    return FormalContext(objects, attributes, frozenset(incidence))
+    return context_from_pairs(objects, attributes, incidence)
 
 
 def crown_context(n: int) -> FormalContext:
     """Crown C_n: object i is incident to attributes i and i + 1 mod n."""
     incidence = frozenset((i, m) for i in range(n) for m in (i, (i + 1) % n))
-    return FormalContext(tuple(f"g{i}" for i in range(n)),
-                         tuple(f"m{i}" for i in range(n)), incidence)
+    return context_from_pairs(tuple(f"g{i}" for i in range(n)),
+                              tuple(f"m{i}" for i in range(n)), incidence)
 
 
 def seeded_context(n_g: int, n_m: int, p: float, seed: int) -> FormalContext:
@@ -147,8 +158,8 @@ def seeded_context(n_g: int, n_m: int, p: float, seed: int) -> FormalContext:
     r = random.Random(seed)
     incidence = frozenset((i, j) for i in range(n_g) for j in range(n_m)
                           if r.random() < p)
-    return FormalContext(tuple(f"g{i}" for i in range(n_g)),
-                         tuple(f"m{j}" for j in range(n_m)), incidence)
+    return context_from_pairs(tuple(f"g{i}" for i in range(n_g)),
+                              tuple(f"m{j}" for j in range(n_m)), incidence)
 
 
 def random_order_context(n: int, k: int, seed: int) -> FormalContext:
@@ -163,7 +174,7 @@ def random_order_context(n: int, k: int, seed: int) -> FormalContext:
     incidence = frozenset((x, y) for x in range(n) for y in range(n)
                           if all(pos[x] <= pos[y] for pos in positions))
     names = tuple(f"x{i}" for i in range(n))
-    return FormalContext(names, names, incidence)
+    return context_from_pairs(names, names, incidence)
 
 
 def digraph_extendable(allowance, rows, g0: int, m0: int) -> bool:
@@ -200,7 +211,7 @@ def search_closure(search, rows):
     for g, row in enumerate(rows):
         for m in range(row.bit_length()):
             if row >> m & 1:
-                if not search._fits(above, g, m):
+                if above[g] & search.table.col_inc[m]:
                     return None
                 above = search._grow(above, g, m)[0]
     return above
@@ -210,7 +221,7 @@ def search_extendable(search, rows, g0: int, m0: int) -> bool:
     """Whether the part ``rows`` plus cell (g0, m0) stays feasible, by the
     search's closure test on a rebuilt closure."""
     above = search_closure(search, rows)
-    return above is not None and search._fits(above, g0, m0)
+    return above is not None and not above[g0] & search.table.col_inc[m0]
 
 
 def cell_conflicts(table):
@@ -269,7 +280,7 @@ def scan_branch(search):
             rows = search.part_rows[j]
             clash = any(conflicts[c] >> c2 & 1 and rows[h] >> n & 1
                         for c2, (h, n) in enumerate(search.table.cells))
-            if search._fits(search.above[j], g, m) and not clash:
+            if not search.above[j][g] & search.table.col_inc[m] and not clash:
                 parts |= 1 << j
         count = bin(parts).count("1") + open_extra
         if count == 0:
@@ -284,9 +295,8 @@ def scan_branch(search):
 
 def cell_table(ctx: FormalContext) -> _Cells:
     """A new cell table of ``ctx``, built outside the package's memo."""
-    inc_rows = ctx.object_rows()
     full = (1 << ctx.n_attributes) - 1
-    return _Cells([full & ~r for r in inc_rows], inc_rows)
+    return _Cells([full & ~r for r in ctx.rows], ctx.rows)
 
 
 def cover_search(ctx: FormalContext, k: int) -> _CoverSearch:
@@ -375,12 +385,37 @@ def random_context(rng: random.Random, max_objects: int = 5,
     density = rng.choice((0.25, 0.5, 0.75))
     incidence = frozenset((g, m) for g in range(n_g) for m in range(n_m)
                           if rng.random() < density)
-    return FormalContext(tuple(f"g{i}" for i in range(n_g)),
-                         tuple(f"m{j}" for j in range(n_m)), incidence)
+    return context_from_pairs(tuple(f"g{i}" for i in range(n_g)),
+                              tuple(f"m{j}" for j in range(n_m)), incidence)
 
 
 # ---------------------------------------------------------------------------
 # Independent oracles.
+
+def reference_extents(ctx: FormalContext) -> set[int]:
+    """The extent masks by a breadth-first frontier: each new extent is
+    cut by every attribute extent until no cut is new.  The reference for
+    ``lattice.concepts``, which closes one attribute at a time; it raises
+    LatticeTooLargeError as soon as the set passes ``lattice.CONCEPT_CAP``.
+    """
+    cols = ctx.attribute_cols()
+    full_g = (1 << ctx.n_objects) - 1
+    extents = {full_g}
+    frontier = [full_g]
+    while frontier:
+        fresh = []
+        for ext in frontier:
+            for col in cols:
+                cut = ext & col
+                if cut not in extents:
+                    extents.add(cut)
+                    if len(extents) > dimdraw.lattice.CONCEPT_CAP:
+                        raise LatticeTooLargeError(
+                            f"more than {dimdraw.lattice.CONCEPT_CAP} concepts")
+                    fresh.append(cut)
+        frontier = fresh
+    return extents
+
 
 def brute_concepts(ctx: FormalContext) -> set[tuple[frozenset, frozenset]]:
     """All concepts by checking closure of every object subset directly."""
@@ -504,7 +539,7 @@ def reference_labels(ctx: FormalContext, lattice):
     extent is {m}', each looked up by its extent.  The reference for
     ``render.label``, which reads the concepts off the lattice's masks."""
     by_extent = {c.extent_mask: i for i, c in enumerate(lattice.concepts)}
-    rows = ctx.object_rows()
+    rows = ctx.rows
     cols = ctx.attribute_cols()
     full_g = (1 << ctx.n_objects) - 1
 

@@ -6,14 +6,15 @@ import random
 import time
 from contextlib import contextmanager
 
-from dimdraw import (FormalContext, LinearExtension, Realizer,
+from dimdraw import (LinearExtension, Realizer,
                      best_assignment, concepts, default_frame, embed,
                      ferrers_cover, is_ferrers, normalize, order_dimension,
                      parse_cxt, realizer_from_cover, repair_incidences,
                      verify_realizer, write_cxt)
 from dimdraw.cli import main
 from helpers import (brute_force_dimension,
-                     closed_form_point_segment_distance, contra_nominal, leq,
+                     closed_form_point_segment_distance, context_from_pairs,
+                     contra_nominal, leq,
                      life_context, life_cxt_text, life_letter_map,
                      quantifier_is_ferrers, random_context, s3_up_masks,
                      LIFE_CHAIN_1, LIFE_CHAIN_2, LIFE_CHAIN_3,
@@ -110,8 +111,8 @@ def test_criterion_6_oracle_equivalence_3x3():
         for bits in range(512):
             incidence = frozenset((g, m) for g in range(3) for m in range(3)
                                   if bits >> (g * 3 + m) & 1)
-            ctx = FormalContext(("g0", "g1", "g2"), ("m0", "m1", "m2"),
-                                incidence)
+            ctx = context_from_pairs(("g0", "g1", "g2"), ("m0", "m1", "m2"),
+                                     incidence)
             d, _ = order_dimension(ctx)
             assert d == brute_force_dimension(concepts(ctx)), bits
         assert time.perf_counter() - started < 600.0

@@ -5,14 +5,15 @@ import random
 import pytest
 
 from dimdraw import (ContractViolation, DimensionUndecided, FerrersCover,
-                     FormalContext, LinearExtension, Realizer, SearchTimeout,
+                     LinearExtension, Realizer, SearchTimeout,
                      certificate_json, concepts, ferrers_cover, is_ferrers,
                      order_dimension, realizer_from_cover, verify_realizer)
 from dimdraw.dimension import (_Cells, _cells, _check_cover, _CoverSearch,
                                _extension)
 from helpers import (ORACLE_ELEMENT_CAP, brute_force_dimension,
                      cell_conflicts, cell_rows, cell_table, chain_context,
-                     chain_extent_order, complement, contra_nominal,
+                     chain_extent_order, complement, context_from_pairs,
+                     contra_nominal,
                      cover_search, crown_context, diamond_up_masks,
                      digraph_extendable, leq, life_context, life_ferrers_parts,
                      life_letter_map, minimal_realizer, plain_order_dimension,
@@ -149,7 +150,7 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
         cells = search.table.cells
         if not cells:
             continue
-        allowance = [(1 << ctx.n_attributes) - 1 & ~r for r in ctx.object_rows()]
+        allowance = [(1 << ctx.n_attributes) - 1 & ~r for r in ctx.rows]
         conflicts = cell_conflicts(search.table)
         trails = []
         for _ in range(25):
@@ -173,7 +174,7 @@ def test_maintained_closure_matches_rebuild_and_digraph_test():
                 part_cells = sum(1 << c for c, (g, m) in enumerate(cells)
                                  if rows[g] >> m & 1)
                 for c, (g, m) in enumerate(cells):
-                    fits = search._fits(above, g, m)
+                    fits = not above[g] & search.table.col_inc[m]
                     assert fits == digraph_extendable(allowance, rows, g, m)
                     admissible = fits and not conflicts[c] & part_cells
                     assert bool(search.fits[j] >> c & 1) == admissible
@@ -310,12 +311,37 @@ def test_one_part_cover_is_the_non_incidence_or_none():
         assert cover.parts[0] == _non_incidence(ctx)
 
 
+def test_maximalize_matches_a_scan_with_rebuilt_closures():
+    # committing each cell that the part's fits mask holds, in row-major
+    # order, grows the same rows as testing each cell against a closure
+    # rebuilt from the part's rows
+    rng = random.Random(30)
+    grown = 0
+    for _ in range(60):
+        ctx = seeded_context(rng.randint(3, 7), rng.randint(3, 7),
+                             rng.choice((0.3, 0.5, 0.7)), rng.randrange(10 ** 6))
+        k = max(3, order_dimension(ctx)[0])
+        search = cover_search(ctx, k)
+        search.seed(search.table.clique)
+        assert search.run() is not None
+        for j in range(k):
+            expected = list(search.part_rows[j])
+            for g, m in search.table.cells:
+                if (not expected[g] >> m & 1
+                        and search_extendable(search, expected, g, m)):
+                    expected[g] |= 1 << m
+            before = sum(map(int.bit_count, search.part_rows[j]))
+            assert search.maximalize(j) == expected, ctx
+            grown += sum(map(int.bit_count, expected)) - before
+    assert grown >= 100
+
+
 # ---------------------------------------------------------------------------
 # ferrers_cover / order_dimension
 
 def test_two_chain_single_part_cover():
-    ctx = FormalContext(("a", "b"), ("p", "q"),
-                        frozenset({(0, 0), (1, 0), (1, 1)}))
+    ctx = context_from_pairs(("a", "b"), ("p", "q"),
+                             frozenset({(0, 0), (1, 0), (1, 1)}))
     cover = ferrers_cover(ctx, 1)
     assert cover is not None
     assert set().union(*cover.parts) == _non_incidence(ctx)
@@ -345,7 +371,7 @@ def test_chain_dimension_is_one():
 
 
 def test_full_context_dimension_is_one():
-    ctx = FormalContext(("g",), ("m",), frozenset({(0, 0)}))
+    ctx = context_from_pairs(("g",), ("m",), frozenset({(0, 0)}))
     d, cover = order_dimension(ctx)
     assert d == 1
 
@@ -441,8 +467,8 @@ def test_transpose_has_the_same_dimension():
     # the reversed extensions; both searches return a checked cover
     dims = set()
     for ctx in _TRANSPOSE_CONTEXTS:
-        dual = FormalContext(ctx.attributes, ctx.objects,
-                             frozenset((m, g) for g, m in ctx.incidence))
+        dual = context_from_pairs(ctx.attributes, ctx.objects,
+                                  frozenset((m, g) for g, m in ctx.incidence))
         d, cover = order_dimension(ctx)
         d_dual, dual_cover = order_dimension(dual)
         assert d == d_dual, ctx
@@ -479,8 +505,8 @@ def test_clique_matches_the_per_candidate_reference():
                    for p in _DENSITIES for s in range(3)]
                 + [seeded_context(25, 25, 0.3, 0), seeded_context(40, 40, 0.2, 0),
                    *_REFERENCE_CONTEXTS, life_context(),
-                   FormalContext((), ("m",), frozenset()),
-                   FormalContext(("g",), ("m",), frozenset({(0, 0)}))])
+                   context_from_pairs((), ("m",), frozenset()),
+                   context_from_pairs(("g",), ("m",), frozenset({(0, 0)}))])
     for ctx in contexts:
         table = cell_table(ctx)
         assert table.clique == reference_clique(table), ctx
@@ -527,8 +553,8 @@ def _noisy_orders():
             incidence = set(base.incidence)
             for _ in range(r.randint(1, 3)):
                 incidence ^= {(r.randrange(n), r.randrange(n))}
-            out.append(FormalContext(base.objects, base.attributes,
-                                     frozenset(incidence)))
+            out.append(context_from_pairs(base.objects, base.attributes,
+                                          frozenset(incidence)))
     return out
 
 
@@ -808,7 +834,7 @@ def test_extension_matches_the_per_concept_reference():
     rng = random.Random(0)
     contexts = [seeded_context(n_g, n_m, p, s) for n_g, n_m in ((5, 7), (12, 10))
                 for p in _DENSITIES for s in range(3)]
-    contexts += [contra_nominal(5), FormalContext((), ("m", "n"), frozenset())]
+    contexts += [contra_nominal(5), context_from_pairs((), ("m", "n"), frozenset())]
     for ctx in contexts:
         lat = concepts(ctx)
         parts = [[rng.getrandbits(ctx.n_attributes) for _ in range(ctx.n_objects)]

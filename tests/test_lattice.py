@@ -3,15 +3,16 @@ import random
 import pytest
 
 import dimdraw.lattice
-from dimdraw import (ContractViolation, FormalContext, LatticeTooLargeError,
+from dimdraw import (ContractViolation, LatticeTooLargeError,
                      concepts, derive_attributes, derive_objects,
                      transitive_reduction, write_cxt)
 from dimdraw.cli import main
 from dimdraw.lattice import ConceptLattice
 from helpers import (brute_concepts, brute_covers, chain_context,
-                     contra_nominal, crown_context, down_mask_covers, leq,
-                     life_context, pairwise_up_masks, random_context,
-                     reference_concept_listing, seeded_context)
+                     context_from_pairs, contra_nominal, crown_context,
+                     down_mask_covers, leq, life_context, pairwise_up_masks,
+                     random_context, reference_concept_listing,
+                     reference_extents, seeded_context)
 
 
 def _attr_idx(ctx, names):
@@ -63,12 +64,12 @@ def test_contra_nominal_three_is_boolean_cube():
 
 
 def test_smallest_contexts():
-    full = FormalContext(("g",), ("m",), frozenset({(0, 0)}))
+    full = context_from_pairs(("g",), ("m",), frozenset({(0, 0)}))
     lat = concepts(full)
     assert lat.n == 1
     assert len(brute_concepts(full)) == 1
 
-    empty = FormalContext(("g",), ("m",), frozenset())
+    empty = context_from_pairs(("g",), ("m",), frozenset())
     lat = concepts(empty)
     assert lat.n == 2
     assert len(brute_concepts(empty)) == 2
@@ -78,7 +79,7 @@ def test_concepts_match_brute_force_on_all_3x3():
     for bits in range(512):
         inc = frozenset((g, m) for g in range(3) for m in range(3)
                         if bits >> (g * 3 + m) & 1)
-        ctx = FormalContext(("g0", "g1", "g2"), ("m0", "m1", "m2"), inc)
+        ctx = context_from_pairs(("g0", "g1", "g2"), ("m0", "m1", "m2"), inc)
         lat = concepts(ctx)
         got = {(c.extent, c.intent) for c in lat.concepts}
         assert got == brute_concepts(ctx)
@@ -175,8 +176,8 @@ def test_order_matches_pairwise_and_down_mask_references():
     contexts = _seeded_120()
     contexts += [seeded_context(20, 20, 0.5, 1), contra_nominal(6),
                  crown_context(12), chain_context(5), life_context(),
-                 FormalContext(("g",), ("m",), frozenset()),
-                 FormalContext(("g", "h"), ("m",), frozenset({(0, 0), (1, 0)}))]
+                 context_from_pairs(("g",), ("m",), frozenset()),
+                 context_from_pairs(("g", "h"), ("m",), {(0, 0), (1, 0)})]
     for ctx in contexts:
         lat = concepts(ctx)
         extents = [c.extent_mask for c in lat.concepts]
@@ -190,7 +191,7 @@ def test_object_masks_are_the_up_sets_of_the_object_concepts():
     # the concepts holding g are those above g's object concept, which
     # is what verify_realizer checks the extensions against
     contexts = _seeded_120() + [crown_context(12), contra_nominal(5),
-                                FormalContext((), ("m",), frozenset())]
+                                context_from_pairs((), ("m",), frozenset())]
     for ctx in contexts:
         lat = concepts(ctx)
         extents = [c.extent_mask for c in lat.concepts]
@@ -238,8 +239,35 @@ def test_incomparable_pairs():
 
 
 def test_concept_cap_is_explicit(monkeypatch):
-    monkeypatch.setattr(dimdraw.lattice, "CONCEPT_CAP", 10)
-    with pytest.raises(LatticeTooLargeError, match="more than 10 concepts"):
-        concepts(contra_nominal(4))
-    monkeypatch.setattr(dimdraw.lattice, "CONCEPT_CAP", 16)
-    assert concepts(contra_nominal(4)).n == 16
+    # contranominal n has 2^n concepts: a cap below that raises, in the
+    # closure and in the frontier reference alike, and a cap of 2^n passes
+    for n, cap in ((4, 10), (5, 17), (5, 31)):
+        monkeypatch.setattr(dimdraw.lattice, "CONCEPT_CAP", cap)
+        with pytest.raises(LatticeTooLargeError, match=f"more than {cap} concepts"):
+            concepts(contra_nominal(n))
+        with pytest.raises(LatticeTooLargeError):
+            reference_extents(contra_nominal(n))
+    for n in (4, 5):
+        monkeypatch.setattr(dimdraw.lattice, "CONCEPT_CAP", 2 ** n)
+        lat = concepts(contra_nominal(n))
+        assert lat.n == 2 ** n
+        assert {c.extent_mask for c in lat.concepts} == reference_extents(
+            contra_nominal(n))
+
+
+def test_concepts_match_the_frontier_reference():
+    # one closure step per attribute against the breadth-first frontier,
+    # on seeded contexts and on no objects, no attributes, neither, and
+    # empty and full incidence
+    rng = random.Random(30)
+    contexts = [random_context(rng, 9, 9) for _ in range(400)]
+    contexts += [context_from_pairs((), ("m", "n"), ()),
+                 context_from_pairs(("g", "h"), (), ()),
+                 context_from_pairs((), (), ()),
+                 context_from_pairs(("g", "h"), ("m", "n", "o"), ()),
+                 context_from_pairs(("g", "h"), ("m", "n", "o"),
+                                    {(g, m) for g in range(2) for m in range(3)}),
+                 seeded_context(20, 20, 0.5, 1), contra_nominal(7), life_context()]
+    for ctx in contexts:
+        extents = [c.extent_mask for c in concepts(ctx).concepts]
+        assert extents == sorted(reference_extents(ctx)), ctx

@@ -8,13 +8,14 @@ from itertools import permutations
 import pytest
 
 import dimdraw.projection as projection
-from dimdraw import (AxisFrame, ContractViolation, DimEmbedding, FormalContext,
+from dimdraw import (AxisFrame, ContractViolation, DimEmbedding,
                      LatticeTooLargeError, Layout, LinearExtension, Realizer,
                      RepairFailed, best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
                      project, realizer_from_cover, repair_incidences)
 from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
-                     contra_nominal, generator_points, grid_context, life_context,
+                     context_from_pairs, contra_nominal, generator_points,
+                     grid_context, life_context,
                      oracle_crossings, oracle_point_segment_distance,
                      random_context, random_order_context, reference_repair,
                      seeded_context)
@@ -352,7 +353,7 @@ def test_complement_layout_is_the_exact_mirror():
 # best_assignment
 
 def test_best_assignment_single_axis_identity():
-    ctx = FormalContext(("g",), ("m",), frozenset())
+    ctx = context_from_pairs(("g",), ("m",), frozenset())
     _, emb = _embedding(ctx)
     assert emb.dim == 1
     result = best_assignment(emb, default_frame(1))

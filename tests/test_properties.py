@@ -5,12 +5,12 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from dimdraw import (CycleError, FormalContext, PosetInput, certificate_json,
+from dimdraw import (CycleError, PosetInput, certificate_json,
                      concepts, derive_attributes, derive_objects,
                      ferrers_cover, is_ferrers, order_dimension, parse_csv,
                      parse_cxt, poset_to_context, realizer_from_cover,
                      write_cxt)
-from helpers import complement, leq, quantifier_is_ferrers
+from helpers import complement, context_from_pairs, leq, quantifier_is_ferrers
 
 _SAFE = string.ascii_letters + string.digits + "_-"
 
@@ -31,7 +31,7 @@ def contexts(draw, max_objects=5, max_attributes=5, safe_names=False):
                                              st.integers(0, n_m - 1))))
     else:
         cells = frozenset()
-    return FormalContext(tuple(objects), tuple(attributes), cells)
+    return context_from_pairs(tuple(objects), tuple(attributes), cells)
 
 
 @st.composite
@@ -50,7 +50,7 @@ def test_cxt_round_trip(ctx):
 
 @given(contexts(safe_names=True))
 def test_csv_and_cxt_agree_on_the_same_table(ctx):
-    rows = ctx.object_rows()
+    rows = ctx.rows
     lines = [",".join(["name"] + list(ctx.attributes))]
     for g, obj in enumerate(ctx.objects):
         cells = ["X" if rows[g] >> m & 1 else ""

@@ -5,13 +5,13 @@ from xml.sax import saxutils
 
 from hypothesis import given, strategies as st
 
-from dimdraw import (FormalContext, best_assignment, concepts, default_frame,
+from dimdraw import (best_assignment, concepts, default_frame,
                      embed, label, normalize, order_dimension,
                      realizer_from_cover, repair_incidences, to_json, to_svg,
                      to_tikz)
 from dimdraw.render import _xml_escape
-from helpers import (contra_nominal, life_context, random_context,
-                     reference_labels)
+from helpers import (context_from_pairs, contra_nominal, life_context,
+                     random_context, reference_labels)
 
 
 def _diagram(ctx):
@@ -42,7 +42,7 @@ def test_contra_nominal_two_labels():
 
 
 def test_full_single_cell_context_carries_both_labels():
-    ctx = FormalContext(("g",), ("m",), frozenset({(0, 0)}))
+    ctx = context_from_pairs(("g",), ("m",), frozenset({(0, 0)}))
     lat, diagram = _diagram(ctx)
     assert lat.n == 1
     assert diagram.object_labels[0] == ("g",)
@@ -67,16 +67,16 @@ def test_labels_match_the_closure_reference():
     rng = random.Random(29)
     contexts = [random_context(rng, 6, 6) for _ in range(400)]
     contexts += [
-        FormalContext((), ("a", "b"), frozenset()),
-        FormalContext(("g", "h"), (), frozenset()),
-        FormalContext((), (), frozenset()),
-        FormalContext(("g", "h"), ("a", "b"), frozenset()),
-        FormalContext(("g", "h"), ("a", "b"),
-                      frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})),
-        FormalContext(("g", "h", "i"), ("a", "b", "c"),
-                      frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 1)})),
-        FormalContext(("g", "h", "i"), ("a", "b", "c"),
-                      frozenset({(0, 0), (1, 1), (2, 0), (2, 1)})),
+        context_from_pairs((), ("a", "b"), frozenset()),
+        context_from_pairs(("g", "h"), (), frozenset()),
+        context_from_pairs((), (), frozenset()),
+        context_from_pairs(("g", "h"), ("a", "b"), frozenset()),
+        context_from_pairs(("g", "h"), ("a", "b"),
+                           frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})),
+        context_from_pairs(("g", "h", "i"), ("a", "b", "c"),
+                           frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 1)})),
+        context_from_pairs(("g", "h", "i"), ("a", "b", "c"),
+                           frozenset({(0, 0), (1, 1), (2, 0), (2, 1)})),
         life_context(), contra_nominal(4),
     ]
     for ctx in contexts:
@@ -128,7 +128,7 @@ def test_svg_escapes_labels():
     ]
     svgs = []
     for (obj, attr), texts in cases:
-        ctx = FormalContext((obj,), (attr,), frozenset({(0, 0)}))
+        ctx = context_from_pairs((obj,), (attr,), frozenset({(0, 0)}))
         _, diagram = _diagram(ctx)
         svgs.append(to_svg(diagram))
         root = ET.fromstring(svgs[-1])
@@ -166,7 +166,7 @@ def test_tikz_escapes_labels():
           "\\&\\$\\#\\{\\}\t")),
     ]
     for (obj, attr), texts in cases:
-        ctx = FormalContext((obj,), (attr,), frozenset({(0, 0)}))
+        ctx = context_from_pairs((obj,), (attr,), frozenset({(0, 0)}))
         _, diagram = _diagram(ctx)
         data = to_tikz(diagram).encode("utf-8")
         for text in texts:
