@@ -40,6 +40,7 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 
 from .context import FormalContext, _json_text
 from .errors import ContractViolation, DimensionUndecided, SearchTimeout
@@ -497,10 +498,8 @@ def order_dimension(ctx: FormalContext, *,
     """
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be at least 1")
-    n_non = ctx.n_objects * ctx.n_attributes - sum(map(int.bit_count, ctx.rows))
-    hard_cap = max(1, n_non)
-    limit = hard_cap if max_k is None else min(max_k, hard_cap)
-    for k in range(1, limit + 1):
+    # one part per non-incident cell covers, so k stops by their number
+    for k in count(1) if max_k is None else range(1, max_k + 1):
         try:
             cover = ferrers_cover(ctx, k, timeout=timeout_per_k)
         except SearchTimeout:
@@ -508,8 +507,8 @@ def order_dimension(ctx: FormalContext, *,
                 from None
         if cover is not None:
             return k, cover
-    raise DimensionUndecided(max(1, limit + 1, len(_cells(ctx).clique)),
-                             f"max-k {limit} exhausted")
+    raise DimensionUndecided(max(max_k + 1, len(_cells(ctx).clique)),
+                             f"max-k {max_k} exhausted")
 
 
 def _extension(rows: Sequence[int], lattice: ConceptLattice) -> LinearExtension:

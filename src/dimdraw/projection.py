@@ -188,17 +188,17 @@ def project(e: DimEmbedding, frame: AxisFrame,
 
 
 def _search(e: DimEmbedding, columns, perms):
-    """(count, perm, points) of the lex-first minimum over ``perms``, which
-    are in lex order; (inf, None, None) when every one merges points."""
-    best, best_points, best_count = None, None, math.inf
+    """(count, perm) of the lex-first minimum over ``perms``, which are in
+    lex order; (inf, None) when every one merges points."""
+    best, best_count = None, math.inf
     for perm in perms:
         points = _points(e, columns, perm)
         if points is None:
             continue
         count = _count_crossings(points, e.covers, best_count)
         if count < best_count:
-            best, best_points, best_count = perm, points, count
-    return best_count, best, best_points
+            best, best_count = perm, count
+    return best_count, best
 
 
 def _n_shares(perms, n_edges: int) -> int:
@@ -235,7 +235,7 @@ def _split_search(e: DimEmbedding, columns, perms, n: int) -> list:
                 pid = None
             if pid == 0:
                 try:
-                    count, perm, _ = _search(e, columns, share)
+                    count, perm = _search(e, columns, share)
                     ints = () if perm is None else (count, *perm)
                     os.write(write, f"{' '.join(map(str, ints))}\n".encode())
                 finally:
@@ -254,7 +254,7 @@ def _split_search(e: DimEmbedding, columns, perms, n: int) -> list:
         if not line:
             results.append(_search(e, columns, share))
         elif ints := [int(value) for value in line.split()]:
-            results.append((ints[0], tuple(ints[1:]), None))
+            results.append((ints[0], tuple(ints[1:])))
     return results
 
 
@@ -284,8 +284,8 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     There is one interleaved share per CPU, none under _SHARE_WORK and
     none without a permutation.  Each share keeps lex order and yields
     its lex-first minimum, so the least (count, perm) over the shares is
-    the serial winner, and a child's winner has its points rebuilt by
-    the same column sums: the result is the serial one bit for bit.
+    the serial winner, whose points are built once, by the same column
+    sums the sweep used: the result is the serial one bit for bit.
     """
     d = e.dim
     if d > ASSIGNMENT_CAP:
@@ -300,10 +300,9 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
     if not found:
         raise ValueError("the spread puts two concepts on one point under "
                          "every axis assignment")
-    _, best, points = min(found, key=itemgetter(0, 1))
-    if points is None:
-        points = _points(e, columns, best)
-    return BestAssignment(best, Layout(points=points, edges=e.covers))
+    _, best = min(found)
+    return BestAssignment(best, Layout(points=_points(e, columns, best),
+                                       edges=e.covers))
 
 
 def normalize(layout: Layout) -> Layout:

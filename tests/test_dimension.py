@@ -425,6 +425,10 @@ def test_max_k_exhaustion_is_undecided():
         with pytest.raises(DimensionUndecided) as err:
             order_dimension(contra_nominal(n), max_k=max_k)
         assert err.value.known_lower_bound == n
+        assert f"max-k {max_k} exhausted" in str(err.value)
+    # a max-k above the 3 non-incident cells of contranominal 3 is never
+    # reached: one part per cell is a cover
+    assert order_dimension(contra_nominal(3), max_k=50)[0] == 3
 
 
 _REFERENCE_CONTEXTS = (

@@ -420,7 +420,9 @@ def test_best_assignment_is_the_lex_first_minimum_on_random_contexts():
 def test_best_assignment_sweeps_one_member_of_each_complement_pair(monkeypatch):
     # on the symmetric fan the search projects the lex-smaller member of
     # each complement pair once, in lex order: d!/2 layouts; on a frame
-    # that is not mirror symmetric, every permutation
+    # that is not mirror symmetric, every permutation.  A sweep keeps only
+    # (count, permutation), so the winner's points are built once more,
+    # after the sweep
     visited = []
     points = projection._points
 
@@ -430,20 +432,21 @@ def test_best_assignment_sweeps_one_member_of_each_complement_pair(monkeypatch):
 
     monkeypatch.setattr(projection, "_points", recording)
     _, emb = _embedding(contra_nominal(4))
-    best_assignment(emb, default_frame(4))
-    assert visited == [perm for perm in permutations(range(4))
-                       if perm < tuple(3 - j for j in perm)]
-    assert len(visited) == 12
+    halves = [perm for perm in permutations(range(4))
+              if perm < tuple(3 - j for j in perm)]
+    assert len(halves) == 12
+    result = best_assignment(emb, default_frame(4))
+    assert visited == halves + [(1, 2, 0, 3)] == halves + [result.assignment]
     visited.clear()
     # a frame built from lists is stored as float pairs and still
     # recognised as mirror symmetric
-    best_assignment(emb, AxisFrame([list(xy) for xy in default_frame(4).directions]))
-    assert visited == [perm for perm in permutations(range(4))
-                       if perm < tuple(3 - j for j in perm)]
+    result = best_assignment(
+        emb, AxisFrame([list(xy) for xy in default_frame(4).directions]))
+    assert visited == halves + [result.assignment]
     visited.clear()
-    best_assignment(emb, AxisFrame(((-0.8, 0.6), (-0.3, 0.95), (0.2, 0.98),
-                                    (0.8, 0.6))))
-    assert visited == list(permutations(range(4)))
+    result = best_assignment(emb, AxisFrame(((-0.8, 0.6), (-0.3, 0.95),
+                                             (0.2, 0.98), (0.8, 0.6))))
+    assert visited == list(permutations(range(4))) + [result.assignment]
 
 
 def test_best_assignment_layout_is_the_projection_of_its_assignment(monkeypatch):
@@ -880,14 +883,19 @@ def test_repair_matches_the_reference_without_the_x_window(monkeypatch):
                     layouts.append(normalize(best.layout))
                     forked += n_forked
     assert len(layouts) > 100 and forked
-    _, emb = _embedding(seeded_context(10, 10, 0.7, 8))
-    best, _ = _serial_and_split(monkeypatch, emb, default_frame(emb.dim, 80.0))
-    failing = normalize(best.layout)
+    # repair fails at 80 degrees on random 10x10 .7 s8, and at the default
+    # 45 on random 12x12 .7 s20
+    failing = []
+    for size, seed, spread in ((10, 8, 80.0), (12, 20, 45.0)):
+        _, emb = _embedding(seeded_context(size, size, 0.7, seed))
+        best, _ = _serial_and_split(monkeypatch, emb, default_frame(emb.dim, spread))
+        failing.append(normalize(best.layout))
     hand_built = (_x_window_layout(), _unnormalized_layout())
-    for layout in layouts + [failing, *hand_built]:
+    for layout in layouts + [*failing, *hand_built]:
         assert (_repair_outcome(repair_incidences, layout)
                 == _repair_outcome(reference_repair, layout))
-    assert _repair_outcome(repair_incidences, failing) == [(66, (16, 17))]
+    assert ([_repair_outcome(repair_incidences, layout) for layout in failing]
+            == [[(66, (16, 17))], [(42, (33, 35))]])
     moved = [_repair_outcome(repair_incidences, layout) for layout in hand_built]
     assert moved[0][4] != (0.5, 0.5)
     assert moved[1][3] == (2.0 ** 53 + 122, 200.0)
