@@ -103,7 +103,8 @@ class LinearExtension:
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(len(self.order))):
+        if (not all(isinstance(c, int) for c in self.order)
+                or sorted(self.order) != list(range(len(self.order)))):
             raise ValueError("extension is not a permutation of 0..n-1")
 
     @cached_property
@@ -362,10 +363,10 @@ class _CoverSearch:
         stack: list[list] = []
         while True:
             self.nodes += 1
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise SearchTimeout("Ferrers cover search ran out of budget")
             if self.uncovered == 0:
                 return True
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SearchTimeout("Ferrers cover search ran out of budget")
             branch = self._branch()
             if branch is not None:
                 stack.append([*branch, None])
@@ -445,10 +446,10 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     k = 2 need no search and ignore the budget: k = 1 is decided by
     whether the incidence is Ferrers, and k = 2 by two-colouring the
     conflict graph, whose odd cycle refutes it.  For k >= 3 the search
-    starts from a conflict clique, one cell per part, and a clique of more
-    than k cells refutes k unsearched; it raises SearchTimeout when the
-    budget runs out before either outcome.  A negative or NaN budget
-    raises ValueError for every k.
+    starts from a conflict clique, one cell per part; a clique of more
+    than k cells refutes k unsearched, one covering every empty cell is
+    a cover at any budget, and SearchTimeout is raised when the budget
+    runs out first.  A negative or NaN budget raises ValueError for every k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -52,8 +52,8 @@ class AxisFrame:
         # best_assignment also recognises a frame built from lists
         object.__setattr__(self, "directions",
                            tuple((float(x), float(y)) for x, y in self.directions))
-        if not all(y > 0.0 for _, y in self.directions):  # NaN fails too
-            raise ValueError("a frame direction does not point upward")
+        if not all(math.isfinite(x) and 0.0 < y < math.inf for x, y in self.directions):
+            raise ValueError("a frame direction does not point upward or is not finite")
 
 
 @dataclass(frozen=True)
@@ -305,6 +305,12 @@ def best_assignment(e: DimEmbedding, frame: AxisFrame) -> BestAssignment:
                                        edges=e.covers))
 
 
+def _bounds(points) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, y_lo, y_hi): the bounding box of nonempty points."""
+    xs, ys = zip(*points)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 def normalize(layout: Layout) -> Layout:
     """Scale and translate so the bounding box is the unit square.
 
@@ -312,20 +318,14 @@ def normalize(layout: Layout) -> Layout:
     to 0.  Rounding may move a point that lies on an edge off it, and so
     change the crossing count (ROADMAP item 8).
     """
-    xs = [p[0] for p in layout.points]
-    ys = [p[1] for p in layout.points]
-    if not xs:
+    if not layout.points:
         return layout
-
-    def scaler(lo: float, hi: float):
-        span = hi - lo
-        if span <= 0.0:
-            return lambda v: 0.0
-        return lambda v: (v - lo) / span
-
-    fx = scaler(min(xs), max(xs))
-    fy = scaler(min(ys), max(ys))
-    return replace(layout, points=tuple((fx(x), fy(y)) for x, y in layout.points))
+    x_lo, x_hi, y_lo, y_hi = _bounds(layout.points)
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    return replace(layout, points=tuple(
+        (0.0 if x_span <= 0.0 else (x - x_lo) / x_span,
+         0.0 if y_span <= 0.0 else (y - y_lo) / y_span)
+        for x, y in layout.points))
 
 
 def _segment_distance(p, a, b) -> float:
@@ -343,39 +343,35 @@ def repair_incidences(layout: Layout) -> Layout:
     """Nudge nodes horizontally until none touches a non-incident edge.
 
     A node offends when it lies within REPAIR_EPS (relative to the
-    bounding-box diagonal) of an edge it is not an endpoint of.  Each
-    round scans every node once; the offending nodes are visited in
-    index order and moved by +-k*delta (delta = 2*REPAIR_EPS relative,
-    + before -, smallest k first); y never changes, so upwardness
-    survives.  Candidate positions never leave the input bounding box,
-    which keeps the relative tolerance monotone and the operation
-    idempotent.  A node is measured only against the edges whose y-range
-    and current x-range both come within twice the threshold of it; any
-    other edge is provably at least the threshold away.  Raises
-    RepairFailed with the offending (node, edge) pairs of the last scan
-    when a round moves nothing or the round cap is hit.
+    bounding-box diagonal) of an edge it is not an endpoint of.  One loop
+    runs the rounds: each scans every node once, then each offending node,
+    in index order, takes its first clear x among +-k*delta (delta =
+    2*REPAIR_EPS relative, + before -, smallest k first) inside the input
+    bounding box, which keeps the relative tolerance monotone and the
+    operation idempotent; y never changes, so upwardness survives.  A node
+    is measured only against the edges whose y-range and current x-range
+    both come within twice the threshold of it; any other edge is provably
+    at least the threshold away.  Raises RepairFailed with the offending
+    (node, edge) pairs of the last scan when a round moves nothing or the
+    round cap is hit.
     """
     points = [tuple(p) for p in layout.points]
     edges = layout.edges
     if not points or not edges:
         return layout
 
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    diag = math.hypot(x_hi - x_lo, max(ys) - min(ys))
-    if diag <= 0.0:
-        diag = 1.0
-    threshold = REPAIR_EPS * diag
-    delta = 2.0 * threshold
+    x_lo, x_hi, y_lo, y_hi = _bounds(points)
+    threshold = REPAIR_EPS * (math.hypot(x_hi - x_lo, y_hi - y_lo) or 1.0)
+    delta = window = 2.0 * threshold
     # y never changes, so keep per node the edges not incident to it
     # whose y-range comes within the window; x is tested at each call
-    window = 2.0 * threshold
-    spans = [(u, v, min(ys[u], ys[v]) - window, max(ys[u], ys[v]) + window)
-             for u, v in edges]
-    near = [[(u, v) for u, v, low, high in spans
-             if node != u and node != v and low <= y <= high]
-            for node, y in enumerate(ys)]
+    ys = [y for _, y in points]
+    near = [[] for _ in points]
+    for u, v in edges:
+        low, high = min(ys[u], ys[v]) - window, max(ys[u], ys[v]) + window
+        for node, y in enumerate(ys):
+            if low <= y <= high and node != u and node != v:
+                near[node].append((u, v))
 
     def touching(node: int, p):
         """The edges not incident to ``node`` within the threshold of ``p``."""
@@ -385,31 +381,24 @@ def repair_incidences(layout: Layout) -> Layout:
                 and (points[u][0] <= right or points[v][0] <= right)
                 and _segment_distance(p, points[u], points[v]) < threshold)
 
-    def clear_at(node: int, x: float) -> bool:
-        candidate = (x, points[node][1])
-        # the node's own point counts once when x rounds back onto it
-        return (points.count(candidate) <= (points[node] == candidate)
-                and next(touching(node, candidate), None) is None)
-
-    def nudge(nodes) -> bool:
-        """Move each node to its first clear candidate; whether any moved."""
-        moved = False
-        for node in nodes:
-            base_x = points[node][0]
-            candidates = (x for k in range(1, _REPAIR_MAX_STEPS + 1)
-                          for x in (base_x + k * delta, base_x - k * delta)
-                          if x_lo <= x <= x_hi)
-            x = next((x for x in candidates if clear_at(node, x)), None)
-            if x is not None:
-                points[node] = (x, points[node][1])
-                moved = True
-        return moved
-
     for round_no in range(_REPAIR_ROUNDS + 1):
         offenders = [(node, edge) for node, p in enumerate(points)
                      for edge in touching(node, p)]
         if not offenders:
             return replace(layout, points=tuple(points))
-        if (round_no == _REPAIR_ROUNDS
-                or not nudge(sorted({n for n, _ in offenders}))):
-            raise RepairFailed(offenders)
+        if round_no == _REPAIR_ROUNDS:
+            break
+        moved = False
+        for node in sorted({n for n, _ in offenders}):
+            x, y = points[node]
+            candidates = ((cx, y) for k in range(1, _REPAIR_MAX_STEPS + 1)
+                          for cx in (x + k * delta, x - k * delta) if x_lo <= cx <= x_hi)
+            # the node's own point counts once when x rounds back onto it
+            clear = next((c for c in candidates
+                          if points.count(c) <= (points[node] == c)
+                          and next(touching(node, c), None) is None), None)
+            if clear:
+                points[node], moved = clear, True
+        if not moved:
+            break
+    raise RepairFailed(offenders)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .context import FormalContext, _json_text
 from .dimension import Realizer
 from .lattice import ConceptLattice, _bits
-from .projection import Layout
+from .projection import Layout, _bounds
 
 
 _WIDTH = 800.0
@@ -70,10 +70,8 @@ def _fit(points, width: float, height: float, pad_fraction: float,
     pad_y = height * pad_fraction
     avail_w = width - 2.0 * pad_x
     avail_h = height - 2.0 * pad_y
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    min_x, span_x = min(xs), max(xs) - min(xs)
-    min_y, span_y = min(ys), max(ys) - min(ys)
+    min_x, max_x, min_y, max_y = _bounds(points)
+    span_x, span_y = max_x - min_x, max_y - min_y
     scales = []
     if span_x > 0.0:
         scales.append(avail_w / span_x)

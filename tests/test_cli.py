@@ -131,6 +131,14 @@ def test_timeout_zero_is_undecided(life_file, capsys):
     assert "undecided" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "1e-9"])
+def test_timeout_zero_decides_a_cover_the_seed_completes(tmp_path, capsys, budget):
+    path = tmp_path / "contra3.cxt"
+    path.write_text(write_cxt(contra_nominal(3)), encoding="utf-8")
+    assert main(["dimension", str(path), "--timeout", budget]) == 0
+    assert capsys.readouterr().out.startswith("dimension: 3\n")
+
+
 def test_max_k_exhaustion_is_undecided(life_file, capsys):
     assert main(["dimension", life_file, "--max-k", "2"]) == 2
     assert "undecided" in capsys.readouterr().err

@@ -411,6 +411,15 @@ def test_timeout_raises_searchtimeout():
         ferrers_cover(life_context(), 3, timeout=0.0)
 
 
+@pytest.mark.parametrize("budget", [0.0, 1e-9])
+def test_a_cover_the_seed_completes_needs_no_budget(budget):
+    # contranominal 3's 3-cell clique covers every non-incident cell, so
+    # the search succeeds at its first node, before the deadline is read
+    ctx = contra_nominal(3)
+    assert ferrers_cover(ctx, 3, timeout=budget) == ferrers_cover(ctx, 3)
+    assert order_dimension(ctx, timeout_per_k=budget)[0] == 3
+
+
 def test_timeout_becomes_undecided_with_lower_bound():
     with pytest.raises(DimensionUndecided) as err:
         order_dimension(life_context(), timeout_per_k=0.0)
@@ -916,8 +925,11 @@ def test_duplicated_extension_fails_on_antichain_completion():
 
 
 def test_extension_validation():
-    with pytest.raises(ValueError, match="not a permutation"):
-        LinearExtension((0, 0, 1))
+    # a float equal to an index would pass a sorted() test and fail
+    # later, in the bit shifts of verify_realizer and embed
+    for order in ((0, 0, 1), [0.0, 1.0], (1, 0.0), ("0",), (0, None)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            LinearExtension(order)
 
 
 def test_extension_is_its_order():

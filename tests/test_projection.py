@@ -117,10 +117,13 @@ def test_default_frame_validation():
 
 
 @pytest.mark.parametrize("direction", [(0.5, -0.5), (1.0, 0.0), (0.0, -0.0),
-                                       (0.0, math.nan)])
+                                       (0.0, math.nan), (math.nan, 1.0),
+                                       (-math.inf, 1.0), (math.inf, 0.5),
+                                       (0.0, math.inf)])
 def test_frame_rejects_a_direction_that_does_not_point_up(direction):
-    # a caller's frame is an input error, not a broken upward invariant
-    with pytest.raises(ValueError, match="does not point upward"):
+    # a caller's frame is an input error, not a broken upward invariant;
+    # a NaN or infinite x would make every drawn x NaN, with nothing raised
+    with pytest.raises(ValueError, match="does not point upward or is not finite"):
         AxisFrame(((-0.6, 0.8), direction))
 
 
@@ -181,6 +184,14 @@ def test_projection_is_upward_on_covers():
         layout = project(emb, default_frame(emb.dim), tuple(range(emb.dim)))
         for lo, hi in layout.edges:
             assert layout.points[lo][1] < layout.points[hi][1]
+
+
+def test_projection_rejects_a_cover_that_is_not_upward():
+    # embed only builds upward covers; a hand-built embedding whose cover
+    # runs from the higher point down breaks the invariant _points asserts
+    emb = DimEmbedding(coords=((0,), (1,)), covers=((1, 0),))
+    with pytest.raises(ContractViolation, match=r"cover edge \(1, 0\) is not upward"):
+        project(emb, default_frame(1), (0,))
 
 
 def test_assignment_must_be_permutation():
@@ -699,6 +710,26 @@ def test_normalize_degenerate_axis():
     layout = normalize(project(emb, default_frame(1), (0,)))
     assert all(p[0] == 0.0 for p in layout.points)
     assert [p[1] for p in layout.points] == [0.0, 0.5, 1.0]
+
+
+def test_normalize_leaves_a_layout_without_points_as_it_is():
+    empty = Layout(points=(), edges=())
+    assert normalize(empty) == empty
+
+
+def test_segment_distance_to_a_zero_length_edge_is_to_its_point():
+    assert projection._segment_distance((3.0, 4.0), (0.0, 0.0), (0.0, 0.0)) == 5.0
+    assert projection._segment_distance((1.0, 1.0), (1.0, 1.0), (1.0, 1.0)) == 0.0
+
+
+def test_repair_with_a_zero_diagonal_fails_on_the_coincident_node():
+    # the box is one point, so the threshold is taken from a unit
+    # diagonal and no candidate fits inside the box
+    layout = Layout(points=((0.5, 0.5),) * 3, edges=((0, 1),))
+    with pytest.raises(RepairFailed, match=r"^could not clear node/edge "
+                       r"incidences: node 2 on edge \(0, 1\)$") as err:
+        repair_incidences(layout)
+    assert err.value.offenders == [(2, (0, 1))]
 
 
 def test_repair_leaves_clean_layout_unchanged():
