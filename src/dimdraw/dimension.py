@@ -36,6 +36,7 @@ of either kind may overlap.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -51,16 +52,6 @@ Cell = tuple[int, int]
 DEFAULT_TIMEOUT_S = 60.0
 
 
-def _cell_rows(n_objects: int, n_attributes: int,
-               cells: Iterable[Cell]) -> list[int]:
-    rows = [0] * n_objects
-    for g, m in cells:
-        if not (0 <= g < n_objects and 0 <= m < n_attributes):
-            raise ValueError(f"cell ({g}, {m}) out of range")
-        rows[g] |= 1 << m
-    return rows
-
-
 def _is_staircase(rows: Iterable[int]) -> bool:
     """Whether the rows, read as attribute sets, form a chain under inclusion."""
     distinct = sorted(set(rows), key=int.bit_count)  # equal sizes: not a chain
@@ -74,7 +65,12 @@ def is_ferrers(n_objects: int, n_attributes: int, cells: Iterable[Cell]) -> bool
     form a chain under inclusion.  (Equivalently: (g,m) and (h,n) present
     imply (g,n) or (h,m) present; the test suite cross-checks the two.)
     """
-    return _is_staircase(_cell_rows(n_objects, n_attributes, cells))
+    rows = [0] * n_objects
+    for g, m in cells:
+        if not (0 <= g < n_objects and 0 <= m < n_attributes):
+            raise ValueError(f"cell ({g}, {m}) out of range")
+        rows[g] |= 1 << m
+    return _is_staircase(rows)
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,7 @@ class _CoverSearch:
     incident to m, so g now sits above h, and g is incident to n.
     """
 
-    def __init__(self, table: _Cells, k: int, deadline: float | None):
+    def __init__(self, table: _Cells, k: int, deadline: float):
         self.table = table
         self.k = k
         self.deadline = deadline
@@ -365,7 +361,7 @@ class _CoverSearch:
             self.nodes += 1
             if self.uncovered == 0:
                 return True
-            if self.deadline is not None and time.monotonic() > self.deadline:
+            if time.monotonic() > self.deadline:
                 raise SearchTimeout("Ferrers cover search ran out of budget")
             branch = self._branch()
             if branch is not None:
@@ -401,7 +397,7 @@ class _CoverSearch:
         return rows
 
     def run(self) -> list[list[int]] | None:
-        if self.table.cells and not self._dfs():
+        if not self._dfs():
             return None
         return self.part_rows
 
@@ -448,11 +444,12 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
     conflict graph, whose odd cycle refutes it.  For k >= 3 the search
     starts from a conflict clique, one cell per part; a clique of more
     than k cells refutes k unsearched, one covering every empty cell is
-    a cover at any budget, and SearchTimeout is raised when the budget
-    runs out first.  A negative or NaN budget raises ValueError for every k.
+    a cover at any budget, and SearchTimeout is raised when a budget
+    other than None runs out first.  A k that is not an int of at least
+    1, or a negative or NaN budget, raises ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be at least 1 and an int, not {k!r}")
     if timeout is not None and not timeout >= 0.0:  # NaN fails too
         raise ValueError("the search budget must be at least 0 seconds")
     if k == 1:
@@ -472,7 +469,7 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
         table = _cells(ctx)
         if len(table.clique) > k:
             return None
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
         search = _CoverSearch(table, k, deadline)
         search.seed(table.clique)
         if search.run() is None:
@@ -494,11 +491,11 @@ def order_dimension(ctx: FormalContext, *,
     the conflict graph is bipartite.  The witness is that function's
     first cover.  An exhausted budget raises DimensionUndecided carrying
     the proven lower bound, which a conflict clique can raise past
-    ``max_k``; it is never misreported as an answer.  A ``max_k`` below 1,
-    or a negative or NaN budget, raises ValueError.
+    ``max_k``; it is never misreported as an answer.  A ``max_k`` that is
+    not an int of at least 1, or a negative or NaN budget, raises ValueError.
     """
-    if max_k is not None and max_k < 1:
-        raise ValueError("max_k must be at least 1")
+    if max_k is not None and (not isinstance(max_k, int) or max_k < 1):
+        raise ValueError(f"max_k must be at least 1 and an int, not {max_k!r}")
     # one part per non-incident cell covers, so k stops by their number
     for k in count(1) if max_k is None else range(1, max_k + 1):
         try:
@@ -549,13 +546,10 @@ def verify_realizer(lattice: ConceptLattice, r: Realizer) -> bool:
         return False
     inter = [(1 << n) - 1] * n
     for ext in r.extensions:
-        suffix = 0
-        up = [0] * n
-        for rank in range(n - 1, -1, -1):
-            suffix |= 1 << ext.order[rank]
-            up[ext.order[rank]] = suffix
-        for i in range(n):
-            inter[i] &= up[i]
+        up = 0  # the concepts at or above c in this extension
+        for c in reversed(ext.order):
+            up |= 1 << c
+            inter[c] &= up
     return tuple(inter) == lattice.up_masks
 
 

@@ -102,16 +102,18 @@ def transitive_reduction(leq_masks: Iterable[int]) -> tuple[tuple[int, int], ...
     """Cover pairs (x, y): x < y with no z strictly between, by x then y.
 
     ``leq_masks[i]`` must be the bitmask of all j with i <= j, i
-    included, and the indices must form a linear extension: ValueError
-    when a mask has a bit below its own index.  So the lowest index left
-    in x's strict up-set is a cover of x, and each cover clears its up-set.
+    included, and the indices must form a linear extension: ValueError,
+    before any cover, when mask i lacks bit i or has one outside i..n-1.
+    So the lowest index left in x's strict up-set is a cover of x, and
+    each cover clears its up-set.
     """
     masks = list(leq_masks)
+    for i, mask in enumerate(masks):
+        if not mask >> i & 1 or mask >> len(masks) or mask & ((1 << i) - 1):
+            raise ValueError(f"up-set {i} must hold {i} and no index outside "
+                             f"{i}..{len(masks) - 1}, as in a linear extension")
     covers = []
     for i, mask in enumerate(masks):
-        if mask & ((1 << i) - 1):
-            raise ValueError(f"up-set {i} has a bit below its own index; "
-                             "indices must form a linear extension")
         rest = mask & ~(1 << i)
         while rest:
             j = (rest & -rest).bit_length() - 1

@@ -150,7 +150,7 @@ def _columns(e: DimEmbedding, frame: AxisFrame):
     """``columns[i][j]``: the x and y contributions of realizer axis i,
     one per concept, along direction j of a frame with one per axis."""
     if len(frame.directions) != e.dim:
-        raise ValueError("assignment must permute the frame directions")
+        raise ValueError(f"{len(frame.directions)} frame directions for {e.dim} realizer axes")
     return [[([c[i] * dx for c in e.coords], [c[i] * dy for c in e.coords])
              for dx, dy in frame.directions] for i in range(e.dim)]
 

@@ -302,7 +302,7 @@ def cell_table(ctx: FormalContext) -> _Cells:
 def cover_search(ctx: FormalContext, k: int) -> _CoverSearch:
     """The cover search for k parts of ``ctx`` with every part empty and
     no budget."""
-    return _CoverSearch(cell_table(ctx), k, None)
+    return _CoverSearch(cell_table(ctx), k, math.inf)
 
 
 def plain_order_dimension(ctx: FormalContext) -> int:

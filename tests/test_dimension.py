@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -119,7 +120,7 @@ def test_extendability_predicate_matches_exhaustive_enumeration():
             continue
         full = (1 << n_m) - 1
         search = _CoverSearch(_Cells(allowance, [full & ~r for r in allowance]),
-                              1, None)
+                              1, math.inf)
         chosen = rng.sample(cells, rng.randint(0, min(len(cells) - 1, 5)))
         candidate = rng.choice([c for c in cells if c not in chosen])
         part_rows = [0] * n_g
@@ -420,6 +421,17 @@ def test_a_cover_the_seed_completes_needs_no_budget(budget):
     assert order_dimension(ctx, timeout_per_k=budget)[0] == 3
 
 
+@pytest.mark.parametrize("budget", [0.0, None])
+def test_a_context_without_empty_cells_has_empty_parts_at_three(budget):
+    # the search has nothing to cover: it succeeds at its first node,
+    # before the deadline is read
+    ctx = context_from_pairs(("g0", "g1"), ("m0", "m1"),
+                             {(g, m) for g in range(2) for m in range(2)})
+    cover = ferrers_cover(ctx, 3, timeout=budget)
+    assert cover.rows == ((0, 0), (0, 0), (0, 0))
+    assert cover.parts == (frozenset(),) * 3
+
+
 def test_timeout_becomes_undecided_with_lower_bound():
     with pytest.raises(DimensionUndecided) as err:
         order_dimension(life_context(), timeout_per_k=0.0)
@@ -656,6 +668,16 @@ def test_crowns_are_refuted_at_two_by_an_odd_cycle(n):
     assert order_dimension(ctx)[0] == 3
 
 
+def test_staircase_rejects_a_colour_class_whose_rows_form_a_cycle():
+    # in the 2 x 2 identity, (0, 1) puts row 0 above row 1 and (1, 0)
+    # row 1 above row 0: the two cells conflict, so no class holds both
+    table = cell_table(context_from_pairs(("g0", "g1"), ("m0", "m1"),
+                                          {(0, 0), (1, 1)}))
+    assert table.cells == ((0, 1), (1, 0))
+    with pytest.raises(ContractViolation, match="colour class rows form a cycle"):
+        table.staircase(0b11)
+
+
 def test_two_dimensional_witness_is_pinned():
     # poset2d-16-s0: the parts grown from the two colour classes
     d, cover = order_dimension(random_order_context(16, 2, 0))
@@ -773,6 +795,24 @@ def test_seeded_search_timeout_is_undecided_at_its_k(monkeypatch):
 def test_k_must_be_positive():
     with pytest.raises(ValueError):
         ferrers_cover(life_context(), 0)
+
+
+@pytest.mark.parametrize("ctx, k", [
+    # a 3-cell clique is more than 2.5 parts: this was a refutation
+    (seeded_context(8, 8, .5, 1), 2.5),
+    (seeded_context(8, 8, .5, 1), 3.0),
+    (crown_context(12), 2.5),
+    (life_context(), "3"),
+])
+def test_k_must_be_an_int(ctx, k):
+    with pytest.raises(ValueError, match="k must be at least 1 and an int"):
+        ferrers_cover(ctx, k)
+
+
+@pytest.mark.parametrize("max_k", [3.0, 2.5, "3"])
+def test_max_k_must_be_an_int(max_k):
+    with pytest.raises(ValueError, match="max_k must be at least 1 and an int"):
+        order_dimension(seeded_context(8, 8, .5, 1), max_k=max_k)
 
 
 @pytest.mark.parametrize("max_k", [0, -3])
@@ -922,6 +962,54 @@ def test_duplicated_extension_fails_on_antichain_completion():
     lat = concepts(contra_nominal(2))
     ext = LinearExtension((0, 1, 2, 3))
     assert not verify_realizer(lat, Realizer((ext, ext)))
+
+
+def _random_extension(lattice, rng):
+    """A random linear extension: each step places a random concept whose
+    lower covers are all placed."""
+    order, placed = [], 0
+    while len(order) < lattice.n:
+        ready = [c for c in range(lattice.n) if not placed >> c & 1
+                 and all(placed >> d & 1 for d in range(lattice.n)
+                         if d != c and leq(lattice, d, c))]
+        c = rng.choice(ready)
+        order.append(c)
+        placed |= 1 << c
+    return LinearExtension(order)
+
+
+def _pairwise_realizes(lattice, extensions):
+    """i <= j iff pos[i] <= pos[j] in every extension, for every pair."""
+    return bool(extensions) and all(
+        leq(lattice, i, j) == all(e.pos[i] <= e.pos[j] for e in extensions)
+        for i in range(lattice.n) for j in range(lattice.n))
+
+
+def test_verify_realizer_matches_the_pairwise_reference():
+    rng = random.Random(33)
+    decided_by_second = 0
+    for s in range(40):
+        ctx = seeded_context(2 + s % 5, 2 + 3 * s % 5, (0.3, 0.5, 0.7)[s % 3], s)
+        lat = concepts(ctx)
+        real = minimal_realizer(ctx, lat)
+        perm = list(range(lat.n))
+        rng.shuffle(perm)
+        candidates = [real.extensions,
+                      tuple(_random_extension(lat, rng) for _ in range(rng.randint(1, 4))),
+                      (LinearExtension(perm),) + real.extensions]
+        if real.dim >= 2:
+            # the first extension is the realizer's, so the verdict turns
+            # on the second, a random linear extension
+            for _ in range(4):
+                second = _random_extension(lat, rng)
+                exts = (real.extensions[0], second) + real.extensions[2:]
+                candidates.append(exts)
+                if (second not in real.extensions[:1]
+                        and not _pairwise_realizes(lat, exts)):
+                    decided_by_second += 1
+        for exts in candidates:
+            assert verify_realizer(lat, Realizer(exts)) == _pairwise_realizes(lat, exts)
+    assert decided_by_second >= 10
 
 
 def test_extension_validation():

@@ -162,6 +162,11 @@ def test_transitive_reduction_rejects_non_linear_extension():
         transitive_reduction([0b01, 0b11])
     with pytest.raises(ValueError, match="linear extension"):
         transitive_reduction([0b111, 0b110, 0b101])
+    # an up-set without its own index never clears it, and a bit past
+    # the last index reads a mask that is not there
+    for masks in ([3, 1], [0b11, 0], [0b101], [0b1, 0b110], [-1]):
+        with pytest.raises(ValueError, match="linear extension"):
+            transitive_reduction(masks)
 
 
 def _seeded_120():

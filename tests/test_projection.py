@@ -129,7 +129,7 @@ def test_frame_rejects_a_direction_that_does_not_point_up(direction):
 
 def test_best_assignment_rejects_a_frame_with_too_few_directions():
     _, emb = _embedding(life_context())  # d = 3
-    with pytest.raises(ValueError, match="permute the frame directions"):
+    with pytest.raises(ValueError, match="^2 frame directions for 3 realizer axes$"):
         best_assignment(emb, default_frame(2))
 
 
@@ -137,8 +137,15 @@ def test_best_assignment_rejects_a_frame_with_too_many_directions():
     # a 4-direction fan on d = 3 would draw with 3 of them, and skip
     # complements by the wrong mirror
     _, emb = _embedding(life_context())
-    with pytest.raises(ValueError, match="permute the frame directions"):
+    with pytest.raises(ValueError, match="^4 frame directions for 3 realizer axes$"):
         best_assignment(emb, default_frame(4))
+
+
+def test_project_names_both_counts_for_a_frame_of_the_wrong_size():
+    # the assignment permutes the 3 axes; the frame is the wrong size
+    _, emb = _embedding(life_context())
+    with pytest.raises(ValueError, match="^4 frame directions for 3 realizer axes$"):
+        project(emb, default_frame(4), (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
