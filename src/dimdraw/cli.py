@@ -35,28 +35,29 @@ EXIT_CONTRACT = 3
 
 DEFAULT_MAX_K = 8
 
-_FORMATS = ("cxt", "csv", "poset-edges")
+# name -> (reader of the text, suffixes it is inferred from); the poset
+# reader looks poset_to_context up per call, so a wrapper set here applies
+_INPUT_FORMATS = {
+    "cxt": (parse_cxt, (".cxt",)),
+    "csv": (parse_csv, (".csv",)),
+    "poset-edges": (lambda text: poset_to_context(parse_poset_edges(text)),
+                    (".poset", ".edges")),
+}
 _EMITTERS = {"svg": to_svg, "tikz": to_tikz, "json": to_json}
 
 
 def load_context(path: str, input_format: str) -> FormalContext:
+    if input_format not in _INPUT_FORMATS:
+        raise ValueError(f"unknown input format {input_format!r}")
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if input_format == "cxt":
-        return parse_cxt(text)
-    if input_format == "csv":
-        return parse_csv(text)
-    return poset_to_context(parse_poset_edges(text))
+        return _INPUT_FORMATS[input_format][0](handle.read())
 
 
 def _infer_format(path: str) -> str:
     lowered = path.lower()
-    if lowered.endswith(".cxt"):
-        return "cxt"
-    if lowered.endswith(".csv"):
-        return "csv"
-    if lowered.endswith((".poset", ".edges")):
-        return "poset-edges"
+    for name, (_, suffixes) in _INPUT_FORMATS.items():
+        if lowered.endswith(suffixes):
+            return name
     raise ValueError(
         f"cannot infer input format from {path!r}; pass --input-format")
 
@@ -149,7 +150,7 @@ def _build_parser() -> _Parser:
     def command(name: str, help: str, search: bool) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("input_path", metavar="input", help="input file")
-        p.add_argument("--input-format", choices=_FORMATS,
+        p.add_argument("--input-format", choices=tuple(_INPUT_FORMATS),
                        help="input format (default: inferred from extension)")
         p.add_argument("--output", "-o",
                        help="output file (default: stdout)")

@@ -27,6 +27,7 @@ applies unchanged.
 
 from __future__ import annotations
 
+import graphlib
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -324,40 +325,29 @@ def parse_csv(text: str) -> FormalContext:
 def poset_to_context(p: PosetInput) -> FormalContext:
     """Encode a poset as the context (X, X, <=) of its completion.
 
-    One iterative depth-first search, roots and successors in index order,
-    closes the order: leaving an element v sets its up-set to v together
-    with the up-sets of its direct successors, and the up-sets are the
-    rows of the context.  A pair x < x is skipped.
-    An edge back into the open path raises CycleError, naming that path
-    from the edge's target, closed: a cycle of input pairs.
+    ``graphlib`` closes the order: in reverse topological order, an
+    element's up-set is the element together with the up-sets of its
+    direct successors, and the up-sets are the rows of the context.  A
+    pair x < x is skipped.  A cycle raises CycleError with the first
+    cycle that graphlib's depth-first search meets, roots and successors
+    in index order, named and closed: a cycle of input pairs.
     """
     n = len(p.elements)
     idx = {name: i for i, name in enumerate(p.elements)}
+    sorter = graphlib.TopologicalSorter(dict.fromkeys(range(n), ()))
     succ: list[list[int]] = [[] for _ in range(n)]
     for i, j in sorted((idx[x], idx[y]) for x, y in p.relation if x != y):
+        sorter.add(j, i)
         succ[i].append(j)
-    reach = [0] * n  # 0 until the element is left
-    for root in range(n):
-        if reach[root]:
-            continue
-        path, open_mask, todo = [root], 1 << root, [iter(succ[root])]
-        while todo:
-            for w in todo[-1]:
-                if open_mask >> w & 1:
-                    cycle = path[path.index(w):] + [w]
-                    raise CycleError([p.elements[i] for i in cycle])
-                if not reach[w]:
-                    path.append(w)
-                    open_mask |= 1 << w
-                    todo.append(iter(succ[w]))
-                    break
-            else:
-                v = path.pop()
-                open_mask ^= 1 << v
-                todo.pop()
-                up = 1 << v
-                for w in succ[v]:
-                    up |= reach[w]
-                reach[v] = up
+    try:
+        order = list(sorter.static_order())
+    except graphlib.CycleError as exc:
+        raise CycleError([p.elements[i] for i in exc.args[1]]) from None
+    reach = [0] * n
+    for v in reversed(order):
+        up = 1 << v
+        for w in succ[v]:
+            up |= reach[w]
+        reach[v] = up
 
     return FormalContext(p.elements, p.elements, reach)

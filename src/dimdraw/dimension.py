@@ -67,7 +67,8 @@ def is_ferrers(n_objects: int, n_attributes: int, cells: Iterable[Cell]) -> bool
     """
     rows = [0] * n_objects
     for g, m in cells:
-        if not (0 <= g < n_objects and 0 <= m < n_attributes):
+        if not (isinstance(g, int) and isinstance(m, int)
+                and 0 <= g < n_objects and 0 <= m < n_attributes):
             raise ValueError(f"cell ({g}, {m}) out of range")
         rows[g] |= 1 << m
     return _is_staircase(rows)
@@ -243,7 +244,8 @@ class _Cells:
 
 
 class _CoverSearch:
-    """Exact assignment of the cells of ``table`` to k staircase parts.
+    """Exact assignment of the cells of ``table`` to k staircase parts:
+    ``run`` decides whether the committed cells extend to a cover.
 
     A part is kept *feasible*: extendable to a Ferrers relation inside
     the non-incidence set.  Feasibility of a row-mask set S holds iff the
@@ -353,9 +355,10 @@ class _CoverSearch:
                 options |= 1 << j
         return low.bit_length() - 1, options
 
-    def _dfs(self) -> bool:
-        """Depth-first search over an explicit stack of frames
-        [cell, parts not yet tried, trail of the part being tried]."""
+    def run(self) -> bool:
+        """Whether the parts extend to a cover, by depth-first search over
+        an explicit stack of frames [cell, parts not yet tried, trail of
+        the part being tried]; on True ``part_rows`` holds the cover."""
         stack: list[list] = []
         while True:
             self.nodes += 1
@@ -395,11 +398,6 @@ class _CoverSearch:
             if self.fits[j] >> c & 1 and not rows[g] >> m & 1:
                 self._assign(c, j)
         return rows
-
-    def run(self) -> list[list[int]] | None:
-        if not self._dfs():
-            return None
-        return self.part_rows
 
 
 def _rows(ctx: FormalContext) -> tuple[list[int], tuple[int, ...]]:
@@ -472,7 +470,7 @@ def ferrers_cover(ctx: FormalContext, k: int, *,
         deadline = math.inf if timeout is None else time.monotonic() + timeout
         search = _CoverSearch(table, k, deadline)
         search.seed(table.clique)
-        if search.run() is None:
+        if not search.run():
             return None
         result = [search.maximalize(j) for j in range(k)]
     cover = FerrersCover(tuple(map(tuple, result)))

@@ -179,7 +179,8 @@ def project(e: DimEmbedding, frame: AxisFrame,
     Upwardness along every cover edge is guaranteed by construction and
     asserted; points that the spread merges raise ValueError.
     """
-    if sorted(assignment) != list(range(e.dim)):
+    if (not all(isinstance(j, int) for j in assignment)
+            or sorted(assignment) != list(range(e.dim))):
         raise ValueError("assignment must permute the frame directions")
     points = _points(e, _columns(e, frame), assignment)
     if points is None:

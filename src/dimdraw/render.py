@@ -63,11 +63,13 @@ def label(ctx: FormalContext, lattice: ConceptLattice, layout: Layout,
         realizer=realizer)
 
 
-def _fit(points, width: float, height: float, pad_fraction: float,
-         flip_y: bool) -> list[tuple[float, float]]:
-    """Aspect-preserving map of the layout bounding box into the padded canvas."""
-    pad_x = width * pad_fraction
-    pad_y = height * pad_fraction
+def _fit(points, width: float, flip_y: bool) -> list[tuple[float, float]]:
+    """Aspect-preserving map of the layout bounding box into a canvas
+    ``width`` wide and of the SVG's aspect ratio, inside a padding of
+    _PADDING_FRACTION on each side."""
+    height = width * _HEIGHT / _WIDTH
+    pad_x = width * _PADDING_FRACTION
+    pad_y = height * _PADDING_FRACTION
     avail_w = width - 2.0 * pad_x
     avail_h = height - 2.0 * pad_y
     min_x, max_x, min_y, max_y = _bounds(points)
@@ -92,7 +94,7 @@ def to_svg(diagram: LabeledDiagram) -> str:
     """Standalone SVG 1.1 document, 800 x 600; edges beneath nodes, top
     of the lattice at the top of the image."""
     layout = diagram.layout
-    pts = _fit(layout.points, _WIDTH, _HEIGHT, _PADDING_FRACTION, flip_y=True)
+    pts = _fit(layout.points, _WIDTH, flip_y=True)
     r = _NODE_RADIUS
     fs = _FONT_SIZE
 
@@ -155,9 +157,7 @@ def to_tikz(diagram: LabeledDiagram) -> str:
     Coordinates are in a 10-unit-wide box, rounded to 4 decimals.
     """
     layout = diagram.layout
-    scale_w = 10.0
-    scale_h = scale_w * _HEIGHT / _WIDTH
-    pts = _fit(layout.points, scale_w, scale_h, _PADDING_FRACTION, flip_y=False)
+    pts = _fit(layout.points, 10.0, flip_y=False)
 
     out = [
         r"\documentclass[tikz,border=2pt]{standalone}",

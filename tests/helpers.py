@@ -17,9 +17,9 @@ from itertools import combinations
 from operator import add
 
 import dimdraw.lattice
-from dimdraw import (ConceptLattice, FormalContext, LatticeTooLargeError,
-                     LinearExtension, RepairFailed, order_dimension,
-                     realizer_from_cover)
+from dimdraw import (ConceptLattice, CycleError, FormalContext,
+                     LatticeTooLargeError, LinearExtension, PosetInput,
+                     RepairFailed, order_dimension, realizer_from_cover)
 from dimdraw.dimension import _Cells, _CoverSearch
 from dimdraw.lattice import _bits
 from dimdraw.projection import (_REPAIR_MAX_STEPS, _REPAIR_ROUNDS, REPAIR_EPS,
@@ -177,6 +177,44 @@ def random_order_context(n: int, k: int, seed: int) -> FormalContext:
     return context_from_pairs(names, names, incidence)
 
 
+def reference_poset_rows(p: PosetInput) -> list[int]:
+    """The up-set masks of ``p`` by one iterative depth-first search,
+    roots and successors in index order: leaving an element v sets its
+    up-set to v together with the up-sets of its direct successors.  A
+    pair x < x is skipped.  An edge back into the open path raises
+    CycleError, naming that path from the edge's target, closed.  The
+    reference for ``poset_to_context``."""
+    n = len(p.elements)
+    idx = {name: i for i, name in enumerate(p.elements)}
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j in sorted((idx[x], idx[y]) for x, y in p.relation if x != y):
+        succ[i].append(j)
+    reach = [0] * n  # 0 until the element is left
+    for root in range(n):
+        if reach[root]:
+            continue
+        path, open_mask, todo = [root], 1 << root, [iter(succ[root])]
+        while todo:
+            for w in todo[-1]:
+                if open_mask >> w & 1:
+                    cycle = path[path.index(w):] + [w]
+                    raise CycleError([p.elements[i] for i in cycle])
+                if not reach[w]:
+                    path.append(w)
+                    open_mask |= 1 << w
+                    todo.append(iter(succ[w]))
+                    break
+            else:
+                v = path.pop()
+                open_mask ^= 1 << v
+                todo.pop()
+                up = 1 << v
+                for w in succ[v]:
+                    up |= reach[w]
+                reach[v] = up
+    return reach
+
+
 def digraph_extendable(allowance, rows, g0: int, m0: int) -> bool:
     """Whether the part ``rows`` plus cell (g0, m0) can still grow into a
     Ferrers relation inside the cells ``allowance``: the digraph on the
@@ -312,7 +350,7 @@ def plain_order_dimension(ctx: FormalContext) -> int:
     (it two-colours the conflict graph), starts each k >= 3 from a
     conflict clique and refutes the k below the clique unsearched."""
     k = 1
-    while cover_search(ctx, k).run() is None:
+    while not cover_search(ctx, k).run():
         k += 1
     return k
 

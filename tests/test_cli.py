@@ -125,6 +125,26 @@ def test_unknown_extension_requires_format_flag(tmp_path, capsys):
     assert main(["dimension", str(path), "--input-format", "cxt"]) == 0
 
 
+def test_load_context_rejects_an_unknown_format(tmp_path):
+    # the file would read as the edge list of a < b
+    path = tmp_path / "pair.poset"
+    path.write_text("a < b\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^unknown input format 'bogus'$"):
+        dimdraw.cli.load_context(str(path), "bogus")
+
+
+def test_load_context_reads_posets_through_the_module_attribute(tmp_path, monkeypatch):
+    # a wrapper set on dimdraw.cli.poset_to_context sees every poset that
+    # load_context reads; bench/tracing.py times the closure that way
+    calls = []
+    monkeypatch.setattr(dimdraw.cli, "poset_to_context",
+                        lambda p: calls.append(p.elements) or poset_to_context(p))
+    path = tmp_path / "pair.poset"
+    path.write_text("a < b\n", encoding="utf-8")
+    assert dimdraw.cli.load_context(str(path), "poset-edges").rows == (0b11, 0b10)
+    assert calls == [("a", "b")]
+
+
 def test_timeout_zero_is_undecided(life_file, capsys):
     assert main(["dimension", life_file, "--timeout", "0"]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from dimdraw import (CycleError, FormalContext, ParseError, PosetInput,
                      realizer_from_cover, write_cxt)
 from dimdraw.context import _json_text, parse_poset_edges
 from helpers import (crown_context, life_context, life_csv_text, life_cxt_text,
-                     LIFE_ROWS, seeded_context)
+                     LIFE_ROWS, reference_poset_rows, seeded_context)
 
 
 def test_parse_smallest_context():
@@ -178,6 +179,38 @@ def test_poset_transitive_closure_is_reflexive_and_transitive():
                 if (i, j) in inc and (j, k) in inc:
                     assert (i, k) in inc
     assert (0, 2) in inc and (0, 3) not in inc
+
+
+def _closure_or_witness(close, p):
+    try:
+        return close(p)
+    except CycleError as exc:
+        return exc.witness
+
+
+def test_poset_closure_matches_the_reference_search():
+    # names out of index order, so that a sort by name would show
+    rng = random.Random(34)
+    cyclic = 0
+    for _ in range(2000):
+        names = tuple(rng.sample("hgfedcbai", rng.randint(1, 9)))
+        p = PosetInput(names, frozenset(
+            (rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 14))))
+        want = _closure_or_witness(reference_poset_rows, p)
+        got = _closure_or_witness(lambda q: list(poset_to_context(q).rows), p)
+        assert got == want, p
+        cyclic += isinstance(want[0], str)
+    assert 500 < cyclic < 1500
+
+
+def test_poset_closure_of_a_long_chain_and_cycle_does_not_recurse():
+    names = tuple(f"x{i}" for i in range(3000))
+    chain = frozenset(zip(names, names[1:]))
+    rows = poset_to_context(PosetInput(names, chain)).rows
+    assert rows == tuple(-1 << i & (1 << 3000) - 1 for i in range(3000))
+    with pytest.raises(CycleError) as err:
+        poset_to_context(PosetInput(names, chain | {(names[-1], names[0])}))
+    assert err.value.witness == [*names, names[0]]
 
 
 @pytest.mark.parametrize("text, line, bad", [

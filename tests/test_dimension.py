@@ -52,7 +52,8 @@ def test_diagonal_violates_ferrers():
     assert not quantifier_is_ferrers({(0, 0), (1, 1)})
 
 
-@pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+@pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0), (0, -1), (0, 1.0),
+                                  (0.0, 1)])
 def test_is_ferrers_rejects_a_cell_out_of_range(cell):
     with pytest.raises(ValueError, match=rf"cell \({cell[0]}, {cell[1]}\) out of range"):
         is_ferrers(2, 3, {(0, 0), cell})
@@ -277,7 +278,7 @@ def test_search_tree_is_pinned(ctx, nodes):
     d = max(nodes)
     for k, want in nodes.items():
         search = cover_search(ctx, k)
-        found = search.run() is not None
+        found = search.run()
         assert (search.nodes, found) == (want, k == d)
 
 
@@ -291,7 +292,7 @@ def test_seeded_refutation_is_pinned(ctx, k, nodes):
     # conflict clique pre-placed, clique cell i in part i
     plain, seeded = cover_search(ctx, k), cover_search(ctx, k)
     seeded.seed(seeded.table.clique)
-    assert (plain.run(), seeded.run()) == (None, None)
+    assert not plain.run() and not seeded.run()
     assert (plain.nodes, seeded.nodes) == nodes
 
 
@@ -301,10 +302,10 @@ def test_one_part_cover_is_the_non_incidence_or_none():
         ctx = random_context(rng, 5, 5)
         cover = ferrers_cover(ctx, 1)
         search = cover_search(ctx, 1)
-        rows = search.run()
-        if rows is None:
+        if not search.run():
             assert cover is None
             continue
+        rows = search.part_rows
         search.maximalize(0)
         assert cover.parts == (frozenset(
             (g, m) for g in range(ctx.n_objects) for m in range(ctx.n_attributes)
@@ -324,7 +325,7 @@ def test_maximalize_matches_a_scan_with_rebuilt_closures():
         k = max(3, order_dimension(ctx)[0])
         search = cover_search(ctx, k)
         search.seed(search.table.clique)
-        assert search.run() is not None
+        assert search.run()
         for j in range(k):
             expected = list(search.part_rows[j])
             for g, m in search.table.cells:
@@ -547,7 +548,7 @@ def test_seeded_search_refutes_exactly_when_no_cover_exists():
         assert len(cell_table(ctx).clique) <= d
         for k in range(2, d + 1):
             assert ((ferrers_cover(ctx, k) is None)
-                    == (cover_search(ctx, k).run() is None)), (ctx, k)
+                    == (not cover_search(ctx, k).run())), (ctx, k)
 
 
 def test_clique_larger_than_k_refutes_without_a_search(monkeypatch):
@@ -595,7 +596,7 @@ def test_two_colouring_finds_a_cover_exactly_when_the_search_does():
     found = 0
     for ctx in contexts:
         cover = ferrers_cover(ctx, 2)
-        assert (cover is None) == (cover_search(ctx, 2).run() is None), ctx
+        assert (cover is None) == (not cover_search(ctx, 2).run()), ctx
         found += cover is not None
     assert (found, len(contexts)) == (371, 595)
 
@@ -860,7 +861,7 @@ def test_extension_ranks_match_chain_closures():
         lat = concepts(ctx)
         d, cover = order_dimension(ctx)
         search = cover_search(ctx, d)
-        assert search.run() is not None
+        assert search.run()
         cells = search.table.cells
         found = [frozenset((g, m) for g, m in cells if rows[g] >> m & 1)
                  for rows in search.part_rows]

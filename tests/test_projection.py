@@ -13,8 +13,8 @@ from dimdraw import (AxisFrame, ContractViolation, DimEmbedding,
                      RepairFailed, best_assignment, concepts,
                      default_frame, embed, normalize, order_dimension,
                      project, realizer_from_cover, repair_incidences)
-from helpers import (all_pairs_crossings, closed_form_point_segment_distance,
-                     context_from_pairs, contra_nominal, generator_points,
+from helpers import (all_pairs_crossings, chain_context,
+                     closed_form_point_segment_distance, context_from_pairs, contra_nominal, generator_points,
                      grid_context, life_context,
                      oracle_crossings, oracle_point_segment_distance,
                      random_context, random_order_context, reference_repair,
@@ -146,6 +146,15 @@ def test_project_names_both_counts_for_a_frame_of_the_wrong_size():
     _, emb = _embedding(life_context())
     with pytest.raises(ValueError, match="^4 frame directions for 3 realizer axes$"):
         project(emb, default_frame(4), (0, 1, 2))
+
+
+@pytest.mark.parametrize("n, assignment", [
+    (1, [0.0]), (2, (1.0, 0)), (2, (0, 0)), (2, (0, "1")), (2, (0,))])
+def test_project_rejects_an_assignment_that_does_not_permute_the_axes(n, assignment):
+    # [0.0] sorts equal to [0] but cannot index a frame direction
+    _, emb = _embedding(contra_nominal(2) if n == 2 else chain_context(2))
+    with pytest.raises(ValueError, match="^assignment must permute the frame directions$"):
+        project(emb, default_frame(n), assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +553,6 @@ def test_best_assignment_is_pinned_on_contranominal_six(monkeypatch):
 def test_best_assignment_above_the_cap_raises_before_any_sweep(monkeypatch):
     # a realizer may repeat extensions, so a valid 9-axis embedding of a
     # 2-chain is easy to build
-    from helpers import chain_context
     ctx = chain_context(1)
     lat = concepts(ctx)
     ext = LinearExtension((0, 1))
@@ -712,7 +720,6 @@ def test_normalize_unit_box():
 
 
 def test_normalize_degenerate_axis():
-    from helpers import chain_context
     _, emb = _embedding(chain_context(2))  # a chain: vertical segment, no x span
     layout = normalize(project(emb, default_frame(1), (0,)))
     assert all(p[0] == 0.0 for p in layout.points)
@@ -749,7 +756,6 @@ def test_repair_leaves_clean_layout_unchanged():
 def test_repair_three_chain_covers_only():
     # covers of a chain skip the transitive pair, so the middle node only
     # touches its own edges and nothing moves
-    from helpers import chain_context
     _, emb = _embedding(chain_context(2))
     layout = normalize(project(emb, default_frame(1), (0,)))
     repaired = repair_incidences(layout)
