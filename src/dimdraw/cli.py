@@ -17,13 +17,12 @@ from functools import cache
 
 from .context import (FormalContext, _json_text, parse_csv, parse_cxt,
                       parse_poset_edges, poset_to_context)
-from .dimension import (DEFAULT_TIMEOUT_S, FerrersCover, Realizer,
-                        certificate_json, order_dimension,
+from .dimension import (DEFAULT_TIMEOUT_S, certificate_json, order_dimension,
                         realizer_from_cover, realizer_permutations)
 from .embedding import embed
 from .errors import (ContractViolation, CycleError, DimensionUndecided,
                      LatticeTooLargeError, ParseError, RepairFailed)
-from .lattice import ConceptLattice, _bits, concepts
+from .lattice import _bits, concepts
 from .projection import (DEFAULT_SPREAD_DEG, best_assignment, default_frame,
                          normalize, repair_incidences)
 from .render import LabeledDiagram, label, to_json, to_svg, to_tikz
@@ -62,40 +61,29 @@ def _infer_format(path: str) -> str:
         f"cannot infer input format from {path!r}; pass --input-format")
 
 
-def _front(ctx: FormalContext, lat: ConceptLattice, *,
-           timeout_per_k: float | None, max_k: int | None
-           ) -> tuple[int, FerrersCover, Realizer]:
-    """The shared front half after the lattice: the dimension with its
-    cover and the realizer."""
-    dim, cover = order_dimension(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
-    return dim, cover, realizer_from_cover(ctx, lat, cover)
-
-
-def _draw(ctx: FormalContext, lat: ConceptLattice, real: Realizer,
-          spread: float) -> LabeledDiagram:
-    """The drawing tail: frame, embedding, assignment search, normalization,
-    repair and labels."""
-    search = best_assignment(embed(lat, real), default_frame(real.dim, spread))
-    return label(ctx, lat, repair_incidences(normalize(search.layout)), real)
-
-
 def build_diagram(ctx: FormalContext, *, spread: float = DEFAULT_SPREAD_DEG,
                   timeout_per_k: float | None = DEFAULT_TIMEOUT_S,
                   max_k: int | None = DEFAULT_MAX_K
                   ) -> LabeledDiagram:
-    """Full drawing pipeline for library use, the stages of ``dimdraw draw``;
-    a dimension above ASSIGNMENT_CAP raises LatticeTooLargeError."""
+    """The drawing pipeline, which ``dimdraw draw`` runs: lattice, dimension,
+    realizer, embedding, assignment search, normalization, repair and
+    labels.  A dimension above ASSIGNMENT_CAP raises LatticeTooLargeError."""
     lat = concepts(ctx)
-    _, _, real = _front(ctx, lat, timeout_per_k=timeout_per_k, max_k=max_k)
-    return _draw(ctx, lat, real, spread)
+    _, cover = order_dimension(ctx, timeout_per_k=timeout_per_k, max_k=max_k)
+    real = realizer_from_cover(ctx, lat, cover)
+    search = best_assignment(embed(lat, real), default_frame(real.dim, spread))
+    return label(ctx, lat, repair_incidences(normalize(search.layout)), real)
 
 
 def _execute(ns: argparse.Namespace) -> int:
-    """Every command: load, the shared stages, then the command's format."""
+    """Every command: load, the command's stages, then its format."""
     ctx = load_context(ns.input_path,
                        ns.input_format or _infer_format(ns.input_path))
-    lat = concepts(ctx)
-    if ns.command == "concepts":
+    if ns.command == "draw":
+        text = _EMITTERS[ns.output_format](build_diagram(
+            ctx, spread=ns.spread, timeout_per_k=ns.timeout, max_k=ns.max_k))
+    elif ns.command == "concepts":
+        lat = concepts(ctx)
         lines = [f"concepts: {lat.n}"]
         for i, c in enumerate(lat.concepts):
             extent = ",".join(ctx.objects[g] for g in _bits(c.extent_mask))
@@ -103,16 +91,15 @@ def _execute(ns: argparse.Namespace) -> int:
             lines.append(f"{i}\t{{{extent}}}\t{{{intent}}}")
         text = "\n".join(lines) + "\n"
     else:
-        dim, cover, real = _front(ctx, lat, timeout_per_k=ns.timeout,
-                                  max_k=ns.max_k)
+        lat = concepts(ctx)
+        dim, cover = order_dimension(ctx, timeout_per_k=ns.timeout, max_k=ns.max_k)
+        real = realizer_from_cover(ctx, lat, cover)
         if ns.command == "dimension":
             text = certificate_json(ctx, lat, dim, cover, real)
             print(f"dimension: {dim}")
-        elif ns.command == "realizer":
+        else:
             text = _json_text({"dimension": dim, "realizer":
                                realizer_permutations(ctx, lat, real)})
-        else:
-            text = _EMITTERS[ns.output_format](_draw(ctx, lat, real, ns.spread))
     if ns.output is None:
         sys.stdout.write(text)
     else:
@@ -120,12 +107,6 @@ def _execute(ns: argparse.Namespace) -> int:
             handle.write(text)
     sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     return EXIT_OK
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _checked(convert, accepts, requirement: str):
@@ -141,10 +122,10 @@ def _checked(convert, accepts, requirement: str):
 
 
 @cache  # one parser per process; parse_args leaves it unchanged
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="dimdraw",
-                     description="Draw concept lattices and finite posets by "
-                                 "order dimension.")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="dimdraw",
+                                     description="Draw concept lattices and "
+                                     "finite posets by order dimension.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str, search: bool) -> argparse.ArgumentParser:
@@ -184,11 +165,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command; returns its exit code.  argparse exits 0 after
+    --help and 2 on a usage error, which is exit code 1 here."""
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
         return _execute(ns)

@@ -81,7 +81,7 @@ def derive_objects(ctx: FormalContext, objects: Iterable[int]) -> frozenset[int]
     """Attributes shared by every object in the set (all of M for the empty set)."""
     mask = (1 << ctx.n_attributes) - 1
     for g in objects:
-        if not 0 <= g < ctx.n_objects:
+        if not (isinstance(g, int) and 0 <= g < ctx.n_objects):
             raise IndexError(f"object index {g} out of range")
         mask &= ctx.rows[g]
     return frozenset(_bits(mask))
@@ -92,7 +92,7 @@ def derive_attributes(ctx: FormalContext, attributes: Iterable[int]) -> frozense
     cols = ctx.attribute_cols()
     mask = (1 << ctx.n_objects) - 1
     for m in attributes:
-        if not 0 <= m < ctx.n_attributes:
+        if not (isinstance(m, int) and 0 <= m < ctx.n_attributes):
             raise IndexError(f"attribute index {m} out of range")
         mask &= cols[m]
     return frozenset(_bits(mask))
@@ -103,13 +103,15 @@ def transitive_reduction(leq_masks: Iterable[int]) -> tuple[tuple[int, int], ...
 
     ``leq_masks[i]`` must be the bitmask of all j with i <= j, i
     included, and the indices must form a linear extension: ValueError,
-    before any cover, when mask i lacks bit i or has one outside i..n-1.
+    before any cover, when mask i is not an int, lacks bit i or has one
+    outside i..n-1.
     So the lowest index left in x's strict up-set is a cover of x, and
     each cover clears its up-set.
     """
     masks = list(leq_masks)
     for i, mask in enumerate(masks):
-        if not mask >> i & 1 or mask >> len(masks) or mask & ((1 << i) - 1):
+        if (not isinstance(mask, int) or not mask >> i & 1 or mask >> len(masks)
+                or mask & ((1 << i) - 1)):
             raise ValueError(f"up-set {i} must hold {i} and no index outside "
                              f"{i}..{len(masks) - 1}, as in a linear extension")
     covers = []

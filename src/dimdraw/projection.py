@@ -19,6 +19,7 @@ non-incident edge they touch.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import sys
@@ -85,7 +86,7 @@ def default_frame(d: int, spread_deg: float = DEFAULT_SPREAD_DEG) -> AxisFrame:
     built as exactly (-x, y) of direction j, so the fan is mirror
     symmetric to the bit and ``best_assignment`` sweeps one member of
     each complement pair."""
-    if d < 1:
+    if not isinstance(d, int) or d < 1:
         raise ValueError("need at least one direction")
     if not 0.0 < spread_deg < 90.0:
         raise ValueError("spread must be strictly between 0 and 90 degrees")
@@ -219,12 +220,12 @@ def _split_search(e: DimEmbedding, columns, perms, n: int) -> list:
     """``_search`` on n interleaved shares of ``perms``, each in lex order.
 
     The parent sweeps the first share; each other share goes to a forked
-    child that writes its (count, perm) to a pipe as one line of ints,
-    or an empty line when its share has no winner, and ends with
-    os._exit, so it neither returns nor flushes stdio.  Every child is
-    read to EOF and reaped, also when the parent's share raises.  A share
-    whose child delivered nothing, or that could not be forked, is swept
-    again here, so its error is raised in the parent."""
+    child that sends its (count, perm) with marshal, in one write to a
+    pipe far below PIPE_BUF, and ends with os._exit, so it neither
+    returns nor flushes stdio.  Every child is read to EOF and reaped,
+    also when the parent's share raises.  A share whose child delivered
+    nothing, or that could not be forked, is swept again here, so its
+    error is raised in the parent."""
     shares = [perms[i::n] for i in range(n)]
     children = []
     try:
@@ -236,26 +237,21 @@ def _split_search(e: DimEmbedding, columns, perms, n: int) -> list:
                 pid = None
             if pid == 0:
                 try:
-                    count, perm = _search(e, columns, share)
-                    ints = () if perm is None else (count, *perm)
-                    os.write(write, f"{' '.join(map(str, ints))}\n".encode())
+                    os.write(write, marshal.dumps(_search(e, columns, share)))
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, read, share))
         results = [_search(e, columns, shares[0])]
     finally:
-        lines = []
+        sent = []
         for pid, read, _ in children:
             with os.fdopen(read, "rb") as pipe:
-                lines.append(pipe.read())
+                sent.append(pipe.read())
             if pid:
                 os.waitpid(pid, 0)
-    for line, (_, _, share) in zip(lines, children):
-        if not line:
-            results.append(_search(e, columns, share))
-        elif ints := [int(value) for value in line.split()]:
-            results.append((ints[0], tuple(ints[1:])))
+    for data, (_, _, share) in zip(sent, children):
+        results.append(marshal.loads(data) if data else _search(e, columns, share))
     return results
 
 

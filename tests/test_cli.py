@@ -18,9 +18,9 @@ from dimdraw.cli import DEFAULT_MAX_K, _build_parser, build_diagram, main
 from dimdraw.context import parse_poset_edges
 from dimdraw.dimension import DEFAULT_TIMEOUT_S
 from dimdraw.projection import DEFAULT_SPREAD_DEG
-from dimdraw import (CycleError, LatticeTooLargeError, ParseError, concepts,
-                     parse_csv, parse_cxt, poset_to_context, to_json, to_svg,
-                     to_tikz, write_cxt)
+from dimdraw import (CycleError, DimensionUndecided, LatticeTooLargeError,
+                     ParseError, concepts, parse_csv, parse_cxt,
+                     poset_to_context, to_json, to_svg, to_tikz, write_cxt)
 from helpers import (contra_nominal, crown_context, life_context,
                      life_csv_text, life_cxt_text,
                      random_order_context, reference_concept_listing,
@@ -320,6 +320,20 @@ def test_draw_deterministic_bytes(life_file, tmp_path):
         assert emit(diagram).encode("utf-8") == first.read_bytes()
 
 
+def test_draw_passes_each_flag_to_build_diagram(life_file, tmp_path, capsys):
+    out = tmp_path / "life.json"
+    assert main(["draw", life_file, "--spread", "30", "--format", "json",
+                 "-o", str(out)]) == 0
+    assert out.read_bytes() == to_json(
+        build_diagram(life_context(), spread=30.0)).encode("utf-8")
+    for flag, value, kwargs in (("--max-k", "2", {"max_k": 2}),
+                                ("--timeout", "0", {"timeout_per_k": 0.0})):
+        assert main(["draw", life_file, flag, value]) == 2
+        with pytest.raises(DimensionUndecided) as raised:
+            build_diagram(life_context(), **kwargs)
+        assert capsys.readouterr() == ("", f"dimdraw: undecided: {raised.value}\n")
+
+
 @pytest.mark.parametrize("fmt, full_counts", [("svg", 0), ("json", 1)])
 def test_crossings_are_counted_at_most_once_after_the_search(
         life_file, tmp_path, monkeypatch, fmt, full_counts):
@@ -401,7 +415,30 @@ def test_dimension_nine_exits_2_before_the_assignment_search(
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: dimdraw ") and captured.err == ""
+    assert main(["draw", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: dimdraw draw ")
+    assert "--spread" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "dimdraw: error: the following arguments are required: command"),
+    (["bogus"], "dimdraw: error: argument command: invalid choice: 'bogus'"),
+    (["draw", "LIFE", "--format", "png"],
+     "dimdraw draw: error: argument --format: invalid choice: 'png'"),
+], ids=["no-command", "unknown-command", "unknown-format"])
+def test_a_usage_error_exits_1_with_the_usage_and_the_error(life_file, capsys,
+                                                             argv, error):
+    # only up to the choice: how the "choose from" list is quoted differs
+    # between Python patch releases
+    assert main([life_file if arg == "LIFE" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dimdraw")
+    assert captured.err.endswith("\n")
+    assert captured.err.splitlines()[-1].startswith(error)
 
 
 @pytest.mark.parametrize("command, flags", [

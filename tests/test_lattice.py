@@ -53,6 +53,16 @@ def test_derive_out_of_range():
         derive_attributes(ctx, {99})
 
 
+def test_derive_rejects_an_index_that_is_not_an_int():
+    ctx = life_context()
+    for g in (1.5, 1.0, "1", None):
+        with pytest.raises(IndexError, match=f"^object index {g} out of range$"):
+            derive_objects(ctx, [g])
+    for m in (0.5, 0.0, "0", None):
+        with pytest.raises(IndexError, match=f"^attribute index {m} out of range$"):
+            derive_attributes(ctx, [m])
+
+
 def test_life_has_nineteen_concepts():
     assert concepts(life_context()).n == 19
 
@@ -165,6 +175,12 @@ def test_transitive_reduction_rejects_non_linear_extension():
     # an up-set without its own index never clears it, and a bit past
     # the last index reads a mask that is not there
     for masks in ([3, 1], [0b11, 0], [0b101], [0b1, 0b110], [-1]):
+        with pytest.raises(ValueError, match="linear extension"):
+            transitive_reduction(masks)
+
+
+def test_transitive_reduction_rejects_a_mask_that_is_not_an_int():
+    for masks in ([1.0], [0b11, 2.0], ["1"], [None]):
         with pytest.raises(ValueError, match="linear extension"):
             transitive_reduction(masks)
 

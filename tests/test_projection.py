@@ -116,6 +116,12 @@ def test_default_frame_validation():
         default_frame(2, 90.0)
 
 
+@pytest.mark.parametrize("d", [2.5, 3.0, "3", None])
+def test_default_frame_rejects_a_direction_count_that_is_not_an_int(d):
+    with pytest.raises(ValueError, match="^need at least one direction$"):
+        default_frame(d)
+
+
 @pytest.mark.parametrize("direction", [(0.5, -0.5), (1.0, 0.0), (0.0, -0.0),
                                        (0.0, math.nan), (math.nan, 1.0),
                                        (-math.inf, 1.0), (math.inf, 0.5),
@@ -532,13 +538,19 @@ def test_best_assignment_counts_every_permutation_of_an_asymmetric_frame():
         assert (result.assignment, result.layout.crossings) == (first, counts[first])
 
 
-def test_best_assignment_rejects_a_spread_that_merges_points_everywhere():
+def test_best_assignment_rejects_a_spread_that_merges_points_everywhere(monkeypatch):
     # u(150) + u(30) = u(90): at 60 degrees every permutation of the
     # 3-axis fan puts two concepts of this order on one point
     _, emb = _embedding(random_order_context(24, 3, 3924))
     with pytest.raises(ValueError, match="every axis assignment"):
         best_assignment(emb, default_frame(3, 60.0))
     assert sorted(best_assignment(emb, default_frame(3, 59.0)).assignment) == [0, 1, 2]
+    # split three ways, each child's share has no winner either
+    forked = _split(monkeypatch, 3)
+    with pytest.raises(ValueError, match="every axis assignment"):
+        best_assignment(emb, default_frame(3, 60.0))
+    assert len(forked) == 2
+    _assert_no_child_left()
 
 
 def test_best_assignment_is_pinned_on_contranominal_six(monkeypatch):

@@ -6,7 +6,8 @@ renamed test file or package directory would first show there.  Every
 assignment, each word that names a file (a ``/`` or a ``.py`` suffix),
 and the directory of a ``pip install -e DIR[extra]`` must exist, and the
 extra must be declared in ``pyproject.toml``.  The matrix's lowest
-Python is the floor that ``requires-python`` declares.
+Python is the floor that ``requires-python`` declares, and the job's
+token can only read the repository.
 """
 
 import os
@@ -64,3 +65,8 @@ def test_the_matrix_starts_at_the_declared_python_floor():
                 for v in _workflow()["jobs"]["tier1"]["strategy"]["matrix"]["python-version"]]
     assert floor is not None
     assert min(versions) == (int(floor[1]), int(floor[2])) == (3, 10)
+
+
+def test_the_workflow_token_is_read_only():
+    # the job only checks out the code and runs the tests
+    assert _workflow()["permissions"] == {"contents": "read"}
