@@ -15,14 +15,14 @@ import os
 import sys
 from functools import cache
 
-from .context import (FormalContext, _json_text, parse_csv, parse_cxt,
-                      parse_poset_edges, poset_to_context)
+from .context import (_BYTE_TABLE, FormalContext, _bits, _byte_tables, _json_text,
+                      parse_csv, parse_cxt, parse_poset_edges, poset_to_context)
 from .dimension import (DEFAULT_TIMEOUT_S, certificate_json, order_dimension,
                         realizer_from_cover, realizer_permutations)
 from .embedding import embed
 from .errors import (ContractViolation, CycleError, DimensionUndecided,
                      LatticeTooLargeError, ParseError, RepairFailed)
-from .lattice import _bits, concepts
+from .lattice import ConceptLattice, concepts
 from .projection import (DEFAULT_SPREAD_DEG, best_assignment, default_frame,
                          normalize, repair_incidences)
 from .render import LabeledDiagram, label, to_json, to_svg, to_tikz
@@ -75,6 +75,29 @@ def build_diagram(ctx: FormalContext, *, spread: float = DEFAULT_SPREAD_DEG,
     return label(ctx, lat, repair_incidences(normalize(search.layout)), real)
 
 
+def _concept_listing(ctx: FormalContext, lat: ConceptLattice) -> str:
+    """The ``dimdraw concepts`` text: a count line, then per concept its
+    index and the comma-joined names of its extent and intent.  From
+    _BYTE_TABLE concepts on, the names come from byte tables, whose
+    entries end each name in a comma; below that, bit by bit."""
+    lines = [f"concepts: {lat.n}"]
+    if lat.n < _BYTE_TABLE:
+        for i, c in enumerate(lat.concepts):
+            extent = ",".join(ctx.objects[g] for g in _bits(c.extent_mask))
+            intent = ",".join(ctx.attributes[m] for m in _bits(c.intent_mask))
+            lines.append(f"{i}\t{{{extent}}}\t{{{intent}}}")
+    else:
+        objects, attributes = (_byte_tables(names, "", "{}{},".format)
+                               for names in (ctx.objects, ctx.attributes))
+        entry, g_bytes, m_bytes = list.__getitem__, len(objects), len(attributes)
+        for i, c in enumerate(lat.concepts):
+            extent = "".join(map(entry, objects, c.extent_mask.to_bytes(g_bytes, "little")))
+            intent = "".join(map(entry, attributes,
+                                 c.intent_mask.to_bytes(m_bytes, "little")))
+            lines.append(f"{i}\t{{{extent[:-1]}}}\t{{{intent[:-1]}}}")
+    return "\n".join(lines) + "\n"
+
+
 def _execute(ns: argparse.Namespace) -> int:
     """Every command: load, the command's stages, then its format."""
     ctx = load_context(ns.input_path,
@@ -83,13 +106,7 @@ def _execute(ns: argparse.Namespace) -> int:
         text = _EMITTERS[ns.output_format](build_diagram(
             ctx, spread=ns.spread, timeout_per_k=ns.timeout, max_k=ns.max_k))
     elif ns.command == "concepts":
-        lat = concepts(ctx)
-        lines = [f"concepts: {lat.n}"]
-        for i, c in enumerate(lat.concepts):
-            extent = ",".join(ctx.objects[g] for g in _bits(c.extent_mask))
-            intent = ",".join(ctx.attributes[m] for m in _bits(c.intent_mask))
-            lines.append(f"{i}\t{{{extent}}}\t{{{intent}}}")
-        text = "\n".join(lines) + "\n"
+        text = _concept_listing(ctx, concepts(ctx))
     else:
         lat = concepts(ctx)
         dim, cover = order_dimension(ctx, timeout_per_k=ns.timeout, max_k=ns.max_k)
@@ -180,7 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader stopped reading an answer that was computed; stdout
         # goes to devnull so that the flush at exit raises nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except OSError as exc:
         print(f"dimdraw: error: cannot read or write: {exc}", file=sys.stderr)

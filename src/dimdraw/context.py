@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import graphlib
 import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -47,6 +47,29 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# entries of a full table of ``_byte_tables``: a caller builds the
+# tables only to decode at least this many masks, which pays for them
+_BYTE_TABLE = 256
+
+
+def _byte_tables(values: Sequence, unit, fold: Callable) -> list[list]:
+    """Tables that decode a mask over ``values`` one byte at a time.
+
+    Table k maps byte k of ``mask.to_bytes(len(tables), "little")`` to
+    the fold of values 8k..8k+7 over the byte's set bits, lowest index
+    first: ``fold(... fold(unit, v_low) ..., v_high)``, and ``unit`` for
+    byte 0.  A table has up to _BYTE_TABLE entries; entry b is built from
+    the entry without b's highest bit.
+    """
+    tables = []
+    for k in range(0, len(values), 8):
+        table = [unit]
+        for value in values[k:k + 8]:
+            table += [fold(rest, value) for rest in table]
+        tables.append(table)
+    return tables
 
 
 def _check_names(names: tuple[str, ...], kind: str) -> None:

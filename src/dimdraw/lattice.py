@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
-from .context import FormalContext, _bits
+from .context import _BYTE_TABLE, FormalContext, _bits, _byte_tables
 from .errors import ContractViolation, LatticeTooLargeError
 
 CONCEPT_CAP = 100_000
@@ -133,8 +133,10 @@ def concepts(ctx: FormalContext) -> ConceptLattice:
     the first i attribute extents, G for the empty one.  Raises
     LatticeTooLargeError after the step that takes the set past
     CONCEPT_CAP; a step at most doubles the set, so no more than twice
-    the cap is ever held, and output is never silently truncated.  The
-    order is left to the lattice's first read of it.
+    the cap is ever held, and output is never silently truncated.  An
+    intent is the AND of its extent's rows: from _BYTE_TABLE concepts on,
+    one byte-table lookup per byte of the extent, below that one row per
+    object.  The order is left to the lattice's first read of it.
     """
     rows = ctx.rows
     full_g = (1 << ctx.n_objects) - 1
@@ -150,13 +152,19 @@ def concepts(ctx: FormalContext) -> ConceptLattice:
 
     ordered = sorted(extents)
     concept_list = []
-    bottom = full_g
-    for ext in ordered:
-        intent = full_m
-        for g in _bits(ext):
-            intent &= rows[g]
-        concept_list.append(Concept(ext, intent))
-        bottom &= ext
-    if bottom != ordered[0] or ordered[-1] != full_g:
+    if len(ordered) >= _BYTE_TABLE:
+        tables = _byte_tables(rows, full_m, int.__and__)
+        for ext in ordered:
+            intent = full_m
+            for table, byte in zip(tables, ext.to_bytes(len(tables), "little")):
+                intent &= table[byte]
+            concept_list.append(Concept(ext, intent))
+    else:
+        for ext in ordered:
+            intent = full_m
+            for g in _bits(ext):
+                intent &= rows[g]
+            concept_list.append(Concept(ext, intent))
+    if reduce(int.__and__, ordered) != ordered[0] or ordered[-1] != full_g:
         raise ContractViolation("lattice lost its unique bottom or top")
     return ConceptLattice(tuple(concept_list))

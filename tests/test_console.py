@@ -161,3 +161,26 @@ def test_closed_stdout_pipe_exits_0_quietly(work):
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (0, b""), unbuffered
+
+
+def test_closed_stdout_pipe_leaves_no_descriptor_open(work):
+    # main points stdout at /dev/null after the pipe breaks; the descriptor
+    # it opens on /dev/null for that must be closed again
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    script = ("import os, sys\n"
+              "from dimdraw.cli import main\n"
+              "before = len(os.listdir('/proc/self/fd'))\n"
+              "code = main(['dimension', 'crown6.cxt'])\n"
+              "print(code, before, len(os.listdir('/proc/self/fd')), file=sys.stderr)\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=work, stdout=write_end,
+            stderr=subprocess.PIPE, timeout=60, text=True,
+            env={**ENV, "PYTHONPATH": os.pathsep.join([SRC, *PATHS])})
+    finally:
+        os.close(write_end)
+    code, before, after = map(int, done.stderr.split())
+    assert (done.returncode, code, after) == (0, 0, before)

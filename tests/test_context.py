@@ -15,7 +15,7 @@ from dimdraw import (CycleError, FormalContext, ParseError, PosetInput,
                      best_assignment, concepts, default_frame, embed,
                      order_dimension, parse_csv, parse_cxt, poset_to_context,
                      realizer_from_cover, write_cxt)
-from dimdraw.context import _json_text, parse_poset_edges
+from dimdraw.context import _byte_tables, _json_text, parse_poset_edges
 from helpers import (crown_context, life_context, life_csv_text, life_cxt_text,
                      LIFE_ROWS, reference_poset_rows, seeded_context)
 
@@ -418,3 +418,19 @@ def test_json_text_on_the_artifact_documents(ctx, tmp_path, monkeypatch):
     assert [sorted(doc) for doc in documents] == [
         ["dimension", "ferrers_parts", "realizer"], ["dimension", "realizer"],
         ["concepts", "crossings", "dimension", "edges", "realizer"]]
+
+
+def test_byte_tables_fold_each_byte_lowest_index_first():
+    # a decoded mask is its indices in bit order, at every byte edge, for
+    # the empty, full, single-bit, top-byte and random masks
+    rng = random.Random(36)
+    for n in (0, 1, 7, 8, 9, 16, 17, 3000):
+        tables = _byte_tables(range(n), (), lambda rest, value: rest + (value,))
+        assert len(tables) == (n + 7) // 8
+        full = (1 << n) - 1
+        masks = [0, full, full & ~0xFF, *(1 << i for i in range(min(n, 24))),
+                 *(rng.getrandbits(n) if n else 0 for _ in range(50))]
+        for mask in masks:
+            parts = map(list.__getitem__, tables, mask.to_bytes(len(tables), "little"))
+            assert [i for part in parts for i in part] == [
+                i for i in range(n) if mask >> i & 1], (n, mask)

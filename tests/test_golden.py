@@ -38,6 +38,7 @@ def _inputs() -> dict[str, tuple[str, str]]:
     return {
         "life": ("life.cxt", life_cxt_text()),
         "contranominal4": ("cn4.cxt", write_cxt(contra_nominal(4))),
+        "contranominal8": ("cn8.cxt", write_cxt(contra_nominal(8))),
         "seeded-7x7-s1": ("s1.cxt", write_cxt(seeded_context(7, 7, 0.5, 1))),
         "seeded-7x7-s9": ("s9.cxt", write_cxt(seeded_context(7, 7, 0.5, 9))),
         "crown12": ("crown12.cxt", write_cxt(crown_context(12))),
@@ -58,6 +59,9 @@ CASES = {
     "seeded-7x7-s9.json": ("seeded-7x7-s9", ["draw", "--format", "json"]),
     "crown12.dimension.json": ("crown12", ["dimension"]),
     "poset2d-16-s0.json": ("poset2d-16-s0", ["draw", "--format", "json"]),
+    # 19 concepts, decoded bit by bit, and 256, decoded by byte tables
+    "life.concepts.txt": ("life", ["concepts"]),
+    "contranominal8.concepts.txt": ("contranominal8", ["concepts"]),
 }
 
 

@@ -224,11 +224,27 @@ def test_object_masks_are_the_up_sets_of_the_object_concepts():
     assert "object_masks" in vars(lat)
 
 
+def _byte_edges():
+    """Contexts with 0, 1, 7, 8, 9, 16 and 17 objects and attributes,
+    contranominal 7, 8 and 9 (128, 256 and 512 concepts), one with names
+    the listing does not escape, and 1 x 3000 and 9 x 300 contexts."""
+    sizes = (0, 1, 7, 8, 9, 16, 17)
+    contexts = [seeded_context(g, m, 0.5, 31 * g + m) for g in sizes for m in sizes]
+    contexts += [contra_nominal(n) for n in (7, 8, 9)]
+    names = ("", ",", "{", "}", "\t", "a b", "7", "8", "9")
+    contexts.append(context_from_pairs(names, names[::-1], contra_nominal(9).incidence))
+    contexts += [seeded_context(1, 3000, 0.5, 0), seeded_context(9, 300, 0.5, 0)]
+    return contexts
+
+
 def test_concepts_are_mask_native(tmp_path, capsys):
-    # the sets are derived from the masks, and the CLI listing, which walks
-    # the masks in bit order, is the one sorted() over frozensets gives
+    # the sets are derived from the masks, and the CLI listing and the
+    # intents, which decode the masks bit by bit below 256 concepts and by
+    # byte tables from 256 on, are the ones the references give
     path = tmp_path / "ctx.cxt"
-    for ctx in _seeded_120():
+    edges = _byte_edges()
+    assert {concepts(ctx).n >= 256 for ctx in edges} == {False, True}
+    for ctx in _seeded_120() + edges:
         lat = concepts(ctx)
         for c in lat.concepts:
             assert c.extent == frozenset(g for g in range(ctx.n_objects)
